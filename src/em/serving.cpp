@@ -31,9 +31,8 @@ void EmOptions::validate() const {
   QNTN_REQUIRE(node_capacity > 0, "em node_capacity must be positive");
 }
 
-EntanglementManager::EntanglementManager(const EmOptions& options,
-                                         EmRouteSource* shared_routes)
-    : options_(options), shared_routes_(shared_routes), pool_(options.pool) {
+EntanglementManager::EntanglementManager(const EmOptions& options)
+    : options_(options), pool_(options.pool) {
   options_.validate();
 }
 
@@ -46,17 +45,6 @@ const std::vector<net::Route>& EntanglementManager::candidates(
     scratch_routes_ = net::k_disjoint_paths(graph, source, destination,
                                             options_.k_paths, options_.metric);
     return scratch_routes_;
-  }
-  // Cross-worker cache first: one k-disjoint search per (epoch, pair) for
-  // the whole run. serve() re-prices every hop from the current graph, so
-  // sharing route *structure* across workers cannot change any outcome.
-  if (shared_routes_ != nullptr) {
-    const std::vector<net::Route>* shared =
-        shared_routes_->routes_for(graph, source, destination, epoch);
-    if (shared != nullptr) {
-      obs::count("em.route_cache_hits");
-      return *shared;
-    }
   }
   if (cache_epoch_ != epoch) {
     cache_epoch_ = epoch;

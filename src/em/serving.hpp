@@ -121,37 +121,14 @@ struct EmOptions {
   void validate() const;
 };
 
-/// Cross-worker source of candidate routes, shared by every manager of one
-/// scenario run. Implementations must be safe to call concurrently (the
-/// parallel scenario engine queries from every chunk worker) and must
-/// return pointers that stay valid for the run. Declared here — rather
-/// than next to its implementation, sim::SharedEmRouteCache — so the em
-/// layer never depends on sim. Returning nullptr (unknown pair, inactive
-/// cache) sends the manager to its own per-worker cache.
-class EmRouteSource {
- public:
-  virtual ~EmRouteSource() = default;
-
-  /// Candidate routes of (source, destination) on `epoch`, whose snapshot
-  /// graph is `graph`; nullptr when this source cannot answer.
-  [[nodiscard]] virtual const std::vector<net::Route>* routes_for(
-      const net::Graph& graph, net::NodeId source, net::NodeId destination,
-      std::size_t epoch) = 0;
-};
-
 /// Serves batches snapshot by snapshot. Not thread-safe: the parallel
 /// scenario engine gives each worker its own manager (mirroring
-/// sim::SnapshotServer). Managers of one run may share an EmRouteSource —
-/// that part is thread-safe — so the k-disjoint candidate search runs once
-/// per (epoch, pair) across all workers instead of once per worker.
+/// sim::SnapshotServer), which is all the route cache needs.
 class EntanglementManager {
  public:
   static constexpr std::size_t kNoEpoch = static_cast<std::size_t>(-1);
 
-  /// `shared_routes` (borrowed, may be nullptr) supplies cross-worker
-  /// candidate routes; the per-worker cache covers whatever it cannot.
-  explicit EntanglementManager(const EmOptions& options,
-                               EmRouteSource* shared_routes = nullptr);
+  explicit EntanglementManager(const EmOptions& options);
 
   /// Serve the batch on a snapshot graph. `epoch` is the topology epoch id
   /// of the snapshot (kNoEpoch when the provider has no partition): with an
@@ -175,7 +152,6 @@ class EntanglementManager {
                                             std::size_t epoch);
 
   EmOptions options_;
-  EmRouteSource* shared_routes_ = nullptr;
   MemoryPool pool_;
 
   /// Per-epoch route cache (valid only for eta-independent metrics).

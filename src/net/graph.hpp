@@ -26,15 +26,6 @@ struct Adjacency {
   double transmissivity = 0.0;
 };
 
-/// An unordered node pair whose link set changed between two graphs (e.g. a
-/// contact window opened or closed across a topology-epoch boundary). The
-/// delta tree repair (routing.hpp) invalidates conservatively per pair, so
-/// parallel edges need no edge identity here.
-struct ChangedPair {
-  NodeId a = 0;
-  NodeId b = 0;
-};
-
 class Graph {
  public:
   /// Add a node with an optional display name; returns its id (dense,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <queue>
 
@@ -193,154 +192,6 @@ ShortestPathTree bellman_ford_tree(const Graph& graph, NodeId src,
   std::vector<double> costs;
   compute_edge_costs(graph, metric, costs);
   return bellman_ford_tree(graph, src, costs);
-}
-
-namespace {
-
-/// Rewrite tree.previous with the canonical predecessors for tree.cost:
-/// scan graph.edges() in index order and give every non-source node with a
-/// finite cost the first edge that is exactly tight (cost[u] + c ==
-/// cost[v]), checking a->b before b->a within each edge. Predecessor costs
-/// strictly decrease along the chain (positive edge costs), so the result
-/// is acyclic; every finite non-source node has a tight edge by
-/// construction of the costs.
-void assign_canonical_predecessors(const Graph& graph, NodeId src,
-                                   const std::vector<double>& edge_costs,
-                                   ShortestPathTree& tree) {
-  std::fill(tree.previous.begin(), tree.previous.end(), std::nullopt);
-  const std::vector<Edge>& edges = graph.edges();
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const Edge& e = edges[i];
-    const double c = edge_costs[i];
-    if (e.b != src && !tree.previous[e.b].has_value() &&
-        tree.cost[e.a] < kInf && tree.cost[e.a] + c == tree.cost[e.b]) {
-      tree.previous[e.b] = e.a;
-    }
-    if (e.a != src && !tree.previous[e.a].has_value() &&
-        tree.cost[e.b] < kInf && tree.cost[e.b] + c == tree.cost[e.a]) {
-      tree.previous[e.a] = e.b;
-    }
-  }
-}
-
-}  // namespace
-
-ShortestPathTree canonical_tree(const Graph& graph, NodeId src,
-                                const std::vector<double>& edge_costs) {
-  ShortestPathTree tree = bellman_ford_tree(graph, src, edge_costs);
-  assign_canonical_predecessors(graph, src, edge_costs, tree);
-  return tree;
-}
-
-ShortestPathTree delta_update_tree(const Graph& graph, NodeId src,
-                                   const std::vector<double>& edge_costs,
-                                   const ShortestPathTree& base,
-                                   const std::vector<ChangedPair>& changed) {
-  const std::size_t n = graph.node_count();
-  QNTN_REQUIRE(src < n, "source out of range");
-  QNTN_REQUIRE(base.cost.size() == n && base.previous.size() == n,
-               "base tree does not match the graph");
-  QNTN_REQUIRE(edge_costs.size() == graph.edge_count(),
-               "edge cost buffer does not match the graph");
-  obs::count("net.tree_delta_repairs");
-  const obs::Span span("net.tree_delta", changed.size());
-
-  ShortestPathTree tree = base;
-
-  // Membership test for "pair {u, v} changed" (order-insensitive).
-  const auto pair_key = [n](NodeId u, NodeId v) {
-    return std::min(u, v) * n + std::max(u, v);
-  };
-  std::vector<std::size_t> changed_keys;
-  changed_keys.reserve(changed.size());
-  for (const ChangedPair& p : changed) {
-    changed_keys.push_back(pair_key(p.a, p.b));
-  }
-  std::sort(changed_keys.begin(), changed_keys.end());
-  const auto pair_changed = [&](NodeId u, NodeId v) {
-    return std::binary_search(changed_keys.begin(), changed_keys.end(),
-                              pair_key(u, v));
-  };
-
-  // 1. Invalidate the subtree hanging off every tree edge whose pair
-  // changed: those nodes' base costs may be stale in either direction.
-  std::vector<std::vector<NodeId>> children(n);
-  for (NodeId b = 0; b < n; ++b) {
-    if (tree.previous[b].has_value()) children[*tree.previous[b]].push_back(b);
-  }
-  std::vector<char> dirty(n, 0);
-  std::vector<NodeId> stack;
-  for (NodeId b = 0; b < n; ++b) {
-    if (tree.previous[b].has_value() && pair_changed(*tree.previous[b], b)) {
-      stack.push_back(b);
-    }
-  }
-  while (!stack.empty()) {
-    const NodeId u = stack.back();
-    stack.pop_back();
-    if (dirty[u] != 0) continue;
-    dirty[u] = 1;
-    tree.cost[u] = kInf;
-    for (const NodeId child : children[u]) stack.push_back(child);
-  }
-
-  // Incidence index over the *new* graph (adjacency lists carry no edge
-  // ids, and the worklist needs per-node edges with their costs).
-  const std::vector<Edge>& edges = graph.edges();
-  std::vector<std::vector<std::uint32_t>> incident(n);
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    incident[edges[i].a].push_back(static_cast<std::uint32_t>(i));
-    incident[edges[i].b].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // 2. Seed the worklist with every node whose outgoing relaxations could
-  // change: finite-cost nodes bordering the invalidated region (they
-  // re-grow it) and finite-cost endpoints of changed pairs (an opened link
-  // can shorten paths without invalidating anything).
-  std::vector<char> queued(n, 0);
-  std::vector<NodeId> queue;
-  const auto enqueue = [&](NodeId u) {
-    if (queued[u] == 0 && tree.cost[u] < kInf) {
-      queued[u] = 1;
-      queue.push_back(u);
-    }
-  };
-  for (NodeId u = 0; u < n; ++u) {
-    if (dirty[u] == 0) continue;
-    for (const std::uint32_t e : incident[u]) {
-      enqueue(edges[e].a == u ? edges[e].b : edges[e].a);
-    }
-  }
-  for (const ChangedPair& p : changed) {
-    if (p.a < n) enqueue(p.a);
-    if (p.b < n) enqueue(p.b);
-  }
-
-  // 3. Worklist relaxation (SPFA) until fixpoint: costs only decrease, and
-  // the seed argument in DESIGN.md §13 shows the fixpoint equals the full
-  // recompute's costs.
-  while (!queue.empty()) {
-    const NodeId u = queue.back();
-    queue.pop_back();
-    queued[u] = 0;
-    const double cu = tree.cost[u];
-    for (const std::uint32_t e : incident[u]) {
-      const NodeId v = edges[e].a == u ? edges[e].b : edges[e].a;
-      const double nc = cu + edge_costs[e];
-      if (nc < tree.cost[v]) {
-        tree.cost[v] = nc;
-        if (queued[v] == 0) {
-          queued[v] = 1;
-          queue.push_back(v);
-        }
-      }
-    }
-  }
-
-  // 4. Canonical predecessors over the repaired costs: bit-identical to the
-  // full canonical rebuild whenever the costs are.
-  assign_canonical_predecessors(graph, src, edge_costs, tree);
-  return tree;
 }
 
 std::optional<Route> route_from_tree(const Graph& graph,

@@ -103,33 +103,6 @@ struct ShortestPathTree {
 [[nodiscard]] ShortestPathTree bellman_ford_tree(
     const Graph& graph, NodeId src, const std::vector<double>& edge_costs);
 
-/// Canonical shortest-path tree: the same optimal costs as
-/// bellman_ford_tree, but with the predecessors re-derived by a single
-/// deterministic pass over graph.edges() in index order (first tight edge
-/// wins; within one edge the a->b orientation is checked before b->a).
-/// Unlike bellman_ford_tree's relaxation-history predecessors, canonical
-/// predecessors are a pure function of (edge set, edge costs) — which is
-/// what lets a delta-repaired tree be bit-identical to a full rebuild. The
-/// shared per-epoch tree cache (sim/epoch_cache.hpp) stores only canonical
-/// trees; cost ties (ubiquitous under HopCount) may therefore resolve to
-/// different equal-cost routes than bellman_ford_tree's.
-[[nodiscard]] ShortestPathTree canonical_tree(
-    const Graph& graph, NodeId src, const std::vector<double>& edge_costs);
-
-/// Incrementally repair `base` — the canonical tree of a *previous* epoch's
-/// graph for the same source — into the canonical tree of `graph`, given
-/// the unordered node pairs whose link set changed between the two epochs
-/// (duplicates allowed; direction/openness irrelevant — the repair is
-/// conservative per pair). Exact, bit-identical to canonical_tree(graph,
-/// src, edge_costs), whenever unchanged edges kept their cost — the
-/// eta-independent-metric gate the shared epoch cache applies. The repair
-/// invalidates the subtrees hanging off changed pairs, re-relaxes from the
-/// surviving frontier (worklist, O(affected region) instead of O(V*E)), and
-/// re-derives canonical predecessors.
-[[nodiscard]] ShortestPathTree delta_update_tree(
-    const Graph& graph, NodeId src, const std::vector<double>& edge_costs,
-    const ShortestPathTree& base, const std::vector<ChangedPair>& changed);
-
 /// Dijkstra with a binary heap on the same metrics (costs are non-negative
 /// for every metric above, so it applies). Oracle/baseline for tests and
 /// the perf benches.

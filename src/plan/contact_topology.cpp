@@ -154,24 +154,6 @@ void ContactPlanTopology::active_windows(std::size_t epoch,
   }
 }
 
-bool ContactPlanTopology::epoch_delta(std::size_t from, std::size_t to,
-                                      std::size_t max_pairs,
-                                      std::vector<net::ChangedPair>& out)
-    const {
-  QNTN_REQUIRE(from < to && to < epoch_starts_.size(),
-               "epoch_delta needs from < to within the partition");
-  const std::size_t begin = epoch_event_offsets_[from + 1];
-  const std::size_t end = epoch_event_offsets_[to + 1];
-  if (end - begin > max_pairs) return false;
-  const std::vector<ContactWindow>& windows = plan_.windows();
-  out.reserve(out.size() + (end - begin));
-  for (std::size_t e = begin; e < end; ++e) {
-    const ContactWindow& window = windows[events_[e].window];
-    out.push_back({window.a, window.b});
-  }
-  return true;
-}
-
 std::vector<std::size_t> ContactPlanTopology::epoch_window_ids(
     std::size_t epoch) const {
   std::vector<std::size_t> ids;

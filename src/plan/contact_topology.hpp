@@ -73,16 +73,6 @@ class ContactPlanTopology final : public sim::TopologyProvider {
   /// with the query count.
   void snapshot_at(double t, sim::TopologySnapshot& snap) const override;
 
-  /// The event stream between two epochs, as node pairs: the events applied
-  /// at the starts of epochs from+1 .. to, read straight off the stored
-  /// timeline (the same checkpoint+delta partition active_windows merges).
-  /// O(events in the span); refuses spans longer than max_pairs so the
-  /// shared epoch tree cache can bound its delta repairs.
-  [[nodiscard]] bool epoch_delta(std::size_t from, std::size_t to,
-                                 std::size_t max_pairs,
-                                 std::vector<net::ChangedPair>& out)
-      const override;
-
   /// Start time of epoch e; epoch 0 starts at -infinity. Epoch e covers
   /// [epoch_start(e), epoch_start(e + 1)) (the last one is unbounded).
   [[nodiscard]] double epoch_start(std::size_t epoch) const {

@@ -5,11 +5,8 @@ namespace qntn::sim {
 EmSnapshotServer::EmSnapshotServer(const TopologyProvider& topology,
                                    const RequestBatch& batch,
                                    const em::EmOptions& options,
-                                   quantum::FidelityConvention convention,
-                                   em::EmRouteSource* shared_routes)
-    : topology_(topology),
-      convention_(convention),
-      manager_(options, shared_routes) {
+                                   quantum::FidelityConvention convention)
+    : topology_(topology), convention_(convention), manager_(options) {
   requests_.reserve(batch.requests.size());
   for (const Request& request : batch.requests) {
     requests_.push_back(em::EmRequest{request.source, request.destination});
@@ -18,8 +15,7 @@ EmSnapshotServer::EmSnapshotServer(const TopologyProvider& topology,
 
 em::EmServeResult EmSnapshotServer::serve_at(double t) {
   topology_.snapshot_at(t, snap_);
-  const std::size_t epoch = topology_.epoch_of(t);
-  return manager_.serve(snap_.graph, requests_, epoch, convention_,
+  return manager_.serve(snap_.graph, requests_, snap_.epoch, convention_,
                         /*record_outcomes=*/true);
 }
 

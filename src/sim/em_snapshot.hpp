@@ -19,12 +19,9 @@ namespace qntn::sim {
 class EmSnapshotServer {
  public:
   /// Borrows topology and batch; both must outlive the server.
-  /// `shared_routes` (borrowed, may be nullptr) is the run-scoped
-  /// cross-worker candidate-route cache handed to the manager.
   EmSnapshotServer(const TopologyProvider& topology, const RequestBatch& batch,
                    const em::EmOptions& options,
-                   quantum::FidelityConvention convention,
-                   em::EmRouteSource* shared_routes = nullptr);
+                   quantum::FidelityConvention convention);
 
   /// Snapshot the topology at time t and serve the whole batch from the
   /// buffered-pair pool (outcomes recorded).

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "sim/epoch_cache.hpp"
 
 namespace qntn::sim {
 
@@ -61,15 +60,9 @@ ServeResult serve_snapshot(const net::Graph& graph, const RequestBatch& batch,
                            net::CostMetric metric,
                            quantum::FidelityConvention convention,
                            ServeScratch& scratch, bool record_outcomes,
-                           bool reuse_trees, SharedEpochTreeCache* shared,
-                           std::size_t epoch) {
-  // With the shared cache every tree comes from the run-scoped per-epoch
-  // table, so the scratch (and the per-snapshot edge pricing that only
-  // feeds tree builds) stays untouched.
-  const bool use_shared = shared != nullptr;
-  if (!use_shared &&
-      (!reuse_trees || scratch.tree_valid.size() != batch.sources.size() ||
-       scratch.edge_costs.size() != graph.edge_count())) {
+                           bool reuse_trees) {
+  if (!reuse_trees || scratch.tree_valid.size() != batch.sources.size() ||
+      scratch.edge_costs.size() != graph.edge_count()) {
     scratch.trees.resize(batch.sources.size());
     scratch.tree_valid.assign(batch.sources.size(), 0);
     net::compute_edge_costs(graph, metric, scratch.edge_costs);
@@ -93,20 +86,14 @@ ServeResult serve_snapshot(const net::Graph& graph, const RequestBatch& batch,
       if (record_outcomes) result.outcomes[i] = outcome;
       continue;
     }
-    const net::ShortestPathTree* tree = nullptr;
-    if (use_shared) {
-      tree = &shared->tree_for(epoch, req.source, graph);
-    } else {
-      const std::size_t slot = batch.source_slot[i];
-      if (scratch.tree_valid[slot] == 0) {
-        scratch.trees[slot] =
-            net::bellman_ford_tree(graph, req.source, scratch.edge_costs);
-        scratch.tree_valid[slot] = 1;
-      }
-      tree = &scratch.trees[slot];
+    const std::size_t slot = batch.source_slot[i];
+    if (scratch.tree_valid[slot] == 0) {
+      scratch.trees[slot] =
+          net::bellman_ford_tree(graph, req.source, scratch.edge_costs);
+      scratch.tree_valid[slot] = 1;
     }
-    const auto route =
-        net::route_from_tree(graph, *tree, req.source, req.destination);
+    const auto route = net::route_from_tree(graph, scratch.trees[slot],
+                                            req.source, req.destination);
     if (!route.has_value()) {
       outcome.status = ServeStatus::NoPath;
       ++result.unserved_no_path;

@@ -112,8 +112,6 @@ struct ServeResult {
         quantum::FidelityConvention::Uhlmann,
     bool record_outcomes = false);
 
-class SharedEpochTreeCache;
-
 /// Serving core: serve a prebuilt batch against one snapshot, reusing the
 /// caller's scratch. With reuse_trees the per-source trees cached in the
 /// scratch are assumed valid for this graph — only correct when the metric
@@ -121,20 +119,9 @@ class SharedEpochTreeCache;
 /// refreshed transmissivities (route structure is then unchanged; served
 /// transmissivity/fidelity still read the current etas through the graph).
 /// Bitwise-identical to serve_requests on the same inputs.
-///
-/// A non-null `shared` (with `epoch` the snapshot's topology epoch) routes
-/// every tree lookup through the run-scoped per-epoch cache instead of the
-/// scratch: trees are then built once per (epoch, source) across all chunk
-/// workers, and they are *canonical* (net::canonical_tree), so equal-cost
-/// ties may resolve to different routes than the scratch path's
-/// bellman_ford_tree. Callers pass it only when the cache is active —
-/// eta-independent metric on an epoch-partitioned provider — and must pass
-/// it from the serial and parallel paths alike.
 [[nodiscard]] ServeResult serve_snapshot(
     const net::Graph& graph, const RequestBatch& batch, net::CostMetric metric,
     quantum::FidelityConvention convention, ServeScratch& scratch,
-    bool record_outcomes, bool reuse_trees = false,
-    SharedEpochTreeCache* shared = nullptr,
-    std::size_t epoch = static_cast<std::size_t>(-1));
+    bool record_outcomes, bool reuse_trees = false);
 
 }  // namespace qntn::sim

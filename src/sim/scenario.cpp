@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <optional>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "obs/profiler.hpp"
 #include "obs/registry.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
-#include "sim/epoch_cache.hpp"
 #include "sim/serving_engine.hpp"
 
 namespace qntn::sim {
@@ -92,13 +93,6 @@ ScenarioResult run_scenario(const NetworkModel& model,
 
   const obs::ScopedTimer serving_timer("time.serving_s");
   const obs::Span serving_span("sim.serving", config.request_steps);
-
-  // Run-scoped shared per-epoch caches (sim/epoch_cache.hpp): trees and em
-  // candidate routes are computed once per (epoch, key) for the whole run
-  // instead of once per worker. The bundle reaches the serial path and
-  // every parallel worker alike, so thread count cannot change results.
-  const SharedServingCaches shared_caches(topology, batch, config,
-                                          model.nodes().size());
 
   result.em.enabled = !config.traffic.enabled && config.em.enabled;
   result.traffic.enabled = config.traffic.enabled;
@@ -262,31 +256,48 @@ ScenarioResult run_scenario(const NetworkModel& model,
       config.pool != nullptr &&
       (topology.epoch_count() > 0 || config.traffic.enabled);
   if (parallel_engine) {
-    // Parallel snapshot engine: workers produce per-step results into
-    // preallocated slots (no shared mutable state), then the main thread
-    // merges them in step order.
-    std::vector<ServeStepResult> per_step(config.request_steps);
-    parallel_for_chunks(
-        *config.pool, config.request_steps, config.pool->size(),
-        [&](std::size_t begin, std::size_t end) {
-          const obs::ScopedRegistry worker_registry(config.registry);
-          const obs::ScopedProfiler worker_profiler(config.profiler);
-          const obs::Span span("sim.serve_chunk", end - begin);
-          const auto engine =
-              make_serving_engine(model, topology, batch, config, interval,
-                                  trace_requests, &shared_caches);
-          for (std::size_t step = begin; step < end; ++step) {
-            per_step[step] =
-                engine->serve_step(step, static_cast<double>(step) * interval);
-          }
-        });
-    for (std::size_t step = 0; step < config.request_steps; ++step) {
-      merge(step, per_step[step]);
+    // Parallel snapshot engine, in bounded rounds: each round hands every
+    // worker slot a run of kRoundSteps consecutive steps, the workers fill
+    // preallocated per-step slots (no shared mutable state), and the main
+    // thread merges the round in step order and frees its slots before the
+    // next one. Memory stays at one round of results however long the day.
+    // A slot keeps its engine, and with it the per-epoch caches, across
+    // rounds; with one worker that is exactly the serial step sequence.
+    constexpr std::size_t kRoundSteps = 64;
+    const std::size_t slots = config.pool->size();
+    const std::size_t round_size = slots * kRoundSteps;
+    std::vector<std::unique_ptr<ServingEngine>> engines(slots);
+    std::vector<ServeStepResult> per_step(
+        std::min(round_size, config.request_steps));
+    for (std::size_t round = 0; round < config.request_steps;
+         round += round_size) {
+      const std::size_t round_end =
+          std::min(round + round_size, config.request_steps);
+      parallel_for_index(*config.pool, slots, [&](std::size_t slot) {
+        const std::size_t begin =
+            std::min(round + slot * kRoundSteps, round_end);
+        const std::size_t end = std::min(begin + kRoundSteps, round_end);
+        if (begin == end) return;
+        const obs::ScopedRegistry worker_registry(config.registry);
+        const obs::ScopedProfiler worker_profiler(config.profiler);
+        const obs::Span span("sim.serve_chunk", end - begin);
+        if (engines[slot] == nullptr) {
+          engines[slot] = make_serving_engine(model, topology, batch, config,
+                                              interval, trace_requests);
+        }
+        for (std::size_t step = begin; step < end; ++step) {
+          per_step[step - round] = engines[slot]->serve_step(
+              step, static_cast<double>(step) * interval);
+        }
+      });
+      for (std::size_t step = round; step < round_end; ++step) {
+        merge(step, per_step[step - round]);
+        per_step[step - round] = ServeStepResult{};
+      }
     }
   } else {
     const auto engine = make_serving_engine(model, topology, batch, config,
-                                            interval, trace_requests,
-                                            &shared_caches);
+                                            interval, trace_requests);
     for (std::size_t step = 0; step < config.request_steps; ++step) {
       const obs::Span step_span("sim.serve_step", step);
       const ServeStepResult served =

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "sim/em_snapshot.hpp"
-#include "sim/epoch_cache.hpp"
 #include "sim/scenario.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/traffic.hpp"
@@ -61,9 +60,8 @@ class SingleShotEngine final : public ServingEngine {
  public:
   SingleShotEngine(const TopologyProvider& topology, const RequestBatch& batch,
                    net::CostMetric metric,
-                   quantum::FidelityConvention convention,
-                   SharedEpochTreeCache* shared_trees)
-      : server_(topology, batch, metric, convention, shared_trees) {}
+                   quantum::FidelityConvention convention)
+      : server_(topology, batch, metric, convention) {}
 
   [[nodiscard]] ServeStepResult serve_step(std::size_t step,
                                            double t) override {
@@ -99,9 +97,8 @@ class EmEngine final : public ServingEngine {
  public:
   EmEngine(const TopologyProvider& topology, const RequestBatch& batch,
            const em::EmOptions& options,
-           quantum::FidelityConvention convention,
-           em::EmRouteSource* shared_routes)
-      : server_(topology, batch, options, convention, shared_routes) {}
+           quantum::FidelityConvention convention)
+      : server_(topology, batch, options, convention) {}
 
   [[nodiscard]] ServeStepResult serve_step(std::size_t step,
                                            double t) override {
@@ -154,24 +151,19 @@ class EmEngine final : public ServingEngine {
 std::unique_ptr<ServingEngine> make_serving_engine(
     const NetworkModel& model, const TopologyProvider& topology,
     const RequestBatch& batch, const ScenarioConfig& config,
-    double step_interval, bool record_requests,
-    const SharedServingCaches* shared) {
-  SharedEpochTreeCache* shared_trees =
-      shared != nullptr ? shared->tree_cache() : nullptr;
+    double step_interval, bool record_requests) {
   if (config.traffic.enabled) {
     return std::make_unique<TrafficEngine>(model, topology, config.traffic,
-                                           step_interval, record_requests,
-                                           shared_trees);
+                                           step_interval, record_requests);
   }
   if (config.em.enabled) {
     // Fixed-batch engines always record: the scenario's handover accounting
     // reads per-request relays regardless of tracing.
-    return std::make_unique<EmEngine>(
-        topology, batch, config.em, config.convention,
-        shared != nullptr ? shared->em_route_cache() : nullptr);
+    return std::make_unique<EmEngine>(topology, batch, config.em,
+                                      config.convention);
   }
   return std::make_unique<SingleShotEngine>(topology, batch, config.metric,
-                                            config.convention, shared_trees);
+                                            config.convention);
 }
 
 }  // namespace qntn::sim

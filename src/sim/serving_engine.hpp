@@ -154,7 +154,6 @@ class NetworkModel;
 class TopologyProvider;
 struct RequestBatch;
 struct ScenarioConfig;
-struct SharedServingCaches;
 
 /// Build the engine the scenario config selects: traffic when
 /// config.traffic.enabled, em when config.em.enabled, single-shot
@@ -163,13 +162,9 @@ struct SharedServingCaches;
 /// traffic engine for per-arrival records (fixed-batch engines always
 /// record — the handover accounting needs them). Each parallel worker
 /// calls this once; all referenced objects must outlive the engine.
-/// `shared` (may be nullptr) is run_scenario's run-scoped cache bundle
-/// (sim/epoch_cache.hpp); the same bundle must reach the serial path and
-/// every parallel worker, which is what keeps them byte-identical.
 [[nodiscard]] std::unique_ptr<ServingEngine> make_serving_engine(
     const NetworkModel& model, const TopologyProvider& topology,
     const RequestBatch& batch, const ScenarioConfig& config,
-    double step_interval, bool record_requests,
-    const SharedServingCaches* shared = nullptr);
+    double step_interval, bool record_requests);
 
 }  // namespace qntn::sim

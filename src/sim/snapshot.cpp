@@ -1,21 +1,11 @@
 #include "sim/snapshot.hpp"
 
-#include "sim/epoch_cache.hpp"
-
 namespace qntn::sim {
 
 ServeResult SnapshotServer::serve_at(double t) {
   const std::size_t prev_epoch = snap_.epoch;
   const void* prev_owner = snap_.owner;
   topology_.snapshot_at(t, snap_);
-  const bool use_shared = shared_trees_ != nullptr &&
-                          shared_trees_->active() &&
-                          snap_.epoch != TopologyProvider::kNoEpoch;
-  if (use_shared) {
-    return serve_snapshot(snap_.graph, batch_, metric_, convention_, scratch_,
-                          /*record_outcomes=*/true, /*reuse_trees=*/false,
-                          shared_trees_, snap_.epoch);
-  }
   // Trees survive a same-epoch refresh only when routes cannot depend on
   // the refreshed transmissivities.
   const bool reuse_trees = net::metric_is_eta_independent(metric_) &&

@@ -19,23 +19,15 @@
 
 namespace qntn::sim {
 
-class SharedEpochTreeCache;
-
 class SnapshotServer {
  public:
   /// Borrows everything; topology and batch must outlive the server.
-  /// `shared_trees` (may be nullptr) is the run-scoped per-epoch tree
-  /// cache: when active, trees are looked up there — built once per
-  /// (epoch, source) across every worker — and the per-worker scratch
-  /// trees are skipped entirely.
   SnapshotServer(const TopologyProvider& topology, const RequestBatch& batch,
-                 net::CostMetric metric, quantum::FidelityConvention convention,
-                 SharedEpochTreeCache* shared_trees = nullptr)
+                 net::CostMetric metric, quantum::FidelityConvention convention)
       : topology_(topology),
         batch_(batch),
         metric_(metric),
-        convention_(convention),
-        shared_trees_(shared_trees) {}
+        convention_(convention) {}
 
   /// Snapshot the topology at time t and serve the whole batch on it
   /// (outcomes recorded). Queries at nondecreasing times within one epoch
@@ -51,8 +43,6 @@ class SnapshotServer {
   const RequestBatch& batch_;
   net::CostMetric metric_;
   quantum::FidelityConvention convention_;
-  /// Run-scoped shared per-epoch trees (borrowed, may be nullptr).
-  SharedEpochTreeCache* shared_trees_ = nullptr;
   TopologySnapshot snap_;
   ServeScratch scratch_;
 };

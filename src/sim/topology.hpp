@@ -105,24 +105,6 @@ class TopologyProvider {
   /// snapshot engine then falls back to the serial per-step path).
   [[nodiscard]] virtual std::size_t epoch_count() const { return 0; }
 
-  /// Append to `out` the unordered node pairs whose dynamic link set
-  /// changes when advancing from epoch `from` to epoch `to` (from < to;
-  /// the events applied at the starts of epochs from+1 .. to, duplicates
-  /// allowed). Returns true when the provider can enumerate the delta and
-  /// it spans at most `max_pairs` events; false (out untouched) tells the
-  /// caller to rebuild from scratch instead of delta-repairing. The default
-  /// — no epoch partition — never can.
-  [[nodiscard]] virtual bool epoch_delta(std::size_t from, std::size_t to,
-                                         std::size_t max_pairs,
-                                         std::vector<net::ChangedPair>& out)
-      const {
-    (void)from;
-    (void)to;
-    (void)max_pairs;
-    (void)out;
-    return false;
-  }
-
   /// Fill `snap` with the graph at time t, reusing its structure when the
   /// slot already holds the same epoch of the same provider. The default
   /// delegates to graph_at (a full rebuild each call); epoch-aware

@@ -9,7 +9,6 @@
 #include "common/constants.hpp"
 #include "common/error.hpp"
 #include "quantum/fidelity.hpp"
-#include "sim/epoch_cache.hpp"
 
 namespace qntn::sim {
 
@@ -223,14 +222,12 @@ double TrafficResult::waiting_percentile(double q) const {
 TrafficEngine::TrafficEngine(const NetworkModel& model,
                              const TopologyProvider& topology,
                              const TrafficConfig& config, double window,
-                             bool record_requests,
-                             SharedEpochTreeCache* shared_trees)
+                             bool record_requests)
     : model_(model),
       topology_(topology),
       config_(config),
       window_(window),
-      record_requests_(record_requests),
-      shared_trees_(shared_trees) {
+      record_requests_(record_requests) {
   config_.validate();
   QNTN_REQUIRE(window_ > 0.0, "traffic serving window must be > 0");
 
@@ -300,22 +297,27 @@ void TrafficEngine::draw_arrivals(std::size_t step, double t0) {
 }
 
 ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
+  const std::size_t prev_epoch = snap_.epoch;
+  const void* prev_owner = snap_.owner;
   topology_.snapshot_at(t, snap_);
   const net::Graph& graph = snap_.graph;
 
   // Per-window lazy route cache: one shortest-path tree per arrival source,
-  // stamped by window (the snapshot is frozen for the whole window). With
-  // the run-scoped shared cache active the trees come from it instead —
-  // built once per (epoch, source) across all chunk workers, and canonical,
-  // so serial and parallel runs see the very same trees.
-  const bool use_shared = shared_trees_ != nullptr && shared_trees_->active() &&
-                          snap_.epoch != TopologyProvider::kNoEpoch;
-  ++stamp_;
-  trees_.resize(graph.node_count());
-  tree_stamp_.resize(graph.node_count(), 0);
-  net::compute_edge_costs(graph, config_.metric, edge_costs_);
+  // stamped by window (the snapshot is frozen for the whole window). The
+  // trees outlive the window under SnapshotServer::serve_at's rule: a
+  // same-epoch refresh of the same provider only re-weights edges, which
+  // an eta-independent metric cannot see.
+  const bool reuse_trees = net::metric_is_eta_independent(config_.metric) &&
+                           snap_.epoch != TopologyProvider::kNoEpoch &&
+                           snap_.epoch == prev_epoch &&
+                           snap_.owner == prev_owner;
+  if (!reuse_trees) {
+    ++stamp_;
+    trees_.resize(graph.node_count());
+    tree_stamp_.resize(graph.node_count(), 0);
+    net::compute_edge_costs(graph, config_.metric, edge_costs_);
+  }
   const auto tree_for = [&](net::NodeId source) -> const net::ShortestPathTree& {
-    if (use_shared) return shared_trees_->tree_for(snap_.epoch, source, graph);
     if (tree_stamp_[source] != stamp_) {
       trees_[source] = net::bellman_ford_tree(graph, source, edge_costs_);
       tree_stamp_[source] = stamp_;

@@ -35,8 +35,6 @@
 
 namespace qntn::sim {
 
-class SharedEpochTreeCache;
-
 struct TrafficConfig {
   /// Scenario serving-mode switch (core::ServingMode::Traffic sets it);
   /// the standalone run_traffic_simulation ignores it.
@@ -128,15 +126,9 @@ class TrafficEngine final : public ServingEngine {
  public:
   /// Borrows model and topology; both must outlive the engine. `window` is
   /// the scenario's snapshot interval [s]. Validates the config.
-  /// `shared_trees` (borrowed, may be nullptr) is the run-scoped per-epoch
-  /// tree cache; when it is active the per-window route trees come from it
-  /// instead of the engine's own scratch, so chunk workers stop re-deriving
-  /// each other's trees. Saturation reroutes (masked costs depend on this
-  /// window's busy state) always stay engine-local.
   TrafficEngine(const NetworkModel& model, const TopologyProvider& topology,
                 const TrafficConfig& config, double window,
-                bool record_requests,
-                SharedEpochTreeCache* shared_trees = nullptr);
+                bool record_requests);
 
   [[nodiscard]] ServeStepResult serve_step(std::size_t step,
                                            double t) override;
@@ -156,8 +148,6 @@ class TrafficEngine final : public ServingEngine {
   TrafficConfig config_;
   double window_ = 0.0;
   bool record_requests_ = false;
-  /// Run-scoped shared per-epoch trees (borrowed, may be nullptr).
-  SharedEpochTreeCache* shared_trees_ = nullptr;
 
   /// Destination candidates per source LAN (ground nodes of other LANs)
   /// and the site used for each LAN's diurnal factor.
@@ -169,7 +159,7 @@ class TrafficEngine final : public ServingEngine {
   std::vector<Arrival> arrivals_;
   std::vector<double> edge_costs_;
   std::vector<net::ShortestPathTree> trees_;   ///< indexed by source node
-  std::vector<std::uint32_t> tree_stamp_;      ///< step stamp per tree
+  std::vector<std::uint32_t> tree_stamp_;      ///< tree valid iff == stamp_
   std::uint32_t stamp_ = 0;
   std::vector<std::size_t> busy_;
 };

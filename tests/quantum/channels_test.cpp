@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "quantum/state.hpp"
@@ -63,14 +64,24 @@ TEST(Channels, RejectsOutOfRangeParameters) {
   EXPECT_THROW((void)bit_flip(1.5), PreconditionError);
 }
 
-/// CPTP property over a channel/parameter grid.
-using ChannelFactory = KrausChannel (*)(double);
+/// CPTP property over a channel/parameter grid. The factory is wrapped with
+/// its name so gtest prints the parameter (and hence the discovered test
+/// name) the same in every process, rather than a load-address pointer.
+struct ChannelFactory {
+  const char* name;
+  KrausChannel (*make)(double);
+};
+
+void PrintTo(const ChannelFactory& factory, std::ostream* os) {
+  *os << factory.name;
+}
+
 class CptpSweep
     : public ::testing::TestWithParam<std::tuple<ChannelFactory, double>> {};
 
 TEST_P(CptpSweep, TracePreservingAndPositive) {
   const auto [factory, p] = GetParam();
-  const KrausChannel ch = factory(p);
+  const KrausChannel ch = factory.make(p);
   EXPECT_TRUE(ch.is_trace_preserving(1e-12));
   // Applying to valid states yields valid states.
   for (const Matrix& rho :
@@ -88,8 +99,12 @@ TEST_P(CptpSweep, TracePreservingAndPositive) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, CptpSweep,
-    ::testing::Combine(::testing::Values(&amplitude_damping, &depolarizing,
-                                         &dephasing, &bit_flip),
+    ::testing::Combine(::testing::Values(
+                           ChannelFactory{"amplitude_damping",
+                                          &amplitude_damping},
+                           ChannelFactory{"depolarizing", &depolarizing},
+                           ChannelFactory{"dephasing", &dephasing},
+                           ChannelFactory{"bit_flip", &bit_flip}),
                        ::testing::Values(0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)));
 
 TEST(Channels, DepolarizingFullStrengthGivesMaximallyMixed) {

@@ -6,21 +6,24 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
 #include "net/routing.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
+#include "sim/requests.hpp"
 #include "sim/scenario.hpp"
 
 /// Golden determinism contract of the parallel snapshot engine (DESIGN.md
 /// §9/§13): for every topology mode, serving mode and thread count,
 /// run_scenario must produce a ScenarioResult — and a trace stream —
-/// bitwise identical to the serial run, including when the shared per-epoch
-/// route caches are active (eta-independent metrics). EXPECT_EQ on doubles
-/// below is deliberate: the ordered reduction promises equality to the last
-/// bit, not approximate agreement.
+/// bitwise identical to the serial run, including when the per-worker
+/// epoch caches reuse route trees (eta-independent metrics) and when the
+/// day is served in several bounded rounds. EXPECT_EQ on doubles below is
+/// deliberate: the ordered reduction promises equality to the last bit,
+/// not approximate agreement.
 
 namespace qntn::sim {
 namespace {
@@ -43,6 +46,46 @@ struct RunOutput {
   std::string trace;
 };
 
+/// Test-only decorator that serves the wrapped provider's graphs but hides
+/// its epoch partition: every snapshot comes back tagged kNoEpoch, so no
+/// serving engine may reuse trees or candidate routes across snapshots and
+/// every snapshot rebuilds its dynamic edges. With no partition to report
+/// (epoch_count() == 0), coverage and fixed-batch serving also take the
+/// serial path. Running a scenario with and without it is the differential
+/// oracle for the per-worker epoch caches.
+class EpochBlindTopology final : public TopologyProvider {
+ public:
+  explicit EpochBlindTopology(const TopologyProvider& inner) : inner_(inner) {}
+
+  [[nodiscard]] net::Graph graph_at(double t) const override {
+    return inner_.graph_at(t);
+  }
+
+  void snapshot_at(double t, TopologySnapshot& snap) const override {
+    inner_.snapshot_at(t, snap);
+    snap.epoch = kNoEpoch;
+  }
+
+ private:
+  const TopologyProvider& inner_;
+};
+
+/// Serve one scenario on a prebuilt model and provider, tracing every
+/// request.
+RunOutput run_on(const NetworkModel& model, const TopologyProvider& topology,
+                 ScenarioConfig sc, ThreadPool* pool,
+                 obs::Registry* registry = nullptr) {
+  RunOutput out;
+  std::ostringstream trace_stream;
+  obs::TraceSink trace(trace_stream, obs::TraceLevel::Requests);
+  sc.pool = pool;
+  sc.trace = &trace;
+  sc.registry = registry;
+  out.result = run_scenario(model, topology, sc);
+  out.trace = trace_stream.str();
+  return out;
+}
+
 RunOutput run_with(TopologyMode mode, ThreadPool* pool,
                    obs::Registry* registry = nullptr,
                    void (*mutate)(ScenarioConfig&) = nullptr) {
@@ -50,18 +93,51 @@ RunOutput run_with(TopologyMode mode, ThreadPool* pool,
   config.topology_mode = mode;
   const NetworkModel model = core::build_space_ground_model(config, 12);
   const core::Topology topology = core::make_topology(config, model);
-  RunOutput out;
-  std::ostringstream trace_stream;
-  obs::TraceSink trace(trace_stream, obs::TraceLevel::Requests);
   ScenarioConfig sc = quick_config(config);
-  sc.pool = pool;
-  sc.trace = &trace;
-  sc.registry = registry;
   if (mutate != nullptr) mutate(sc);
-  out.result = run_scenario(model, topology.provider(), sc);
-  out.trace = trace_stream.str();
-  return out;
+  return run_on(model, topology.provider(), sc, pool, registry);
 }
+
+/// The full 108-satellite constellation on the contact plan. Twelve
+/// satellites serve no request in quick_config's four hours; this day
+/// serves most of them and hands them over between relays, so the
+/// route-reuse and round-boundary tests below have outcomes to compare.
+struct BusyDay {
+  QntnConfig config;
+  NetworkModel model;
+  core::Topology topology;
+
+  BusyDay() {
+    config.topology_mode = TopologyMode::ContactPlan;
+    model = core::build_space_ground_model(config, 108);
+    topology = core::make_topology(config, model);
+  }
+};
+
+const BusyDay& busy_day() {
+  static const BusyDay day;
+  return day;
+}
+
+/// quick_config on the busy day with snapshots 30 s apart, so consecutive
+/// snapshots often share a topology epoch and the epoch caches engage.
+ScenarioConfig dense_config(void (*mutate)(ScenarioConfig&)) {
+  ScenarioConfig sc = quick_config(busy_day().config);
+  sc.request_step_interval = 30.0;
+  mutate(sc);
+  return sc;
+}
+
+void single_shot_hop_count(ScenarioConfig& sc) {
+  sc.metric = net::CostMetric::HopCount;
+}
+
+void traffic_hop_count(ScenarioConfig& sc) {
+  sc.traffic.enabled = true;
+  sc.traffic.metric = net::CostMetric::HopCount;
+}
+
+void em_default(ScenarioConfig& sc) { sc.em.enabled = true; }
 
 void expect_same_stats(const RunningStats& a, const RunningStats& b) {
   EXPECT_EQ(a.count(), b.count());
@@ -168,10 +244,10 @@ TEST(ParallelScenario, EpochCountersReconcileWithQueries) {
 }
 
 TEST(ParallelScenario, EmModeBitIdenticalAcrossThreadCounts) {
-  // Entanglement-management serving with its default HopCount metric: the
-  // shared per-epoch route cache (SharedEmRouteCache) is active, so workers
-  // at every thread count consult one run-scoped cache — results and trace
-  // must still match the serial run to the bit.
+  // Entanglement-management serving with its default HopCount metric: each
+  // worker's manager caches candidate routes per epoch, and workers see
+  // different step runs at every thread count — results and trace must
+  // still match the serial run to the bit.
   const auto enable_em = [](ScenarioConfig& sc) { sc.em.enabled = true; };
   const RunOutput serial =
       run_with(TopologyMode::ContactPlan, nullptr, nullptr, enable_em);
@@ -187,131 +263,128 @@ TEST(ParallelScenario, EmModeBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelScenario, TrafficModeBitIdenticalAcrossThreadCounts) {
-  // Open-arrival traffic serving routed on HopCount: the shared per-epoch
-  // tree cache feeds every event window's route lookups. Event windows are
-  // chunked across workers, so this exercises concurrent tree_for calls
-  // with delta updates at epoch boundaries.
-  const auto enable_traffic = [](ScenarioConfig& sc) {
-    sc.traffic.enabled = true;
-    sc.traffic.metric = net::CostMetric::HopCount;
-  };
+  // Open-arrival traffic serving routed on HopCount: each worker's engine
+  // keeps its route trees across same-epoch windows, and event windows are
+  // split across workers differently at every thread count.
+  const BusyDay& day = busy_day();
+  const ScenarioConfig sc = dense_config(traffic_hop_count);
+  obs::Registry registry;
   const RunOutput serial =
-      run_with(TopologyMode::ContactPlan, nullptr, nullptr, enable_traffic);
+      run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
   EXPECT_TRUE(serial.result.traffic.enabled);
+  EXPECT_GT(serial.result.requests_served, 0u);
+  // Any ground node can originate an arrival. Without same-epoch reuse
+  // every window would build a tree per source it saw; with it, the
+  // windows of one epoch share them.
+  std::size_t ground_sources = 0;
+  for (std::size_t lan = 0; lan < day.model.lan_count(); ++lan) {
+    ground_sources += day.model.lan_nodes(lan).size();
+  }
+  EXPECT_LT(registry.counter("net.bf_trees"),
+            sc.request_steps * ground_sources);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
-    const RunOutput parallel =
-        run_with(TopologyMode::ContactPlan, &pool, nullptr, enable_traffic);
-    expect_identical(serial, parallel);
+    expect_identical(serial,
+                     run_on(day.model, day.topology.provider(), sc, &pool));
   }
 }
 
 TEST(ParallelScenario, HopCountSingleShotBitIdenticalAcrossThreadCounts) {
-  // Single-shot serving under HopCount activates the shared tree cache on
-  // the paper's own serving path (canonical trees, delta-repaired across
-  // epoch boundaries) — still bit-identical at every thread count.
-  const auto hop_metric = [](ScenarioConfig& sc) {
-    sc.metric = net::CostMetric::HopCount;
-  };
+  // Single-shot serving under HopCount reuses each worker's route trees
+  // across same-epoch snapshots on the paper's own serving path — still
+  // bit-identical at every thread count.
+  const BusyDay& day = busy_day();
+  const ScenarioConfig sc = dense_config(single_shot_hop_count);
   obs::Registry registry;
   const RunOutput serial =
-      run_with(TopologyMode::ContactPlan, nullptr, &registry, hop_metric);
-  // The shared cache must actually have been consulted, not just bypassed.
-  EXPECT_GT(registry.counter("sim.epoch_cache_builds"), 0u);
+      run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
+  EXPECT_GT(serial.result.requests_served, 0u);
+  // The reuse must actually have run: fewer trees than one per distinct
+  // source per snapshot.
+  Rng rng(sc.request_seed);
+  const std::size_t sources =
+      make_request_batch(generate_requests(day.model, sc.request_count, rng))
+          .sources.size();
+  EXPECT_LT(registry.counter("net.bf_trees"), sc.request_steps * sources);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
-    const RunOutput parallel =
-        run_with(TopologyMode::ContactPlan, &pool, nullptr, hop_metric);
-    expect_identical(serial, parallel);
+    expect_identical(serial,
+                     run_on(day.model, day.topology.provider(), sc, &pool));
   }
 }
 
-// --- Delta-vs-full tree equivalence property test ------------------------
-
-// Deterministic 64-bit LCG (MMIX constants); tests must not depend on
-// wall-clock seeding.
-std::uint64_t lcg_next(std::uint64_t& state) {
-  state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-  return state >> 33;
+TEST(ParallelScenario, EpochCachesMatchEpochBlindServing) {
+  // Differential oracle for the per-worker epoch caches: the same day
+  // served through EpochBlindTopology, which turns every epoch reuse off,
+  // must give byte-identical results and traces in all three serving
+  // modes at every thread count.
+  const BusyDay& day = busy_day();
+  const TopologyProvider& plan = day.topology.provider();
+  const EpochBlindTopology blind(plan);
+  for (void (*mode)(ScenarioConfig&) :
+       {single_shot_hop_count, traffic_hop_count, em_default}) {
+    ScenarioConfig sc = dense_config(mode);
+    sc.request_steps = 130;
+    SCOPED_TRACE(sc.traffic.enabled ? "traffic"
+                 : sc.em.enabled    ? "em"
+                                    : "single-shot");
+    obs::Registry cached_registry;
+    obs::Registry blind_registry;
+    const RunOutput cached = run_on(day.model, plan, sc, nullptr,
+                                    &cached_registry);
+    expect_identical(cached,
+                     run_on(day.model, blind, sc, nullptr, &blind_registry));
+    // The caches must have engaged, or the comparison proves nothing.
+    if (sc.em.enabled) {
+      EXPECT_GT(cached_registry.counter("em.route_cache_hits"), 0u);
+      EXPECT_EQ(blind_registry.counter("em.route_cache_hits"), 0u);
+    } else {
+      EXPECT_LT(cached_registry.counter("net.bf_trees"),
+                blind_registry.counter("net.bf_trees"));
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      expect_identical(run_on(day.model, plan, sc, &pool),
+                       run_on(day.model, blind, sc, &pool));
+    }
+  }
 }
 
-TEST(DeltaTree, MatchesFullRebuildOverRandomizedEventStreams) {
-  // Property pinned by DESIGN.md §13: for an eta-independent metric,
-  // delta_update_tree applied across an arbitrary stream of link-set
-  // changes is bit-identical (costs and predecessors) to canonical_tree
-  // rebuilt from scratch on the new graph. Random graphs, random toggle
-  // streams, every source checked every epoch.
-  std::uint64_t rng = 0x5eed5eed5eedULL;
-  for (std::size_t trial = 0; trial < 6; ++trial) {
-    const std::size_t n = 8 + lcg_next(rng) % 17;  // 8..24 nodes
-    net::Graph graph;
-    for (std::size_t i = 0; i < n; ++i) graph.add_node();
-    // Sparse static skeleton: a short chain, so connectivity hinges on the
-    // dynamic tail and the repair regularly sees unreachable regions.
-    for (std::size_t i = 0; i + 1 < std::min<std::size_t>(n, 4); ++i) {
-      graph.add_edge(i, i + 1, 0.9);
+TEST(ParallelScenario, RoundBoundariesMatchSerial) {
+  // The parallel engine serves the day in rounds of pool size x 64 steps.
+  // 130 steps is no multiple of any round size: one worker merges three
+  // rounds (64 + 64 + 2); three workers serve one partial round as
+  // 64 + 64 + 2, eight workers the same with five idle slots. Results,
+  // handovers (last-relay continuity across round boundaries) and trace
+  // bytes must all equal the serial run.
+  const BusyDay& day = busy_day();
+  const TopologyProvider& plan = day.topology.provider();
+  for (void (*mode)(ScenarioConfig&) :
+       {+[](ScenarioConfig&) {}, em_default,
+        +[](ScenarioConfig& sc) { sc.traffic.enabled = true; }}) {
+    ScenarioConfig sc = quick_config(day.config);
+    sc.request_steps = 130;
+    sc.request_step_interval = 100.0;
+    mode(sc);
+    SCOPED_TRACE(sc.traffic.enabled ? "traffic"
+                 : sc.em.enabled    ? "em"
+                                    : "single-shot");
+    const RunOutput serial = run_on(day.model, plan, sc, nullptr);
+    EXPECT_GT(serial.result.requests_served, 0u);
+    if (!sc.traffic.enabled) {
+      EXPECT_GT(serial.result.handovers, 0u);
     }
-    const std::size_t skeleton = graph.edge_count();
-
-    // Candidate dynamic links with per-candidate fixed transmissivities.
-    struct Candidate {
-      net::NodeId a, b;
-      double eta;
-      bool open;
-    };
-    std::vector<Candidate> candidates;
-    const std::size_t n_candidates = 3 * n;
-    for (std::size_t c = 0; c < n_candidates; ++c) {
-      const net::NodeId a = lcg_next(rng) % n;
-      net::NodeId b = lcg_next(rng) % n;
-      if (a == b) b = (b + 1) % n;
-      const double eta = 0.05 + 0.9 * static_cast<double>(lcg_next(rng) % 100) /
-                                    100.0;
-      candidates.push_back({a, b, eta, (lcg_next(rng) % 2) == 0});
-    }
-
-    const auto rebuild_tail = [&] {
-      graph.truncate_edges(skeleton);
-      for (const Candidate& c : candidates) {
-        if (c.open) graph.add_edge(c.a, c.b, c.eta);
-      }
-    };
-
-    rebuild_tail();
-    std::vector<double> costs;
-    net::compute_edge_costs(graph, net::CostMetric::HopCount, costs);
-    std::vector<net::ShortestPathTree> base(n);
-    for (net::NodeId src = 0; src < n; ++src) {
-      base[src] = net::canonical_tree(graph, src, costs);
-    }
-
-    for (std::size_t epoch = 0; epoch < 12; ++epoch) {
-      SCOPED_TRACE("trial=" + std::to_string(trial) +
-                   " epoch=" + std::to_string(epoch));
-      // Toggle a random handful of candidates; duplicates in the changed
-      // list are allowed by the repair's contract.
-      std::vector<net::ChangedPair> changed;
-      const std::size_t flips = 1 + lcg_next(rng) % 6;
-      for (std::size_t f = 0; f < flips; ++f) {
-        Candidate& c = candidates[lcg_next(rng) % candidates.size()];
-        c.open = !c.open;
-        changed.push_back({c.a, c.b});
-      }
-      rebuild_tail();
-      net::compute_edge_costs(graph, net::CostMetric::HopCount, costs);
-      for (net::NodeId src = 0; src < n; ++src) {
-        const net::ShortestPathTree full =
-            net::canonical_tree(graph, src, costs);
-        const net::ShortestPathTree delta =
-            net::delta_update_tree(graph, src, costs, base[src], changed);
-        EXPECT_EQ(full.cost, delta.cost) << "src=" << src;
-        EXPECT_EQ(full.previous, delta.previous) << "src=" << src;
-        base[src] = full;
-      }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
+                                      std::size_t{8}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      expect_identical(serial, run_on(day.model, plan, sc, &pool));
     }
   }
 }
