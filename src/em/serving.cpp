@@ -37,13 +37,11 @@ EntanglementManager::EntanglementManager(const EmOptions& options)
 }
 
 const std::vector<net::Route>& EntanglementManager::candidates(
-    const net::Graph& graph, net::NodeId source, net::NodeId destination,
-    std::size_t epoch) {
+    net::NodeId source, net::NodeId destination, std::size_t epoch) {
   const bool cacheable =
       epoch != kNoEpoch && net::metric_is_eta_independent(options_.metric);
   if (!cacheable) {
-    scratch_routes_ = net::k_disjoint_paths(graph, source, destination,
-                                            options_.k_paths, options_.metric);
+    finder_.find(source, destination, options_.k_paths, scratch_routes_);
     return scratch_routes_;
   }
   if (cache_epoch_ != epoch) {
@@ -53,11 +51,8 @@ const std::vector<net::Route>& EntanglementManager::candidates(
   const auto key = std::make_pair(source, destination);
   auto it = route_cache_.find(key);
   if (it == route_cache_.end()) {
-    it = route_cache_
-             .emplace(key, net::k_disjoint_paths(graph, source, destination,
-                                                 options_.k_paths,
-                                                 options_.metric))
-             .first;
+    it = route_cache_.emplace(key, std::vector<net::Route>{}).first;
+    finder_.find(source, destination, options_.k_paths, it->second);
   } else {
     obs::count("em.route_cache_hits");
   }
@@ -71,6 +66,7 @@ EmServeResult EntanglementManager::serve(
   obs::Span span("em.serve", requests.size());
 
   pool_.rebuild(graph);
+  finder_.reset(graph, options_.metric);
   node_load_.assign(graph.node_count(), 0);
   node_degree_.assign(graph.node_count(), 0);
   edge_index_.clear();
@@ -78,15 +74,25 @@ EmServeResult EntanglementManager::serve(
     const net::Edge& e = graph.edges()[i];
     ++node_degree_[e.a];
     ++node_degree_[e.b];
-    // Of parallel edges keep the best eta (the routers see the same link);
-    // ties keep the earlier index, so the choice is deterministic.
-    const auto key = std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-    const auto [it, inserted] = edge_index_.emplace(key, i);
-    if (!inserted &&
-        graph.edges()[it->second].transmissivity < e.transmissivity) {
-      it->second = i;
+    edge_index_.push_back({{std::min(e.a, e.b), std::max(e.a, e.b)}, i});
+  }
+  // Sorted by pair, then edge index. Of parallel edges keep the best eta
+  // (the routers see the same link); ties keep the earlier index, so the
+  // choice is deterministic.
+  std::sort(edge_index_.begin(), edge_index_.end());
+  std::size_t kept = 0;
+  for (const auto& entry : edge_index_) {
+    if (kept > 0 && edge_index_[kept - 1].first == entry.first) {
+      std::size_t& best = edge_index_[kept - 1].second;
+      if (graph.edges()[best].transmissivity <
+          graph.edges()[entry.second].transmissivity) {
+        best = entry.second;
+      }
+    } else {
+      edge_index_[kept++] = entry;
     }
   }
+  edge_index_.resize(kept);
 
   EmServeResult result;
   result.total = requests.size();
@@ -107,7 +113,7 @@ EmServeResult EntanglementManager::serve(
     }
 
     const std::vector<net::Route>& routes =
-        candidates(graph, request.source, request.destination, epoch);
+        candidates(request.source, request.destination, epoch);
     if (routes.empty()) {
       outcome.status = EmStatus::NoPath;
       ++result.unserved_no_path;
@@ -141,8 +147,10 @@ EmServeResult EntanglementManager::serve(
         const auto key = std::make_pair(
             std::min(route.path[i], route.path[i + 1]),
             std::max(route.path[i], route.path[i + 1]));
-        const auto it = edge_index_.find(key);
-        if (it == edge_index_.end()) {
+        const auto it = std::lower_bound(edge_index_.begin(),
+                                         edge_index_.end(),
+                                         std::make_pair(key, std::size_t{0}));
+        if (it == edge_index_.end() || it->first != key) {
           edges_present = false;
           break;
         }

@@ -145,15 +145,17 @@ class EntanglementManager {
 
  private:
   /// Candidate routes for (source, destination), from the epoch cache when
-  /// valid, computed (and cached when cacheable) otherwise.
-  const std::vector<net::Route>& candidates(const net::Graph& graph,
-                                            net::NodeId source,
+  /// valid, computed by finder_ (and cached when cacheable) otherwise.
+  const std::vector<net::Route>& candidates(net::NodeId source,
                                             net::NodeId destination,
                                             std::size_t epoch);
 
   EmOptions options_;
   MemoryPool pool_;
 
+  /// Shared search trees behind every candidate set of one serve() call;
+  /// reset at the top of each call, so no tree outlives its graph.
+  net::DisjointPathFinder finder_;
   /// Per-epoch route cache (valid only for eta-independent metrics).
   std::size_t cache_epoch_ = kNoEpoch;
   std::map<std::pair<net::NodeId, net::NodeId>, std::vector<net::Route>>
@@ -164,7 +166,10 @@ class EntanglementManager {
   /// Per-snapshot scratch, cleared in serve().
   std::vector<std::size_t> node_load_;   ///< BSMs committed per node
   std::vector<std::size_t> node_degree_;
-  std::map<std::pair<net::NodeId, net::NodeId>, std::size_t> edge_index_;
+  /// (endpoint pair with the smaller id first, edge index), sorted, one
+  /// entry per linked pair: the best-eta of its parallel edges.
+  std::vector<std::pair<std::pair<net::NodeId, net::NodeId>, std::size_t>>
+      edge_index_;
   std::vector<std::size_t> hop_edges_;   ///< per-hop edge index of a route
   std::vector<double> hop_etas_;
   std::vector<double> hop_durations_;

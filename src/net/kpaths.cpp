@@ -6,10 +6,32 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "obs/registry.hpp"
 
 namespace qntn::net {
 
 namespace {
+
+constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+
+/// Best transmissivity over the parallel u-v edges (the routers relax every
+/// one of them, so the cheapest is the one a path uses).
+double best_eta(const Graph& graph, NodeId u, NodeId v) {
+  double best = 0.0;
+  for (const Adjacency& adj : graph.neighbors(u)) {
+    if (adj.to == v) best = std::max(best, adj.transmissivity);
+  }
+  return best;
+}
+
+/// End-to-end transmissivity of a node path, hop by hop in path order.
+double path_transmissivity(const Graph& graph, const std::vector<NodeId>& path) {
+  double eta = 1.0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    eta *= best_eta(graph, path[i], path[i + 1]);
+  }
+  return eta;
+}
 
 /// Dijkstra on `graph` with some nodes and edges masked out. Edges are
 /// identified by their endpoints plus transmissivity (sufficient here:
@@ -29,6 +51,7 @@ std::optional<Route> masked_dijkstra(const Graph& graph, NodeId src, NodeId dst,
   if (banned_nodes.count(src) != 0 || banned_nodes.count(dst) != 0) {
     return std::nullopt;
   }
+  obs::count("net.masked_searches");
   cost[src] = 0.0;
   heap.emplace(0.0, src);
   while (!heap.empty()) {
@@ -60,14 +83,7 @@ std::optional<Route> masked_dijkstra(const Graph& graph, NodeId src, NodeId dst,
   }
   std::reverse(out.path.begin(), out.path.end());
   out.cost = cost[dst];
-  out.transmissivity = 1.0;
-  for (std::size_t i = 0; i + 1 < out.path.size(); ++i) {
-    double best = 0.0;
-    for (const Adjacency& adj : graph.neighbors(out.path[i])) {
-      if (adj.to == out.path[i + 1]) best = std::max(best, adj.transmissivity);
-    }
-    out.transmissivity *= best;
-  }
+  out.transmissivity = path_transmissivity(graph, out.path);
   return out;
 }
 
@@ -118,10 +134,7 @@ std::vector<Route> k_shortest_paths(const Graph& graph, NodeId src, NodeId dst,
       double cost = spur_route->cost;
       double eta = spur_route->transmissivity;
       for (std::size_t j = 0; j + 1 < root.size(); ++j) {
-        double best = 0.0;
-        for (const Adjacency& adj : graph.neighbors(root[j])) {
-          if (adj.to == root[j + 1]) best = std::max(best, adj.transmissivity);
-        }
+        const double best = best_eta(graph, root[j], root[j + 1]);
         cost += edge_cost(best, metric);
         eta *= best;
       }
@@ -147,28 +160,127 @@ std::vector<Route> k_shortest_paths(const Graph& graph, NodeId src, NodeId dst,
 
 std::vector<Route> k_disjoint_paths(const Graph& graph, NodeId src, NodeId dst,
                                     std::size_t k, CostMetric metric) {
-  QNTN_REQUIRE(src < graph.node_count() && dst < graph.node_count(),
-               "node out of range");
+  DisjointPathFinder finder;
+  finder.reset(graph, metric);
+  std::vector<Route> routes;
+  finder.find(src, dst, k, routes);
+  return routes;
+}
+
+void DisjointPathFinder::reset(const Graph& graph, CostMetric metric) {
+  graph_ = &graph;
+  metric_ = metric;
+  node_count_ = graph.node_count();
+  QNTN_REQUIRE(node_count_ <= std::numeric_limits<std::uint32_t>::max(),
+               "DisjointPathFinder stores node ids in 32 bits");
+  tree_count_ = 0;
+  masks_.clear();
+  head_.assign(node_count_, kNoSlot);
+  banned_.assign(node_count_, 0);
+}
+
+void DisjointPathFinder::find(NodeId src, NodeId dst, std::size_t k,
+                              std::vector<Route>& out) {
+  QNTN_REQUIRE(graph_ != nullptr, "DisjointPathFinder used before reset()");
+  QNTN_REQUIRE(src < node_count_ && dst < node_count_, "node out of range");
   QNTN_REQUIRE(k > 0, "k must be positive");
-  std::vector<Route> accepted;
-  std::set<NodeId> banned_nodes;
-  std::set<std::pair<NodeId, NodeId>> banned_edges;
-  while (accepted.size() < k) {
-    const auto route =
-        masked_dijkstra(graph, src, dst, metric, banned_nodes, banned_edges);
-    if (!route) break;
-    for (std::size_t i = 1; i + 1 < route->path.size(); ++i) {
-      banned_nodes.insert(route->path[i]);
-    }
-    if (route->path.size() == 2) {
-      // A direct route has no interior to ban; ban the edge itself so at
-      // most one direct src-dst route is accepted (parallel edges are
-      // duplicates of the same physical link here).
-      banned_edges.insert({std::min(src, dst), std::max(src, dst)});
-    }
-    accepted.push_back(std::move(*route));
+  out.clear();
+  if (src == dst) {
+    out.push_back(Route{{src}, 0.0, 1.0});
+    return;
   }
-  return accepted;
+  mask_.clear();
+  bool direct_banned = false;
+  while (out.size() < k) {
+    if (direct_banned) {
+      // A direct route has no interior to ban; the src-dst edge itself is
+      // banned so at most one direct route is accepted (parallel edges are
+      // duplicates of the same physical link here). That ban depends on
+      // dst, so no shared tree answers it.
+      auto route = masked_dijkstra(
+          *graph_, src, dst, metric_,
+          std::set<NodeId>(mask_.begin(), mask_.end()),
+          {{std::min(src, dst), std::max(src, dst)}});
+      if (!route) break;
+      out.push_back(std::move(*route));
+    } else {
+      const std::size_t slot = tree_for(src);
+      if (!grow(slot, dst)) break;
+      const std::vector<Label>& labels = trees_[slot].labels;
+      Route route;
+      for (NodeId cur = dst; cur != src; cur = labels[cur].previous) {
+        route.path.push_back(cur);
+      }
+      route.path.push_back(src);
+      std::reverse(route.path.begin(), route.path.end());
+      route.cost = labels[dst].cost;
+      route.transmissivity = path_transmissivity(*graph_, route.path);
+      out.push_back(std::move(route));
+    }
+    const std::vector<NodeId>& path = out.back().path;
+    for (std::size_t i = 1; i + 1 < path.size(); ++i) {
+      mask_.insert(std::lower_bound(mask_.begin(), mask_.end(), path[i]),
+                   path[i]);
+    }
+    if (path.size() == 2) direct_banned = true;
+  }
+}
+
+std::size_t DisjointPathFinder::tree_for(NodeId source) {
+  for (std::size_t slot = head_[source]; slot != kNoSlot;
+       slot = trees_[slot].next) {
+    const Tree& tree = trees_[slot];
+    if (std::equal(masks_.data() + tree.mask_begin,
+                   masks_.data() + tree.mask_end, mask_.begin(), mask_.end())) {
+      return slot;
+    }
+  }
+  obs::count("net.masked_searches");
+  const std::size_t slot = tree_count_++;
+  if (trees_.size() < tree_count_) trees_.emplace_back();
+  Tree& tree = trees_[slot];
+  tree.mask_begin = masks_.size();
+  masks_.insert(masks_.end(), mask_.begin(), mask_.end());
+  tree.mask_end = masks_.size();
+  tree.next = head_[source];
+  head_[source] = slot;
+  tree.labels.assign(node_count_,
+                     Label{std::numeric_limits<double>::infinity(), 0, false});
+  tree.labels[source].cost = 0.0;
+  tree.heap.assign(1, HeapItem{0.0, source});
+  return slot;
+}
+
+bool DisjointPathFinder::grow(std::size_t slot, NodeId dst) {
+  Tree& tree = trees_[slot];
+  std::vector<Label>& labels = tree.labels;
+  if (labels[dst].settled) return true;
+  const NodeId* mask_first = masks_.data() + tree.mask_begin;
+  const NodeId* mask_last = masks_.data() + tree.mask_end;
+  for (const NodeId* it = mask_first; it != mask_last; ++it) banned_[*it] = 1;
+  // The per-pair search's loop, resumable: the same pops in the same order,
+  // run until dst is settled instead of stopping there for good.
+  std::vector<HeapItem>& heap = tree.heap;
+  while (!heap.empty() && !labels[dst].settled) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [c, u] = heap.back();
+    heap.pop_back();
+    if (c > labels[u].cost) continue;
+    labels[u].settled = true;
+    for (const Adjacency& adj : graph_->neighbors(u)) {
+      if (banned_[adj.to] != 0) continue;
+      const double nc = c + edge_cost(adj.transmissivity, metric_);
+      Label& next = labels[adj.to];
+      if (nc < next.cost) {
+        next.cost = nc;
+        next.previous = static_cast<std::uint32_t>(u);
+        heap.emplace_back(nc, adj.to);
+        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+      }
+    }
+  }
+  for (const NodeId* it = mask_first; it != mask_last; ++it) banned_[*it] = 0;
+  return labels[dst].settled;
 }
 
 double path_diversity(const std::vector<Route>& routes) {

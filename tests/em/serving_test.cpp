@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
+#include "core/qntn_config.hpp"
+#include "core/scenario_factory.hpp"
 #include "net/graph.hpp"
 #include "quantum/fidelity.hpp"
+#include "sim/requests.hpp"
+#include "sim/topology.hpp"
 
 namespace qntn::em {
 namespace {
@@ -194,6 +200,79 @@ TEST(EmServing, RelayRoutePaysHeraldingLatency) {
   EXPECT_EQ(outcome.swap_depth, 1u);
   EXPECT_DOUBLE_EQ(outcome.latency, options.swap.heralding_latency);
   EXPECT_TRUE(outcome.relay.has_value());
+}
+
+void expect_same_outcome(const EmOutcome& a, const EmOutcome& b) {
+  EXPECT_EQ(a.status, b.status);
+  EXPECT_EQ(a.fidelity, b.fidelity);
+  EXPECT_EQ(a.transmissivity, b.transmissivity);
+  EXPECT_EQ(a.hops, b.hops);
+  EXPECT_EQ(a.swaps, b.swaps);
+  EXPECT_EQ(a.swap_depth, b.swap_depth);
+  EXPECT_EQ(a.purification_rounds, b.purification_rounds);
+  EXPECT_EQ(a.pairs_consumed, b.pairs_consumed);
+  EXPECT_EQ(a.route_index, b.route_index);
+  EXPECT_EQ(a.slo_met, b.slo_met);
+  EXPECT_EQ(a.latency, b.latency);
+  EXPECT_EQ(a.relay, b.relay);
+}
+
+TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
+  // The manager's shared search trees belong to one serve() call. Serving
+  // snapshots of the 108-satellite contact-plan day from several epochs
+  // (pairs 30 s apart share an epoch, so the HopCount route cache is hit
+  // too) with one long-lived manager must match a fresh manager per
+  // snapshot outcome for outcome: a tree that outlived its graph would
+  // answer a later snapshot with stale routes.
+  core::QntnConfig config;
+  config.topology_mode = core::TopologyMode::ContactPlan;
+  const sim::NetworkModel model = core::build_space_ground_model(config, 108);
+  const core::Topology topology = core::make_topology(config, model);
+  Rng rng(config.request_seed);
+  std::vector<EmRequest> batch;
+  for (const sim::Request& request :
+       sim::generate_requests(model, 300, rng)) {
+    batch.push_back(EmRequest{request.source, request.destination});
+  }
+  std::vector<sim::TopologySnapshot> snapshots;
+  std::set<std::size_t> epochs;
+  for (const double t : {0.0, 30.0, 21'600.0, 21'630.0, 43'200.0, 64'800.0,
+                         64'830.0}) {
+    topology.provider().snapshot_at(t, snapshots.emplace_back());
+    epochs.insert(snapshots.back().epoch);
+  }
+  ASSERT_GE(epochs.size(), 4u);
+
+  for (const net::CostMetric metric :
+       {net::CostMetric::HopCount, net::CostMetric::InverseEta}) {
+    SCOPED_TRACE(metric == net::CostMetric::HopCount ? "hop_count"
+                                                     : "inverse_eta");
+    EmOptions options;
+    options.enabled = true;
+    options.metric = metric;
+    options.pool.slots_per_node = 64;
+    options.purify.fidelity_slo = 0.9;
+    EntanglementManager long_lived(options);
+    std::size_t served = 0;
+    for (const sim::TopologySnapshot& snap : snapshots) {
+      const EmServeResult lived =
+          long_lived.serve(snap.graph, batch, snap.epoch,
+                           FidelityConvention::Uhlmann, true);
+      EntanglementManager fresh_manager(options);
+      const EmServeResult fresh =
+          fresh_manager.serve(snap.graph, batch, snap.epoch,
+                              FidelityConvention::Uhlmann, true);
+      ASSERT_EQ(lived.outcomes.size(), fresh.outcomes.size());
+      for (std::size_t r = 0; r < lived.outcomes.size(); ++r) {
+        SCOPED_TRACE("epoch " + std::to_string(snap.epoch) + " request " +
+                     std::to_string(r));
+        expect_same_outcome(lived.outcomes[r], fresh.outcomes[r]);
+      }
+      served += lived.served;
+    }
+    // Outcomes must have something to compare.
+    EXPECT_GT(served, 0u);
+  }
 }
 
 TEST(EmOptions, ValidateRejectsDegenerateParameters) {

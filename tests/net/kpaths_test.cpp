@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <optional>
+#include <queue>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -11,6 +17,101 @@
 
 namespace qntn::net {
 namespace {
+
+/// Differential oracle for DisjointPathFinder: the per-pair k-disjoint
+/// search. Every candidate is a fresh early-exit Dijkstra with the accepted
+/// interiors (and, after a direct route, the src-dst edge) masked out. For
+/// src == dst it returns k copies of the one-node route; the finder returns
+/// one.
+namespace per_pair_oracle {
+
+/// Dijkstra on `graph` with some nodes and edges masked out. Edges are
+/// identified by their endpoints plus transmissivity (sufficient here:
+/// masking removes all parallel edges of a spur, which only prunes
+/// duplicates of the same path prefix).
+std::optional<Route> masked_dijkstra(const Graph& graph, NodeId src, NodeId dst,
+                                     CostMetric metric,
+                                     const std::set<NodeId>& banned_nodes,
+                                     const std::set<std::pair<NodeId, NodeId>>&
+                                         banned_edges) {
+  const std::size_t n = graph.node_count();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> cost(n, kInf);
+  std::vector<std::optional<NodeId>> previous(n);
+  using Item = std::pair<double, NodeId>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  if (banned_nodes.count(src) != 0 || banned_nodes.count(dst) != 0) {
+    return std::nullopt;
+  }
+  cost[src] = 0.0;
+  heap.emplace(0.0, src);
+  while (!heap.empty()) {
+    const auto [c, u] = heap.top();
+    heap.pop();
+    if (c > cost[u]) continue;
+    if (u == dst) break;
+    for (const Adjacency& adj : graph.neighbors(u)) {
+      if (banned_nodes.count(adj.to) != 0) continue;
+      if (banned_edges.count(std::make_pair(std::min(u, adj.to),
+                                            std::max(u, adj.to))) != 0) {
+        continue;
+      }
+      const double nc = c + edge_cost(adj.transmissivity, metric);
+      if (nc < cost[adj.to]) {
+        cost[adj.to] = nc;
+        previous[adj.to] = u;
+        heap.emplace(nc, adj.to);
+      }
+    }
+  }
+  if (cost[dst] == kInf) return std::nullopt;
+  Route out;
+  NodeId cur = dst;
+  out.path.push_back(cur);
+  while (cur != src) {
+    cur = *previous[cur];
+    out.path.push_back(cur);
+  }
+  std::reverse(out.path.begin(), out.path.end());
+  out.cost = cost[dst];
+  out.transmissivity = 1.0;
+  for (std::size_t i = 0; i + 1 < out.path.size(); ++i) {
+    double best = 0.0;
+    for (const Adjacency& adj : graph.neighbors(out.path[i])) {
+      if (adj.to == out.path[i + 1]) best = std::max(best, adj.transmissivity);
+    }
+    out.transmissivity *= best;
+  }
+  return out;
+}
+
+std::vector<Route> k_disjoint_paths(const Graph& graph, NodeId src, NodeId dst,
+                                    std::size_t k, CostMetric metric) {
+  QNTN_REQUIRE(src < graph.node_count() && dst < graph.node_count(),
+               "node out of range");
+  QNTN_REQUIRE(k > 0, "k must be positive");
+  std::vector<Route> accepted;
+  std::set<NodeId> banned_nodes;
+  std::set<std::pair<NodeId, NodeId>> banned_edges;
+  while (accepted.size() < k) {
+    const auto route =
+        masked_dijkstra(graph, src, dst, metric, banned_nodes, banned_edges);
+    if (!route) break;
+    for (std::size_t i = 1; i + 1 < route->path.size(); ++i) {
+      banned_nodes.insert(route->path[i]);
+    }
+    if (route->path.size() == 2) {
+      // A direct route has no interior to ban; ban the edge itself so at
+      // most one direct src-dst route is accepted (parallel edges are
+      // duplicates of the same physical link here).
+      banned_edges.insert({std::min(src, dst), std::max(src, dst)});
+    }
+    accepted.push_back(std::move(*route));
+  }
+  return accepted;
+}
+
+}  // namespace per_pair_oracle
 
 /// Diamond: two node-disjoint 2-hop routes plus a direct lossy edge.
 Graph diamond() {
@@ -176,6 +277,115 @@ TEST(KDisjointPaths, UnreachableGivesEmpty) {
   g.add_node();
   EXPECT_TRUE(k_disjoint_paths(g, 0, 1, 3).empty());
   EXPECT_THROW((void)k_disjoint_paths(g, 0, 1, 0), PreconditionError);
+}
+
+TEST(KDisjointPaths, SourceEqualsDestinationGivesOneTrivialRoute) {
+  const Graph g = diamond();
+  const std::vector<NodeId> trivial{2};
+  for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+    const auto disjoint = k_disjoint_paths(g, 2, 2, k);
+    ASSERT_EQ(disjoint.size(), 1u) << "k = " << k;
+    EXPECT_EQ(disjoint[0].path, trivial);
+    EXPECT_EQ(disjoint[0].cost, 0.0);
+    EXPECT_EQ(disjoint[0].transmissivity, 1.0);
+    const auto shortest = k_shortest_paths(g, 2, 2, k);
+    ASSERT_EQ(shortest.size(), 1u) << "k = " << k;
+    EXPECT_EQ(shortest[0].path, trivial);
+  }
+  DisjointPathFinder finder;
+  finder.reset(g, CostMetric::HopCount);
+  std::vector<Route> routes;
+  finder.find(2, 2, 3, routes);
+  ASSERT_EQ(routes.size(), 1u);
+  EXPECT_EQ(routes[0].path, trivial);
+}
+
+TEST(DisjointPathFinder, RejectsBadQueries) {
+  DisjointPathFinder finder;
+  std::vector<Route> routes;
+  EXPECT_THROW(finder.find(0, 1, 2, routes), PreconditionError);
+  const Graph g = diamond();
+  finder.reset(g, CostMetric::InverseEta);
+  EXPECT_THROW(finder.find(0, 4, 2, routes), PreconditionError);
+  EXPECT_THROW(finder.find(0, 3, 0, routes), PreconditionError);
+}
+
+/// Random graph with lossy, lossless (eta = 1, a zero NegLogEta cost) and
+/// dead (eta = 0) links, plus parallel copies of some links so the
+/// max-over-parallel-edges transmissivity rule matters.
+Graph random_graph(Rng& rng, std::size_t nodes, double density) {
+  Graph g;
+  for (std::size_t i = 0; i < nodes; ++i) g.add_node();
+  const auto eta = [&rng] {
+    const double pick = rng.uniform(0.0, 1.0);
+    if (pick < 0.1) return 1.0;
+    if (pick < 0.15) return 0.0;
+    return rng.uniform(0.2, 1.0);
+  };
+  for (NodeId i = 0; i < nodes; ++i) {
+    for (NodeId j = i + 1; j < nodes; ++j) {
+      if (rng.uniform(0.0, 1.0) >= density) continue;
+      g.add_edge(i, j, eta());
+      if (rng.uniform(0.0, 1.0) < 0.15) g.add_edge(j, i, eta());
+    }
+  }
+  return g;
+}
+
+TEST(DisjointPathFinder, MatchesPerPairOracleOnEveryOrderedPair) {
+  // One finder serves every ordered pair of each graph, in a shuffled
+  // order, so trees are shared across destinations and resumed part-grown;
+  // reset() between graphs. Paths must be equal and costs and
+  // transmissivities equal to the bit.
+  DisjointPathFinder finder;
+  std::size_t fallbacks = 0;
+  std::size_t masked_candidates = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Rng rng(seed);
+    const std::size_t nodes = 8 + 3 * static_cast<std::size_t>(seed);
+    const Graph g = random_graph(rng, nodes, seed % 2 == 0 ? 0.25 : 0.45);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId s = 0; s < nodes; ++s) {
+      for (NodeId d = 0; d < nodes; ++d) pairs.emplace_back(s, d);
+    }
+    for (std::size_t i = pairs.size(); i > 1; --i) {
+      std::swap(pairs[i - 1], pairs[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(i - 1)))]);
+    }
+    for (const CostMetric metric :
+         {CostMetric::InverseEta, CostMetric::NegLogEta,
+          CostMetric::HopCount}) {
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
+        finder.reset(g, metric);
+        std::vector<Route> got;
+        for (const auto& [s, d] : pairs) {
+          SCOPED_TRACE("seed " + std::to_string(seed) + " metric " +
+                       std::to_string(static_cast<int>(metric)) + " k " +
+                       std::to_string(k) + " pair " + std::to_string(s) +
+                       "->" + std::to_string(d));
+          std::vector<Route> want =
+              per_pair_oracle::k_disjoint_paths(g, s, d, k, metric);
+          if (s == d) want.resize(1);  // the oracle repeats [s] k times
+          finder.find(s, d, k, got);
+          ASSERT_EQ(got.size(), want.size());
+          bool direct_seen = false;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].path, want[i].path) << "candidate " << i;
+            EXPECT_EQ(got[i].cost, want[i].cost) << "candidate " << i;
+            EXPECT_EQ(got[i].transmissivity, want[i].transmissivity)
+                << "candidate " << i;
+            if (direct_seen) ++fallbacks;
+            if (i > 0 && !direct_seen) ++masked_candidates;
+            direct_seen = direct_seen || want[i].path.size() == 2;
+          }
+        }
+      }
+    }
+  }
+  // Both the masked trees and the per-pair fallback were exercised.
+  EXPECT_GT(masked_candidates, 0u);
+  EXPECT_GT(fallbacks, 0u);
 }
 
 TEST(PathDiversity, DisjointAndOverlappingSets) {

@@ -262,6 +262,25 @@ TEST(ParallelScenario, EmModeBitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelScenario, EmCandidateSetsShareSearchTrees) {
+  // Every em request that gets past the isolation check and misses the
+  // epoch route cache builds a k-disjoint candidate set. Those sets share
+  // one search tree per (snapshot, source, banned relays), so the searches
+  // must number fewer than the sets once a batch repeats sources (the
+  // em_day benchmark's 300 requests per snapshot).
+  const BusyDay& day = busy_day();
+  ScenarioConfig sc = dense_config(em_default);
+  sc.request_count = 300;
+  obs::Registry registry;
+  const RunOutput run =
+      run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
+  const std::uint64_t sets_built = run.result.requests_issued -
+                                   run.result.requests_isolated -
+                                   registry.counter("em.route_cache_hits");
+  EXPECT_GT(registry.counter("net.masked_searches"), 0u);
+  EXPECT_LT(registry.counter("net.masked_searches"), sets_built);
+}
+
 TEST(ParallelScenario, TrafficModeBitIdenticalAcrossThreadCounts) {
   // Open-arrival traffic serving routed on HopCount: each worker's engine
   // keeps its route trees across same-epoch windows, and event windows are
