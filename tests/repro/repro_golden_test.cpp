@@ -1,0 +1,171 @@
+// Golden test for the paper-reproduction numbers: one 6..108 rebuild sweep
+// (Figs. 6-8 read off that single pass), Table III, the Fig. 5 points, the
+// coverage period T_c at 108 satellites, and the contact-plan provider at
+// n in {6, 54, 108}. Every value is written as %.10g, one per line, to the
+// committed tests/golden/repro.golden and compared byte for byte, so a
+// refactor that claims byte-identity shows it as an unchanged golden.
+//
+// A change that moves a number on purpose regenerates the file with
+//
+//   QNTN_GOLDEN_UPDATE=1 ./build/tests/test_repro
+//
+// and shows the golden diff in CHANGES.md (and updates EXPERIMENTS.md).
+// Results are identical at any thread count, so the sweep uses the pool.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/thread_pool.hpp"
+#include "core/experiments.hpp"
+
+namespace qntn {
+namespace {
+
+class GoldenWriter {
+ public:
+  void section(const std::string& title) { out_ << "# " << title << '\n'; }
+
+  void value(const std::string& key, double v) {
+    char buffer[64];
+    std::snprintf(buffer, sizeof buffer, "%.10g", v);
+    out_ << key << " = " << buffer << '\n';
+  }
+
+  void count(const std::string& key, std::size_t v) {
+    out_ << key << " = " << v << '\n';
+  }
+
+  /// The observables of one architecture evaluation under `prefix`.
+  void metrics(const std::string& prefix, const core::ArchitectureMetrics& m) {
+    value(prefix + ".coverage_percent", m.coverage_percent);
+    value(prefix + ".served_percent", m.served_percent);
+    value(prefix + ".mean_fidelity", m.mean_fidelity);
+    value(prefix + ".mean_transmissivity", m.mean_transmissivity);
+    value(prefix + ".mean_hops", m.mean_hops);
+    count(prefix + ".requests_issued", m.requests_issued);
+    count(prefix + ".requests_served", m.requests_served);
+    count(prefix + ".requests_no_path", m.requests_no_path);
+    count(prefix + ".requests_isolated", m.requests_isolated);
+    count(prefix + ".handovers", m.handovers);
+  }
+
+  [[nodiscard]] std::string str() const { return out_.str(); }
+
+ private:
+  std::ostringstream out_;
+};
+
+std::string render_repro() {
+  const core::QntnConfig config;
+  ThreadPool pool;
+  GoldenWriter golden;
+
+  const std::vector<core::ArchitectureMetrics> sweep = core::space_ground_sweep(
+      config, core::paper_constellation_sizes(), pool);
+  golden.section("Figs. 6-8: space-ground sweep, rebuild topology");
+  for (const core::ArchitectureMetrics& point : sweep) {
+    golden.metrics("sweep.n" + std::to_string(point.satellites), point);
+  }
+  golden.section("Fig. 6");
+  for (const core::ArchitectureMetrics& point : sweep) {
+    golden.value("fig6.n" + std::to_string(point.satellites) + ".coverage_percent",
+                 point.coverage_percent);
+  }
+  golden.section("Fig. 7");
+  for (const core::ArchitectureMetrics& point : sweep) {
+    golden.value("fig7.n" + std::to_string(point.satellites) + ".served_percent",
+                 point.served_percent);
+  }
+  golden.section("Fig. 8");
+  for (const core::ArchitectureMetrics& point : sweep) {
+    golden.value("fig8.n" + std::to_string(point.satellites) + ".mean_fidelity",
+                 point.mean_fidelity);
+  }
+
+  golden.section("Eq. 6: coverage period T_c at 108 satellites");
+  const core::ArchitectureMetrics& full = sweep.back();
+  const double covered_s = full.coverage_percent / 100.0 * config.day_duration;
+  golden.value("tc.n108.covered_s", covered_s);
+  golden.value("tc.n108.covered_min", covered_s / 60.0);
+
+  golden.section("Table III");
+  core::RunContext ctx{config};
+  ctx.pool = &pool;
+  for (const core::ArchitectureMetrics& row : core::table3_comparison(ctx, 108)) {
+    golden.metrics("table3." + row.architecture, row);
+  }
+
+  golden.section("Fig. 5: fidelity vs transmissivity, step 0.01");
+  const auto uhlmann =
+      core::fig5_fidelity_sweep(quantum::FidelityConvention::Uhlmann, 0.01);
+  const auto jozsa =
+      core::fig5_fidelity_sweep(quantum::FidelityConvention::Jozsa, 0.01);
+  for (std::size_t i = 0; i < uhlmann.size(); ++i) {
+    const std::string key = "fig5." + std::to_string(i);
+    golden.value(key + ".eta", uhlmann[i].transmissivity);
+    golden.value(key + ".uhlmann", uhlmann[i].fidelity_simulated);
+    golden.value(key + ".jozsa", jozsa[i].fidelity_simulated);
+  }
+  golden.value("fig5.eta_for_f90_uhlmann",
+               core::transmissivity_threshold_for(uhlmann, 0.90));
+
+  golden.section("Contact-plan topology (records the Fig. 8 gap to rebuild)");
+  core::QntnConfig plan_config = config;
+  plan_config.topology_mode = core::TopologyMode::ContactPlan;
+  core::RunContext plan_ctx{plan_config};
+  plan_ctx.pool = &pool;
+  for (const std::size_t n : {std::size_t{6}, std::size_t{54}, std::size_t{108}}) {
+    golden.metrics("plan.n" + std::to_string(n),
+                   core::evaluate_space_ground(plan_ctx, n));
+  }
+  return golden.str();
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(Repro, GoldenNumbersUnchanged) {
+  const std::string computed = render_repro();
+  const char* update = std::getenv("QNTN_GOLDEN_UPDATE");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream out(QNTN_REPRO_GOLDEN, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << QNTN_REPRO_GOLDEN;
+    out << computed;
+    std::printf("regenerated %s\n", QNTN_REPRO_GOLDEN);
+    return;
+  }
+  std::ifstream in(QNTN_REPRO_GOLDEN, std::ios::binary);
+  ASSERT_TRUE(in) << "missing " << QNTN_REPRO_GOLDEN
+                  << "; regenerate with QNTN_GOLDEN_UPDATE=1";
+  std::ostringstream stored;
+  stored << in.rdbuf();
+  if (stored.str() == computed) return;
+
+  const std::vector<std::string> want = split_lines(stored.str());
+  const std::vector<std::string> got = split_lines(computed);
+  std::ostringstream diff;
+  const std::size_t lines = std::max(want.size(), got.size());
+  for (std::size_t i = 0; i < lines; ++i) {
+    const std::string w = i < want.size() ? want[i] : "<missing>";
+    const std::string g = i < got.size() ? got[i] : "<missing>";
+    if (w != g) diff << "  golden: " << w << "\n  actual: " << g << '\n';
+  }
+  ADD_FAILURE() << "reproduction numbers moved against " << QNTN_REPRO_GOLDEN
+                << " (regenerate with QNTN_GOLDEN_UPDATE=1 only when a "
+                   "number moves on purpose):\n"
+                << diff.str();
+}
+
+}  // namespace
+}  // namespace qntn
