@@ -42,7 +42,7 @@ AzElRange look_angles(const TopocentricFrame& frame, const Vec3& target) {
   // ENU basis expressed in ECEF.
   const double east = -slon * d.x + clon * d.y;
   const double north = -slat * clon * d.x - slat * slon * d.y + clat * d.z;
-  const double up = clat * clon * d.x + clat * slon * d.y + slat * d.z;
+  const double up = frame.up(d);
 
   AzElRange out;
   out.range = d.norm();

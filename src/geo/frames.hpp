@@ -50,6 +50,15 @@ struct TopocentricFrame {
   explicit TopocentricFrame(const Geodetic& site,
                             EarthModel model = EarthModel::Wgs84);
 
+  /// Up component [m] of the ENU offset `d` = target - origin: the sign of
+  /// the target's elevation (up <= 0 means at or below the horizon, so
+  /// elevation <= 0). look_angles computes its elevation from this same
+  /// expression, so a horizon skip on it cannot disagree with the exact
+  /// elevation test.
+  [[nodiscard]] double up(const Vec3& d) const {
+    return cos_lat * cos_lon * d.x + cos_lat * sin_lon * d.y + sin_lat * d.z;
+  }
+
   Vec3 origin;        ///< site position, ECEF [m]
   double sin_lat = 0.0;
   double cos_lat = 0.0;

@@ -319,10 +319,11 @@ struct Compiler {
   }
 
   /// Windows of one satellite pair: line-of-sight clearance plus the range
-  /// at which the vacuum link budget crosses the threshold (transmissivity
-  /// is monotone decreasing in range for the focused beam, pinned by
-  /// tests), so the scan is pure geometry; transmissivities are sampled
-  /// adaptively only inside windows.
+  /// at which the vacuum link budget crosses the threshold
+  /// (sim::isl_threshold_range; transmissivity is non-increasing in range,
+  /// pinned by IslThresholdRange.SatSatBudgetIsNonIncreasingInRange), so
+  /// the scan is pure geometry; transmissivities are sampled adaptively
+  /// only inside windows.
   ///
   /// `min_radius` is a lower bound on both endpoints' geocentric radii over
   /// the whole horizon (min ephemeris sample radius, deflated for the
@@ -343,9 +344,8 @@ struct Compiler {
     const double step = options.step;
     const double clearance = kEarthRadius + kAtmosphereTopAltitude;
     // Within this band of the threshold range, decide by the actual link
-    // budget instead of the precomputed crossing (guards the bisection
-    // tolerance).
-    const double band = 10.0;  // [m]
+    // budget instead of the precomputed crossing.
+    const double band = sim::kIslThresholdBand;
     // Chord of the min-radius sphere whose midpoint grazes the blockage
     // sphere: clearance(a, b) >= sqrt(min_radius^2 - (range/2)^2) for any
     // endpoints at radius >= min_radius, so ranges at or below this bound
@@ -517,29 +517,6 @@ struct Compiler {
     }
   }
 
-  /// Largest range at which the ISL budget meets the threshold (bisection
-  /// on the monotone budget); 0 when even touching terminals fail, +inf
-  /// when the horizon-scale range still passes.
-  [[nodiscard]] double isl_threshold_range(
-      const channel::FsoLinkEvaluator& evaluator) const {
-    const double threshold = policy.transmissivity_threshold;
-    double lo = 1.0;
-    if (evaluator.symmetric(lo, kPi / 2.0) < threshold) return 0.0;
-    double hi = 1.0e8;  // far beyond any LEO pair separation
-    if (evaluator.symmetric(hi, kPi / 2.0) >= threshold) {
-      return std::numeric_limits<double>::infinity();
-    }
-    for (int iter = 0; iter < 80; ++iter) {
-      const double mid = 0.5 * (lo + hi);
-      if (evaluator.symmetric(mid, kPi / 2.0) >= threshold) {
-        lo = mid;
-      } else {
-        hi = mid;
-      }
-    }
-    return 0.5 * (lo + hi);
-  }
-
   /// Run `task(i, out)` for i in [0, count), appending windows to `out`.
   /// Serial: every task appends straight to `windows`. Parallel: each task
   /// fills its own buffer (workers inherit the caller's ambient registry /
@@ -603,7 +580,8 @@ struct Compiler {
     if (const auto* sat_sat = builder.evaluator(sim::NodeKind::Satellite,
                                                 sim::NodeKind::Satellite)) {
       const obs::Span span("plan.compile.isl", sats.size());
-      const double threshold_range = isl_threshold_range(*sat_sat);
+      const double threshold_range =
+          sim::isl_threshold_range(*sat_sat, policy.transmissivity_threshold);
       if (threshold_range > 0.0) {
         std::vector<double> min_alt(sats.size());
         for (std::size_t i = 0; i < sats.size(); ++i) {

@@ -1,6 +1,7 @@
 #include "sim/topology.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -36,7 +37,44 @@ std::optional<channel::OpticalTerminal> class_terminal(const NetworkModel& model
   return std::nullopt;
 }
 
+/// Reject policies the link rules cannot honour, naming the field (and its
+/// config key). A mask above zero is also what makes the below-horizon skip
+/// in links_at exact.
+void validate_policy(const LinkPolicy& policy) {
+  const double threshold = policy.transmissivity_threshold;
+  QNTN_REQUIRE(std::isfinite(threshold) && threshold >= 0.0 && threshold <= 1.0,
+               "link policy: transmissivity_threshold must be finite and in "
+               "[0, 1]");
+  const double mask = policy.elevation_mask;
+  QNTN_REQUIRE(std::isfinite(mask) && mask > 0.0 && mask < kPi / 2.0,
+               "link policy: elevation_mask (config elevation_mask_deg) must "
+               "be finite and in (0, 90) deg");
+  const double fiber = policy.fiber_attenuation_db_per_km;
+  QNTN_REQUIRE(std::isfinite(fiber) && fiber >= 0.0,
+               "link policy: fiber_attenuation_db_per_km must be finite and "
+               "non-negative");
+}
+
 }  // namespace
+
+double isl_threshold_range(const channel::FsoLinkEvaluator& evaluator,
+                           double threshold) {
+  double lo = 1.0;
+  if (evaluator.symmetric(lo, kPi / 2.0) < threshold) return 0.0;
+  double hi = 1.0e8;  // far beyond any LEO pair separation
+  if (evaluator.symmetric(hi, kPi / 2.0) >= threshold) {
+    return std::numeric_limits<double>::infinity();
+  }
+  for (int iter = 0; iter < 80; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (evaluator.symmetric(mid, kPi / 2.0) >= threshold) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  return 0.5 * (lo + hi);
+}
 
 void TopologyProvider::snapshot_at(double t, TopologySnapshot& snap) const {
   snap.graph = graph_at(t);
@@ -48,6 +86,7 @@ void TopologyProvider::snapshot_at(double t, TopologySnapshot& snap) const {
 TopologyBuilder::TopologyBuilder(const NetworkModel& model,
                                  const LinkPolicy& policy)
     : model_(model), policy_(policy) {
+  validate_policy(policy_);
   require_uniform_terminals(model_, NodeKind::Ground);
   require_uniform_terminals(model_, NodeKind::Hap);
   require_uniform_terminals(model_, NodeKind::Satellite);
@@ -77,6 +116,19 @@ TopologyBuilder::TopologyBuilder(const NetworkModel& model,
   }
   if (sat && policy_.enable_inter_satellite) {
     sat_sat_.emplace(policy_.fso, *sat, *sat, sat_alt, sat_alt);
+    isl_skip_range_ =
+        isl_threshold_range(*sat_sat_, policy_.transmissivity_threshold) +
+        kIslThresholdBand;
+  }
+
+  for (std::size_t lan = 0; lan < model_.lan_count(); ++lan) {
+    for (const net::NodeId g : model_.lan_nodes(lan)) {
+      ground_ids_.push_back(g);
+      ground_frames_.emplace_back(model_.node(g).position);
+    }
+  }
+  for (const net::NodeId h : model_.hap_ids()) {
+    hap_frames_.emplace_back(model_.node(h).position);
   }
 
   build_static_links();
@@ -157,62 +209,74 @@ net::Graph TopologyBuilder::graph_at(double t) const {
   return graph;
 }
 
+std::size_t TopologyBuilder::add_site_links(
+    const std::vector<geo::TopocentricFrame>& frames,
+    const std::vector<net::NodeId>& ids,
+    const channel::FsoLinkEvaluator& evaluator, net::NodeId sat_id,
+    const Vec3& sat, std::vector<LinkRecord>& links) const {
+  std::size_t budgets = 0;
+  for (std::size_t k = 0; k < frames.size(); ++k) {
+    const geo::TopocentricFrame& frame = frames[k];
+    // At or below the horizon: elevation = atan2(up <= 0, .) <= 0 < mask.
+    if (frame.up(sat - frame.origin) <= 0.0) continue;
+    const geo::AzElRange look = geo::look_angles(frame, sat);
+    if (look.elevation < policy_.elevation_mask) continue;
+    const double eta = evaluator.symmetric(look.range, look.elevation);
+    ++budgets;
+    if (eta >= policy_.transmissivity_threshold) {
+      links.push_back({ids[k], sat_id, eta});
+    }
+  }
+  return budgets;
+}
+
 std::vector<LinkRecord> TopologyBuilder::links_at(double t) const {
   obs::count("sim.rebuild_queries");
   std::vector<LinkRecord> links = static_links_;
 
+  // links_at never reads a satellite's geodetic position, so take the ECEF
+  // positions straight from the ephemerides.
   const std::vector<net::NodeId>& sats = model_.satellite_ids();
-  std::vector<channel::Endpoint> sat_pos;
+  std::vector<Vec3> sat_pos;
   sat_pos.reserve(sats.size());
   for (const net::NodeId s : sats) {
-    sat_pos.push_back(model_.endpoint_at(s, t));
+    sat_pos.push_back(model_.ephemeris(s).position_ecef(t));
   }
 
   // Ground-satellite and HAP-satellite links.
+  std::size_t budgets = 0;
   for (std::size_t si = 0; si < sats.size(); ++si) {
-    const channel::Endpoint& es = sat_pos[si];
     if (ground_sat_) {
-      for (std::size_t lan = 0; lan < model_.lan_count(); ++lan) {
-        for (const net::NodeId g : model_.lan_nodes(lan)) {
-          const channel::Endpoint eg = model_.endpoint_at(g, t);
-          const geo::AzElRange look = geo::look_angles(eg.geodetic, es.ecef);
-          if (look.elevation < policy_.elevation_mask) continue;
-          const double eta = ground_sat_->symmetric(look.range, look.elevation);
-          if (eta >= policy_.transmissivity_threshold) {
-            links.push_back({g, sats[si], eta});
-          }
-        }
-      }
+      budgets += add_site_links(ground_frames_, ground_ids_, *ground_sat_,
+                                sats[si], sat_pos[si], links);
     }
     if (hap_sat_) {
-      for (const net::NodeId h : model_.hap_ids()) {
-        const channel::Endpoint eh = model_.endpoint_at(h, t);
-        const geo::AzElRange look = geo::look_angles(eh.geodetic, es.ecef);
-        if (look.elevation < policy_.elevation_mask) continue;
-        const double eta = hap_sat_->symmetric(look.range, look.elevation);
-        if (eta >= policy_.transmissivity_threshold) {
-          links.push_back({h, sats[si], eta});
-        }
-      }
+      budgets += add_site_links(hap_frames_, model_.hap_ids(), *hap_sat_,
+                                sats[si], sat_pos[si], links);
     }
   }
 
-  // Inter-satellite links: Earth/atmosphere clearance, then threshold.
+  // Inter-satellite links: range first (pairs beyond the threshold range
+  // fail the monotone budget), then Earth/atmosphere clearance, then the
+  // threshold.
   if (sat_sat_) {
     for (std::size_t i = 0; i < sats.size(); ++i) {
       for (std::size_t j = i + 1; j < sats.size(); ++j) {
-        if (!geo::line_of_sight(sat_pos[i].ecef, sat_pos[j].ecef,
+        const double range = distance(sat_pos[i], sat_pos[j]);
+        if (range >= isl_skip_range_) continue;
+        if (!geo::line_of_sight(sat_pos[i], sat_pos[j],
                                 kEarthRadius + kAtmosphereTopAltitude)) {
           continue;
         }
-        const double range = distance(sat_pos[i].ecef, sat_pos[j].ecef);
         const double eta = sat_sat_->symmetric(range, kPi / 2.0);
+        ++budgets;
         if (eta >= policy_.transmissivity_threshold) {
           links.push_back({sats[i], sats[j], eta});
         }
       }
     }
   }
+  obs::count("sim.rebuild_link_budgets", budgets);
   return links;
 }
 

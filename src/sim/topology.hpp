@@ -6,6 +6,7 @@
 #include "channel/fiber.hpp"
 #include "channel/fso.hpp"
 #include "common/constants.hpp"
+#include "geo/frames.hpp"
 #include "net/graph.hpp"
 #include "sim/network_model.hpp"
 
@@ -26,6 +27,11 @@ enum class LanTopology {
   Star,      ///< all nodes linked to the first declared node
 };
 
+/// Validated at the TopologyBuilder boundary (both topology providers
+/// construct one): the threshold must be finite and in [0, 1], the
+/// elevation mask finite and in (0, pi/2), and the fiber attenuation finite
+/// and non-negative; anything else throws a PreconditionError naming the
+/// field.
 struct LinkPolicy {
   channel::FsoConfig fso{};
   double fiber_attenuation_db_per_km = 0.15;  ///< paper Section IV
@@ -46,6 +52,21 @@ struct LinkRecord {
   net::NodeId b = 0;
   double transmissivity = 0.0;
 };
+
+/// Half-width [m] of the band around isl_threshold_range inside which
+/// callers decide by the link budget itself rather than by the bisected
+/// crossing (guards the bisection tolerance).
+inline constexpr double kIslThresholdBand = 10.0;
+
+/// Largest range [m] at which the satellite-satellite budget
+/// `evaluator.symmetric(range, pi/2)` meets `threshold`, by bisection on the
+/// budget, which is non-increasing in range (pinned by tests). Returns 0
+/// when even a 1 m link fails and +inf when a 1e8 m link still passes. Any
+/// range >= isl_threshold_range + kIslThresholdBand fails the threshold, so
+/// the contact-plan compiler and the per-step rebuild both skip such pairs
+/// without evaluating the budget.
+[[nodiscard]] double isl_threshold_range(
+    const channel::FsoLinkEvaluator& evaluator, double threshold);
 
 class TopologyProvider;
 
@@ -114,13 +135,18 @@ class TopologyProvider {
 
 class TopologyBuilder final : public TopologyProvider {
  public:
-  /// Precomputes static links (fiber LANs, ground-HAP) and the per-class
-  /// FSO evaluators. The model must outlive the builder.
+  /// Validates the policy and precomputes static links (fiber LANs,
+  /// ground-HAP), the per-class FSO evaluators, the ENU frames of the fixed
+  /// ground and HAP sites, and the ISL skip range. The model must outlive
+  /// the builder.
   TopologyBuilder(const NetworkModel& model, const LinkPolicy& policy);
 
   [[nodiscard]] net::Graph graph_at(double t) const override;
 
-  /// All links realised at time t (same information as graph_at's edges).
+  /// All links realised at time t (same information as graph_at's edges):
+  /// static links, then per satellite its ground and HAP links, then
+  /// satellite pairs (i < j). Pairs that provably fail are skipped before
+  /// any link budget is evaluated (DESIGN.md §9).
   [[nodiscard]] std::vector<LinkRecord> links_at(double t) const;
 
   /// Raw symmetric transmissivity between two nodes at time t before
@@ -148,9 +174,27 @@ class TopologyBuilder final : public TopologyProvider {
  private:
   void build_static_links();
 
+  /// Appends site-satellite links of one satellite at ECEF `sat` for the
+  /// sites of `frames` (node ids `ids`); returns budgets evaluated.
+  std::size_t add_site_links(const std::vector<geo::TopocentricFrame>& frames,
+                             const std::vector<net::NodeId>& ids,
+                             const channel::FsoLinkEvaluator& evaluator,
+                             net::NodeId sat_id, const Vec3& sat,
+                             std::vector<LinkRecord>& links) const;
+
   const NetworkModel& model_;
   LinkPolicy policy_;
   std::vector<LinkRecord> static_links_;
+
+  // Fixed sites: ground nodes in LAN order, then HAPs, each with its ENU
+  // frame (built once; look_angles through it is bit-identical to the
+  // Geodetic overload).
+  std::vector<net::NodeId> ground_ids_;
+  std::vector<geo::TopocentricFrame> ground_frames_;
+  std::vector<geo::TopocentricFrame> hap_frames_;
+  /// Satellite pairs at or beyond this range fail the threshold
+  /// (isl_threshold_range + kIslThresholdBand; unused without ISLs).
+  double isl_skip_range_ = 0.0;
 
   // One evaluator per link class (altitude bands differ).
   std::optional<channel::FsoLinkEvaluator> ground_sat_;

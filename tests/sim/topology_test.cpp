@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
+#include "obs/registry.hpp"
 
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
@@ -183,6 +192,279 @@ TEST(Topology, PairwiseQueryAgreesWithBulkEnumeration) {
     }
   }
   EXPECT_GT(checked, 1000u);  // fiber meshes alone give 170 links per epoch
+}
+
+// --- Policy guard at the TopologyBuilder boundary. ---
+
+/// Expect the builder to reject `policy` with a PreconditionError whose
+/// message names `field`.
+void expect_policy_rejected(const LinkPolicy& policy, const std::string& field) {
+  const NetworkModel model = core::build_ground_model(QntnConfig{});
+  try {
+    const TopologyBuilder topology(model, policy);
+    ADD_FAILURE() << "policy accepted; expected a rejection naming " << field;
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+  }
+}
+
+TEST(TopologyPolicy, RejectsBadTransmissivityThreshold) {
+  for (const double threshold :
+       {std::nan(""), 1.5, -0.1, std::numeric_limits<double>::infinity()}) {
+    LinkPolicy policy = QntnConfig{}.link_policy();
+    policy.transmissivity_threshold = threshold;
+    expect_policy_rejected(policy, "transmissivity_threshold");
+  }
+}
+
+TEST(TopologyPolicy, RejectsBadElevationMask) {
+  for (const double mask : {std::nan(""), deg_to_rad(-30.0), 0.0, kPi / 2.0,
+                            std::numeric_limits<double>::infinity()}) {
+    LinkPolicy policy = QntnConfig{}.link_policy();
+    policy.elevation_mask = mask;
+    expect_policy_rejected(policy, "elevation_mask_deg");
+  }
+}
+
+TEST(TopologyPolicy, RejectsBadFiberAttenuation) {
+  for (const double attenuation :
+       {std::nan(""), -0.15, std::numeric_limits<double>::infinity()}) {
+    LinkPolicy policy = QntnConfig{}.link_policy();
+    policy.fiber_attenuation_db_per_km = attenuation;
+    expect_policy_rejected(policy, "fiber_attenuation_db_per_km");
+  }
+}
+
+TEST(TopologyPolicy, AcceptsThresholdAndMaskEdges) {
+  const NetworkModel model = core::build_ground_model(QntnConfig{});
+  for (const double threshold : {0.0, 1.0}) {
+    LinkPolicy policy = QntnConfig{}.link_policy();
+    policy.transmissivity_threshold = threshold;
+    EXPECT_NO_THROW((void)TopologyBuilder(model, policy));
+  }
+  LinkPolicy lossless = QntnConfig{}.link_policy();
+  lossless.fiber_attenuation_db_per_km = 0.0;
+  lossless.elevation_mask = deg_to_rad(89.0);
+  EXPECT_NO_THROW((void)TopologyBuilder(model, lossless));
+}
+
+// --- The ISL threshold range and the monotone budget it relies on. ---
+
+channel::FsoLinkEvaluator isl_evaluator(const channel::OpticalTerminal& terminal) {
+  const QntnConfig config;
+  return {config.link_policy().fso, terminal, terminal,
+          config.satellite_altitude, config.satellite_altitude};
+}
+
+// Both the contact-plan compiler and the per-step rebuild skip satellite
+// pairs beyond isl_threshold_range + kIslThresholdBand without evaluating
+// the budget. That is exact only because the sat-sat budget never rises
+// with range; pin it on a dense log grid for the paper terminals and two
+// other aperture/jitter configurations.
+TEST(IslThresholdRange, SatSatBudgetIsNonIncreasingInRange) {
+  const QntnConfig config;
+  const channel::OpticalTerminal terminals[] = {
+      {config.satellite_aperture_radius, config.pointing_jitter},
+      {0.30, 1.0e-6},
+      {2.00, 0.0},
+  };
+  for (const channel::OpticalTerminal& terminal : terminals) {
+    const channel::FsoLinkEvaluator evaluator = isl_evaluator(terminal);
+    constexpr int kPoints = 40'000;
+    double previous = evaluator.symmetric(1.0, kPi / 2.0);
+    for (int k = 1; k <= kPoints; ++k) {
+      const double range = std::pow(10.0, 8.0 * k / kPoints);  // 1 m .. 1e8 m
+      const double eta = evaluator.symmetric(range, kPi / 2.0);
+      ASSERT_LE(eta, previous) << "aperture " << terminal.aperture_radius
+                               << " jitter " << terminal.pointing_jitter
+                               << " range " << range;
+      previous = eta;
+    }
+  }
+}
+
+TEST(IslThresholdRange, BracketsTheThresholdCrossing) {
+  const QntnConfig config;
+  const channel::FsoLinkEvaluator evaluator =
+      isl_evaluator({config.satellite_aperture_radius, config.pointing_jitter});
+  const double threshold = config.transmissivity_threshold;
+  const double range = isl_threshold_range(evaluator, threshold);
+  ASSERT_TRUE(std::isfinite(range));
+  ASSERT_GT(range, kIslThresholdBand);
+  EXPECT_GE(evaluator.symmetric(range - kIslThresholdBand, kPi / 2.0), threshold);
+  EXPECT_LT(evaluator.symmetric(range + kIslThresholdBand, kPi / 2.0), threshold);
+}
+
+TEST(IslThresholdRange, ZeroWhenNothingPassesInfiniteWhenEverythingDoes) {
+  const QntnConfig config;
+  const channel::FsoLinkEvaluator evaluator =
+      isl_evaluator({config.satellite_aperture_radius, config.pointing_jitter});
+  // Receiver efficiency < 1 caps every budget below 1.
+  EXPECT_EQ(isl_threshold_range(evaluator, 1.0), 0.0);
+  EXPECT_EQ(isl_threshold_range(evaluator, 0.0),
+            std::numeric_limits<double>::infinity());
+}
+
+// --- Differential oracle: links_at against the original full rebuild. ---
+
+/// The per-step rebuild as it stood before the hoisted frames, horizon skip
+/// and ISL range skip: every site-satellite pair through the Geodetic
+/// look_angles overload, every satellite pair through the line-of-sight
+/// test and the budget. The body is kept verbatim (hence the member-style
+/// names), plus a tally of link-budget evaluations in `budgets`.
+std::vector<LinkRecord> reference_links_at(const NetworkModel& model_,
+                                           const TopologyBuilder& builder,
+                                           double t, std::size_t& budgets) {
+  const LinkPolicy& policy_ = builder.policy();
+  const channel::FsoLinkEvaluator* ground_sat_ =
+      builder.evaluator(NodeKind::Ground, NodeKind::Satellite);
+  const channel::FsoLinkEvaluator* hap_sat_ =
+      builder.evaluator(NodeKind::Hap, NodeKind::Satellite);
+  const channel::FsoLinkEvaluator* sat_sat_ =
+      builder.evaluator(NodeKind::Satellite, NodeKind::Satellite);
+  std::vector<LinkRecord> links = builder.static_links();
+
+  const std::vector<net::NodeId>& sats = model_.satellite_ids();
+  std::vector<channel::Endpoint> sat_pos;
+  sat_pos.reserve(sats.size());
+  for (const net::NodeId s : sats) {
+    sat_pos.push_back(model_.endpoint_at(s, t));
+  }
+
+  // Ground-satellite and HAP-satellite links.
+  for (std::size_t si = 0; si < sats.size(); ++si) {
+    const channel::Endpoint& es = sat_pos[si];
+    if (ground_sat_) {
+      for (std::size_t lan = 0; lan < model_.lan_count(); ++lan) {
+        for (const net::NodeId g : model_.lan_nodes(lan)) {
+          const channel::Endpoint eg = model_.endpoint_at(g, t);
+          const geo::AzElRange look = geo::look_angles(eg.geodetic, es.ecef);
+          if (look.elevation < policy_.elevation_mask) continue;
+          const double eta = ground_sat_->symmetric(look.range, look.elevation);
+          ++budgets;
+          if (eta >= policy_.transmissivity_threshold) {
+            links.push_back({g, sats[si], eta});
+          }
+        }
+      }
+    }
+    if (hap_sat_) {
+      for (const net::NodeId h : model_.hap_ids()) {
+        const channel::Endpoint eh = model_.endpoint_at(h, t);
+        const geo::AzElRange look = geo::look_angles(eh.geodetic, es.ecef);
+        if (look.elevation < policy_.elevation_mask) continue;
+        const double eta = hap_sat_->symmetric(look.range, look.elevation);
+        ++budgets;
+        if (eta >= policy_.transmissivity_threshold) {
+          links.push_back({h, sats[si], eta});
+        }
+      }
+    }
+  }
+
+  // Inter-satellite links: Earth/atmosphere clearance, then threshold.
+  if (sat_sat_) {
+    for (std::size_t i = 0; i < sats.size(); ++i) {
+      for (std::size_t j = i + 1; j < sats.size(); ++j) {
+        if (!geo::line_of_sight(sat_pos[i].ecef, sat_pos[j].ecef,
+                                kEarthRadius + kAtmosphereTopAltitude)) {
+          continue;
+        }
+        const double range = distance(sat_pos[i].ecef, sat_pos[j].ecef);
+        const double eta = sat_sat_->symmetric(range, kPi / 2.0);
+        ++budgets;
+        if (eta >= policy_.transmissivity_threshold) {
+          links.push_back({sats[i], sats[j], eta});
+        }
+      }
+    }
+  }
+  return links;
+}
+
+struct OracleCase {
+  std::string name;
+  QntnConfig config;
+  bool hybrid = false;
+  /// The ISL range skip can fire (ISLs on and a finite threshold range), so
+  /// links_at must evaluate strictly fewer budgets than the reference.
+  bool expect_fewer_budgets = true;
+};
+
+/// Compare links_at with the reference at 500 seeded off-grid times:
+/// identical link sequences with bit-identical transmissivities.
+void check_against_reference(const OracleCase& c, std::size_t n_satellites) {
+  SCOPED_TRACE(c.name);
+  const NetworkModel model =
+      c.hybrid ? core::build_hybrid_model(c.config, n_satellites)
+               : core::build_space_ground_model(c.config, n_satellites);
+  const TopologyBuilder topology(model, c.config.link_policy());
+  obs::Registry registry;
+  const obs::ScopedRegistry ambient(&registry);
+  Rng rng(20241017);
+  std::size_t reference_budgets = 0;
+  std::size_t dynamic_links = 0;
+  for (int q = 0; q < 500; ++q) {
+    const double t = rng.uniform(0.0, 86'400.0);
+    const std::vector<LinkRecord> want =
+        reference_links_at(model, topology, t, reference_budgets);
+    const std::vector<LinkRecord> got = topology.links_at(t);
+    ASSERT_EQ(got.size(), want.size()) << "t=" << t;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k].a, want[k].a) << "t=" << t << " link " << k;
+      ASSERT_EQ(got[k].b, want[k].b) << "t=" << t << " link " << k;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[k].transmissivity),
+                std::bit_cast<std::uint64_t>(want[k].transmissivity))
+          << "t=" << t << " link " << k;
+    }
+    dynamic_links += got.size() - topology.static_links().size();
+  }
+  const std::uint64_t budgets = registry.counter("sim.rebuild_link_budgets");
+  EXPECT_EQ(registry.counter("sim.rebuild_queries"), 500u);
+  if (c.expect_fewer_budgets) {
+    EXPECT_LT(budgets, reference_budgets);
+  } else {
+    EXPECT_EQ(budgets, reference_budgets);
+  }
+  std::printf("[ oracle   ] %s: %zu dynamic links, %llu of %zu budgets\n",
+              c.name.c_str(), dynamic_links,
+              static_cast<unsigned long long>(budgets), reference_budgets);
+}
+
+TEST(TopologyOracle, PaperSpaceGround108) {
+  check_against_reference({"paper space-ground", QntnConfig{}}, 108);
+}
+
+TEST(TopologyOracle, HybridWithHapSatelliteLinks) {
+  QntnConfig config;
+  config.enable_hap_satellite = true;
+  check_against_reference({"hybrid", config, /*hybrid=*/true}, 108);
+}
+
+TEST(TopologyOracle, InterSatelliteLinksDisabled) {
+  QntnConfig config;
+  config.enable_inter_satellite = false;
+  check_against_reference(
+      {"no ISL", config, /*hybrid=*/false, /*expect_fewer_budgets=*/false}, 108);
+}
+
+TEST(TopologyOracle, ThresholdRangeZeroAndInfinite) {
+  QntnConfig none;
+  none.transmissivity_threshold = 1.0;  // threshold range 0: no link passes
+  check_against_reference({"threshold 1", none}, 54);
+  QntnConfig all;
+  all.transmissivity_threshold = 0.0;  // threshold range +inf: no range skip
+  check_against_reference(
+      {"threshold 0", all, /*hybrid=*/false, /*expect_fewer_budgets=*/false}, 54);
+}
+
+TEST(TopologyOracle, ExtremeElevationMasks) {
+  QntnConfig low;
+  low.elevation_mask = deg_to_rad(1.0);
+  check_against_reference({"mask 1 deg", low}, 108);
+  QntnConfig high;
+  high.elevation_mask = deg_to_rad(89.0);
+  check_against_reference({"mask 89 deg", high}, 108);
 }
 
 }  // namespace
