@@ -1,5 +1,6 @@
 #include "core/config_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -344,8 +345,13 @@ QntnConfig parse_config(const std::string& text) {
   if (config.traffic_max_queue_delay <= 0.0) {
     throw Error("config (traffic_max_queue_delay_s): must be > 0");
   }
-  if (config.traffic_arrival_rate < 0.0) {
-    throw Error("config (traffic_arrival_rate): must be >= 0");
+  if (!(std::isfinite(config.traffic_arrival_rate) &&
+        config.traffic_arrival_rate >= 0.0)) {
+    throw Error("config (traffic_arrival_rate): must be finite and >= 0");
+  }
+  if (!(std::isfinite(config.traffic_service_overhead) &&
+        config.traffic_service_overhead >= 0.0)) {
+    throw Error("config (traffic_service_overhead_s): must be finite and >= 0");
   }
   try {
     (void)config.traffic_options();

@@ -213,6 +213,64 @@ std::optional<Route> route_from_tree(const Graph& graph,
   return out;
 }
 
+namespace {
+
+/// True if dst is reachable from src over nodes with load < capacity (an
+/// unsaturated src reaches itself).
+bool reachable_unsaturated(const Graph& graph,
+                           const std::vector<std::size_t>& load,
+                           std::size_t capacity, NodeId src, NodeId dst,
+                           RerouteScratch& scratch) {
+  if (src == dst) return true;
+  if (load[src] >= capacity) return false;
+  scratch.seen.resize(graph.node_count(), 0);
+  if (++scratch.stamp == 0) {  // wrapped: clear stale stamps once
+    std::fill(scratch.seen.begin(), scratch.seen.end(), 0);
+    scratch.stamp = 1;
+  }
+  scratch.queue.clear();
+  scratch.queue.push_back(src);
+  scratch.seen[src] = scratch.stamp;
+  for (std::size_t head = 0; head < scratch.queue.size(); ++head) {
+    for (const Adjacency& adj : graph.neighbors(scratch.queue[head])) {
+      if (scratch.seen[adj.to] == scratch.stamp || load[adj.to] >= capacity) {
+        continue;
+      }
+      if (adj.to == dst) return true;
+      scratch.seen[adj.to] = scratch.stamp;
+      scratch.queue.push_back(adj.to);
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+std::optional<Route> reroute_around_saturated(
+    const Graph& graph, const std::vector<double>& edge_costs,
+    const std::vector<std::size_t>& load, std::size_t capacity, NodeId src,
+    NodeId dst, RerouteScratch& scratch) {
+  QNTN_REQUIRE(src < graph.node_count() && dst < graph.node_count(),
+               "node out of range");
+  QNTN_REQUIRE(load.size() == graph.node_count(),
+               "load table does not match the graph");
+  if (!reachable_unsaturated(graph, load, capacity, src, dst, scratch)) {
+    ++scratch.gated;
+    return std::nullopt;
+  }
+  ++scratch.trees;
+  scratch.masked_costs = edge_costs;
+  const std::vector<Edge>& edges = graph.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (load[edges[e].a] >= capacity || load[edges[e].b] >= capacity) {
+      scratch.masked_costs[e] = kInf;
+    }
+  }
+  // route_from_tree yields nullopt exactly when cost[dst] = +inf.
+  return route_from_tree(
+      graph, bellman_ford_tree(graph, src, scratch.masked_costs), src, dst);
+}
+
 std::optional<Route> bellman_ford(const Graph& graph, NodeId src, NodeId dst,
                                   CostMetric metric) {
   QNTN_REQUIRE(dst < graph.node_count(), "destination out of range");

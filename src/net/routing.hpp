@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -115,5 +117,28 @@ struct ShortestPathTree {
 [[nodiscard]] std::optional<Route> route_from_tree(const Graph& graph,
                                                    const ShortestPathTree& tree,
                                                    NodeId src, NodeId dst);
+
+/// Reusable scratch for reroute_around_saturated, plus tallies of how its
+/// calls were settled.
+struct RerouteScratch {
+  std::vector<std::uint32_t> seen;  ///< node visited iff == stamp
+  std::uint32_t stamp = 0;
+  std::vector<NodeId> queue;
+  std::vector<double> masked_costs;
+  std::size_t gated = 0;  ///< calls the reachability gate settled, no tree
+  std::size_t trees = 0;  ///< masked trees built
+};
+
+/// Saturation reroute: the route route_from_tree extracts from a
+/// Bellman-Ford tree over `edge_costs` with every edge touching a saturated
+/// node (load[id] >= capacity) priced to +inf, or nullopt when that tree
+/// has no finite-cost route to dst. An early-exit BFS over the unsaturated
+/// nodes runs first: it ignores costs, so it reaches at least every node the
+/// masked tree reaches at finite cost, and when it misses dst the call
+/// returns nullopt without copying the costs or building the tree.
+[[nodiscard]] std::optional<Route> reroute_around_saturated(
+    const Graph& graph, const std::vector<double>& edge_costs,
+    const std::vector<std::size_t>& load, std::size_t capacity, NodeId src,
+    NodeId dst, RerouteScratch& scratch);
 
 }  // namespace qntn::net

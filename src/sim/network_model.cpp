@@ -70,6 +70,15 @@ channel::Endpoint NetworkModel::endpoint_at(net::NodeId id, double t) const {
   return {node.position, fixed_ecef_[id]};
 }
 
+Vec3 NetworkModel::position_ecef(net::NodeId id, double t) const {
+  QNTN_REQUIRE(id < nodes_.size(), "node id out of range");
+  const Node& node = nodes_[id];
+  if (node.kind == NodeKind::Satellite) {
+    return ephemerides_[node.ephemeris_index].position_ecef(t);
+  }
+  return fixed_ecef_[id];
+}
+
 const orbit::Ephemeris& NetworkModel::ephemeris(net::NodeId id) const {
   QNTN_REQUIRE(id < nodes_.size(), "node id out of range");
   const Node& node = nodes_[id];

@@ -70,6 +70,10 @@ class NetworkModel {
   /// Endpoint (geodetic + ECEF) of any node at simulation time t [s].
   [[nodiscard]] channel::Endpoint endpoint_at(net::NodeId id, double t) const;
 
+  /// ECEF position of any node at time t [s]: endpoint_at(id, t).ecef
+  /// bit for bit, without the geodetic conversion a satellite would pay.
+  [[nodiscard]] Vec3 position_ecef(net::NodeId id, double t) const;
+
   /// Ephemeris of a satellite node (precondition: id is a satellite). Lets
   /// pass prediction and the contact-plan compiler reuse the trajectory
   /// tables directly instead of round-tripping through endpoint_at.

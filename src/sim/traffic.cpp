@@ -8,16 +8,21 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "obs/registry.hpp"
 #include "quantum/fidelity.hpp"
 
 namespace qntn::sim {
 
 void TrafficConfig::validate() const {
   QNTN_REQUIRE(duration > 0.0, "traffic duration must be > 0");
-  QNTN_REQUIRE(arrival_rate >= 0.0, "traffic arrival rate must be >= 0");
+  // An infinite rate would draw arrivals forever (every gap -log(u)/rate
+  // is 0) and an infinite overhead would schedule completions at +inf;
+  // the deadline alone may be infinite (never drop).
+  QNTN_REQUIRE(std::isfinite(arrival_rate) && arrival_rate >= 0.0,
+               "traffic arrival_rate must be finite and >= 0");
   QNTN_REQUIRE(node_capacity > 0, "traffic node capacity must be positive");
-  QNTN_REQUIRE(service_overhead >= 0.0,
-               "traffic service overhead must be >= 0");
+  QNTN_REQUIRE(std::isfinite(service_overhead) && service_overhead >= 0.0,
+               "traffic service_overhead must be finite and >= 0");
   QNTN_REQUIRE(max_queue_delay > 0.0, "traffic max queue delay must be > 0");
   QNTN_REQUIRE(max_backlog > 0, "traffic max backlog must be positive");
   QNTN_REQUIRE(diurnal_amplitude >= 0.0 && diurnal_amplitude <= 1.0,
@@ -145,8 +150,8 @@ TrafficResult run_traffic_simulation(const NetworkModel& model,
     // length from node positions at `now`.
     double path_length = 0.0;
     for (std::size_t i = 0; i + 1 < route->path.size(); ++i) {
-      path_length += distance(model.endpoint_at(route->path[i], now).ecef,
-                              model.endpoint_at(route->path[i + 1], now).ecef);
+      path_length += distance(model.position_ecef(route->path[i], now),
+                              model.position_ecef(route->path[i + 1], now));
     }
     const double service =
         config.service_overhead + 2.0 * path_length / kSpeedOfLight;
@@ -248,6 +253,8 @@ TrafficEngine::TrafficEngine(const NetworkModel& model,
     }
   }
   busy_.assign(model_.node_count(), 0);
+  positions_.resize(model_.node_count());
+  position_stamp_.assign(model_.node_count(), 0);
 }
 
 void TrafficEngine::draw_arrivals(std::size_t step, double t0) {
@@ -344,9 +351,17 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     heap.push({arrivals_[i].time, sequence++, Event::Kind::Arrival, i});
   }
 
-  // Scratch for the saturation reroute: edge costs with saturated interior
-  // nodes priced out, rebuilt on demand.
-  std::vector<double> masked_costs;
+  // Node positions for the heralding length, read once per window.
+  ++window_stamp_;
+  const auto position = [&](net::NodeId id) -> const Vec3& {
+    if (position_stamp_[id] != window_stamp_) {
+      positions_[id] = model_.position_ecef(id, t);
+      position_stamp_[id] = window_stamp_;
+    }
+    return positions_[id];
+  };
+  const std::size_t gated_before = reroute_.gated;
+  const std::size_t trees_before = reroute_.trees;
 
   const auto finish = [&](std::size_t index, ServeDisposition disposition,
                           const net::Route* route, double waiting,
@@ -399,9 +414,11 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
         return true;
       }
     }
-    auto route = net::route_from_tree(graph, tree_for(arrival.source),
-                                      arrival.source, arrival.destination);
-    if (!route.has_value()) {
+    // Decide from the tree before extracting a route: most attempts end in
+    // no-path or a wait and never need the path.
+    const net::ShortestPathTree& tree = tree_for(arrival.source);
+    if (tree.cost[arrival.destination] ==
+        std::numeric_limits<double>::infinity()) {
       // The topology is frozen for the window, so no-path is terminal; it
       // can only trip on the first attempt (queued requests had a route).
       finish(index, ServeDisposition::NoPath, nullptr, 0.0, 0.0);
@@ -414,33 +431,25 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
       return false;
     }
     bool saturated = false;
-    for (const net::NodeId id : route->path) {
+    for (net::NodeId id = arrival.destination; id != arrival.source;
+         id = *tree.previous[id]) {
       if (busy_[id] >= config_.node_capacity) {
         saturated = true;
         break;
       }
     }
-    if (saturated) {
-      // Saturation reroute (the absorbed sim/capacity policy): retry with
-      // every edge touching a saturated node priced out. Deterministic —
-      // depends only on the busy table at `now`.
-      masked_costs = edge_costs_;
-      const auto& edges = graph.edges();
-      for (std::size_t e = 0; e < edges.size(); ++e) {
-        if (busy_[edges[e].a] >= config_.node_capacity ||
-            busy_[edges[e].b] >= config_.node_capacity) {
-          masked_costs[e] = std::numeric_limits<double>::infinity();
-        }
-      }
-      const auto masked_tree =
-          net::bellman_ford_tree(graph, arrival.source, masked_costs);
-      route = net::route_from_tree(graph, masked_tree, arrival.source,
+    // Saturation reroute (the absorbed sim/capacity policy): retry with
+    // every edge touching a saturated node priced out, or wait for capacity
+    // when only infinite-cost detours are left. Deterministic — depends only
+    // on the busy table at `now`.
+    auto route =
+        saturated
+            ? net::reroute_around_saturated(
+                  graph, edge_costs_, busy_, config_.node_capacity,
+                  arrival.source, arrival.destination, reroute_)
+            : net::route_from_tree(graph, tree, arrival.source,
                                    arrival.destination);
-      if (!route.has_value() ||
-          !std::isfinite(route->cost)) {  // only infinite-cost detours left
-        return false;                     // wait for capacity
-      }
-    }
+    if (!route.has_value()) return false;
     for (const net::NodeId id : route->path) ++busy_[id];
     for (const net::NodeId id : route->path) {
       const double utilisation = static_cast<double>(busy_[id]) /
@@ -454,8 +463,8 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     // snapshot applies — so service times are a pure function of the step.
     double path_length = 0.0;
     for (std::size_t i = 0; i + 1 < route->path.size(); ++i) {
-      path_length += distance(model_.endpoint_at(route->path[i], t).ecef,
-                              model_.endpoint_at(route->path[i + 1], t).ecef);
+      path_length +=
+          distance(position(route->path[i]), position(route->path[i + 1]));
     }
     const double service =
         config_.service_overhead + 2.0 * path_length / kSpeedOfLight;
@@ -526,6 +535,8 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
            nullptr, 0.0, 0.0);
     backlog.pop_front();
   }
+  obs::count("sim.reroute_gated", reroute_.gated - gated_before);
+  obs::count("sim.reroute_trees", reroute_.trees - trees_before);
   return out;
 }
 

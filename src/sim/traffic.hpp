@@ -162,6 +162,11 @@ class TrafficEngine final : public ServingEngine {
   std::vector<std::uint32_t> tree_stamp_;      ///< tree valid iff == stamp_
   std::uint32_t stamp_ = 0;
   std::vector<std::size_t> busy_;
+  net::RerouteScratch reroute_;
+  /// Node ECEF positions at the current window start, memoised per node.
+  std::vector<Vec3> positions_;
+  std::vector<std::uint32_t> position_stamp_;  ///< valid iff == window_stamp_
+  std::uint32_t window_stamp_ = 0;
 };
 
 }  // namespace qntn::sim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 
@@ -180,6 +182,28 @@ TEST(ConfigIo, RejectsDegenerateTrafficParameters) {
   EXPECT_THROW((void)parse_config("traffic_diurnal_amplitude = 2.0\n"), Error);
   // Zero arrivals are a valid (quiet) workload.
   EXPECT_NO_THROW((void)parse_config("traffic_arrival_rate = 0.0\n"));
+}
+
+TEST(ConfigIo, RejectsNonFiniteTrafficRates) {
+  // std::stod accepts "inf" and "nan"; the rate and the service overhead
+  // must still be finite, and the error names the key. Parse only: an
+  // engine on an infinite rate would draw arrivals forever.
+  for (const std::string key :
+       {"traffic_arrival_rate", "traffic_service_overhead_s"}) {
+    for (const std::string value : {"inf", "-inf", "nan"}) {
+      SCOPED_TRACE(key + " = " + value);
+      try {
+        (void)parse_config(key + " = " + value + "\n");
+        FAIL() << "non-finite value must throw at parse";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // An infinite queue deadline stays legal: requests then never expire.
+  const QntnConfig patient = parse_config("traffic_max_queue_delay_s = inf\n");
+  EXPECT_TRUE(std::isinf(patient.traffic_max_queue_delay));
 }
 
 TEST(ConfigIo, HapPositionSerializedInDegrees) {

@@ -80,6 +80,25 @@ TEST(NetworkModel, SatellitesMoveAlongEphemeris) {
   EXPECT_NEAR(e0.geodetic.altitude, 500e3, 25e3);
 }
 
+TEST(NetworkModel, PositionEcefIsEndpointEcefBitForBit) {
+  NetworkModel model;
+  model.add_lan("A", two_sites(), terminal());
+  model.add_hap("H", geo::Geodetic::from_degrees(35.7, -85.1, 30'000.0),
+                {0.3, 1e-7});
+  model.add_satellite("S", sample_ephemeris(), terminal());
+  for (net::NodeId id = 0; id < model.node_count(); ++id) {
+    for (const double t : {0.0, 45.0, 1'234.5}) {
+      const Vec3 p = model.position_ecef(id, t);
+      const Vec3 e = model.endpoint_at(id, t).ecef;
+      EXPECT_EQ(p.x, e.x);
+      EXPECT_EQ(p.y, e.y);
+      EXPECT_EQ(p.z, e.z);
+    }
+  }
+  EXPECT_THROW((void)model.position_ecef(model.node_count(), 0.0),
+               PreconditionError);
+}
+
 TEST(NetworkModel, RejectsEmptyLan) {
   NetworkModel model;
   EXPECT_THROW((void)model.add_lan("empty", {}, terminal()), PreconditionError);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -11,6 +13,7 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/scenario.hpp"
+#include "sim/network_model.hpp"
 #include "sim/traffic.hpp"
 
 /// The open-arrival traffic serving mode of run_scenario (DESIGN.md §12):
@@ -227,6 +230,144 @@ TEST(TrafficEngine, FullAmplitudeSilencesNightWindows) {
   EXPECT_EQ(night.outcome.issued, 0u);
 }
 
+/// Two four-node ground LANs joined only through two HAP relays: every
+/// inter-LAN route is ground - relay - ground, and the first relay is the
+/// better one, so a route through the second is always a saturation detour.
+class TwoRelayTopology final : public TopologyProvider {
+ public:
+  explicit TwoRelayTopology(const NetworkModel& model) {
+    for (std::size_t i = 0; i < model.node_count(); ++i) graph_.add_node();
+    for (std::size_t lan = 0; lan < model.lan_count(); ++lan) {
+      for (const net::NodeId ground : model.lan_nodes(lan)) {
+        graph_.add_edge(ground, model.hap_ids()[0], 0.9);
+        graph_.add_edge(ground, model.hap_ids()[1], 0.6);
+      }
+    }
+  }
+
+  [[nodiscard]] net::Graph graph_at(double t) const override {
+    (void)t;
+    return graph_;
+  }
+
+ private:
+  net::Graph graph_;
+};
+
+NetworkModel two_relay_model() {
+  const channel::OpticalTerminal terminal;
+  NetworkModel model;
+  for (const double lon : {-86.0, -84.0}) {
+    std::vector<geo::Geodetic> sites;
+    for (int i = 0; i < 4; ++i) {
+      sites.push_back(geo::Geodetic::from_degrees(36.0 + 0.01 * i, lon));
+    }
+    model.add_lan(lon < -85.0 ? "west" : "east", sites, terminal);
+  }
+  model.add_hap("relay-a", geo::Geodetic::from_degrees(36.0, -85.0, 20e3),
+                terminal);
+  model.add_hap("relay-b", geo::Geodetic::from_degrees(36.1, -85.0, 20e3),
+                terminal);
+  return model;
+}
+
+TEST(TrafficEngine, SaturatedRelayDetoursThroughTheOther) {
+  // Capacity 1 and services far longer than the 100-s window: everything
+  // that starts in the window is still in service when the window's last
+  // arrival comes. The first arrival takes relay a; the first later one
+  // with disjoint endpoints finds relay a saturated and must detour through
+  // relay b; the next disjoint one finds both relays busy and must wait.
+  const NetworkModel model = two_relay_model();
+  const TwoRelayTopology topology(model);
+  const net::NodeId relay_a = model.hap_ids()[0];
+  const net::NodeId relay_b = model.hap_ids()[1];
+  TrafficConfig tc;
+  tc.node_capacity = 1;
+  tc.service_overhead = 1'000.0;
+  tc.arrival_rate = 0.1;
+  tc.diurnal_amplitude = 0.0;
+  for (const double deadline : {5'000.0, 500.0}) {
+    SCOPED_TRACE("deadline " + std::to_string(deadline));
+    tc.max_queue_delay = deadline;
+    obs::Registry registry;
+    const obs::ScopedRegistry ambient(&registry);
+    TrafficEngine engine(model, topology, tc, 100.0, true);
+    const ServeStepResult out = engine.serve_step(0, 0.0);
+    const auto& records = out.requests;
+    ASSERT_GE(records.size(), 3u);
+
+    const auto disjoint = [&](std::size_t i, std::size_t j) {
+      return records[i].source != records[j].source &&
+             records[i].source != records[j].destination &&
+             records[i].destination != records[j].source &&
+             records[i].destination != records[j].destination;
+    };
+    std::size_t second = 1;
+    while (second < records.size() && !disjoint(0, second)) ++second;
+    std::size_t third = second + 1;
+    while (third < records.size() &&
+           !(disjoint(0, third) && disjoint(second, third))) {
+      ++third;
+    }
+    ASSERT_LT(third, records.size());
+
+    EXPECT_EQ(records[0].disposition, ServeDisposition::Served);
+    EXPECT_EQ(records[0].relay, relay_a);
+    EXPECT_EQ(records[0].waiting, 0.0);
+    EXPECT_EQ(records[second].disposition, ServeDisposition::Served);
+    EXPECT_EQ(records[second].relay, relay_b);
+    EXPECT_EQ(records[second].waiting, 0.0);
+    if (deadline > tc.service_overhead) {
+      EXPECT_EQ(records[third].disposition, ServeDisposition::Served);
+      EXPECT_GT(records[third].waiting, tc.service_overhead / 2);
+    } else {
+      EXPECT_EQ(records[third].disposition,
+                ServeDisposition::DroppedDeadline);
+    }
+    // The detour was built from a masked tree; the both-busy attempts
+    // were settled by the reachability gate.
+    EXPECT_GT(registry.counter("sim.reroute_trees"), 0u);
+    EXPECT_GT(registry.counter("sim.reroute_gated"), 0u);
+  }
+}
+
+TEST(TrafficEngine, EveryTreeIsASourceTreeOrAMaskedReroute) {
+  // traffic_congested's serving keys on a small constellation: capacity 1,
+  // 250-ms services, inverse-eta routes rebuilt every window. Each window
+  // builds one tree per source that got past the isolation check; every
+  // other tree is a masked reroute, and saturated attempts the
+  // reachability gate settled build none.
+  QntnConfig config;
+  config.serving_mode = core::ServingMode::Traffic;
+  config.topology_mode = TopologyMode::ContactPlan;
+  config.traffic_arrival_rate = 1.0;
+  config.traffic_node_capacity = 1;
+  config.traffic_service_overhead = 0.25;
+  const NetworkModel model = core::build_space_ground_model(config, 12);
+  const core::Topology topology = core::make_topology(config, model);
+  obs::Registry registry;
+  const obs::ScopedRegistry ambient(&registry);
+  TrafficEngine engine(model, topology.provider(), config.traffic_options(),
+                       30.0, true);
+  std::size_t source_trees = 0;
+  for (std::size_t step = 0; step < 24; ++step) {
+    const ServeStepResult out =
+        engine.serve_step(step, static_cast<double>(step) * 3'600.0);
+    std::vector<net::NodeId> sources;
+    for (const RequestRecord& rec : out.requests) {
+      if (rec.disposition != ServeDisposition::Isolated) {
+        sources.push_back(rec.source);
+      }
+    }
+    std::sort(sources.begin(), sources.end());
+    source_trees += static_cast<std::size_t>(
+        std::unique(sources.begin(), sources.end()) - sources.begin());
+  }
+  EXPECT_GT(registry.counter("sim.reroute_gated"), 0u);
+  EXPECT_EQ(registry.counter("net.bf_trees"),
+            source_trees + registry.counter("sim.reroute_trees"));
+}
+
 TEST(TrafficConfigValidate, RejectsDegenerateParameters) {
   TrafficConfig good;
   good.validate();  // defaults are fine
@@ -242,6 +383,37 @@ TEST(TrafficConfigValidate, RejectsDegenerateParameters) {
   bad = good;
   bad.max_backlog = 0;
   EXPECT_THROW(bad.validate(), PreconditionError);
+}
+
+TEST(TrafficConfigValidate, RejectsNonFiniteRateAndOverhead) {
+  // Validation only: no engine ever runs on these configs.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const TrafficConfig good;
+  for (const double value : {kInf, kNan}) {
+    TrafficConfig bad = good;
+    bad.arrival_rate = value;
+    try {
+      bad.validate();
+      FAIL() << "non-finite arrival rate must throw";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("arrival_rate"), std::string::npos)
+          << e.what();
+    }
+    bad = good;
+    bad.service_overhead = value;
+    try {
+      bad.validate();
+      FAIL() << "non-finite service overhead must throw";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("service_overhead"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  TrafficConfig patient = good;
+  patient.max_queue_delay = kInf;
+  EXPECT_NO_THROW(patient.validate());
 }
 
 }  // namespace
