@@ -3,11 +3,13 @@
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "orbit/ephemeris.hpp"
 #include "quantum/memory.hpp"
 
 namespace qntn::core {
@@ -146,9 +148,6 @@ std::string serialize_config(const QntnConfig& config) {
      << "parallel_snapshots = "
      << (config.parallel_snapshots ? "true" : "false") << '\n'
      << "contact_sample_tolerance = " << config.contact_sample_tolerance << '\n'
-     << "contact_max_elevation_rate = " << config.contact_max_elevation_rate
-     << '\n'
-     << "contact_max_range_rate = " << config.contact_max_range_rate << '\n'
      << "serving_mode = " << serving_mode_name(config.serving_mode) << '\n'
      << "em_memory_slots = " << config.em_memory_slots << '\n'
      << "em_generation_period_s = " << config.em_generation_period << '\n'
@@ -184,7 +183,11 @@ QntnConfig parse_config(const std::string& text) {
   };
   const auto as_size = [&as_double](const std::string& v) {
     const double d = as_double(v);
-    if (d < 0.0 || d != static_cast<double>(static_cast<std::size_t>(d))) {
+    // Range-check before the cast: converting nan, inf or anything at or
+    // past 2^64 to std::size_t is undefined behaviour.
+    constexpr auto kLimit =
+        static_cast<double>(std::numeric_limits<std::size_t>::max());
+    if (!(d >= 0.0 && d < kLimit) || d != std::floor(d)) {
       throw Error("bad integer value: " + v);
     }
     return static_cast<std::size_t>(d);
@@ -256,10 +259,6 @@ QntnConfig parse_config(const std::string& text) {
            [&](const std::string& v) { config.parallel_snapshots = as_bool(v); }},
           {"contact_sample_tolerance",
            [&](const std::string& v) { config.contact_sample_tolerance = as_double(v); }},
-          {"contact_max_elevation_rate",
-           [&](const std::string& v) { config.contact_max_elevation_rate = as_double(v); }},
-          {"contact_max_range_rate",
-           [&](const std::string& v) { config.contact_max_range_rate = as_double(v); }},
           {"serving_mode",
            [&](const std::string& v) { config.serving_mode = serving_mode_from(v); }},
           {"em_memory_slots",
@@ -332,6 +331,19 @@ QntnConfig parse_config(const std::string& text) {
       throw Error("config line " + std::to_string(line_number) + " (" + key +
                   "): " + e.what());
     }
+  }
+  // The horizon and the sampling step size every grid and ephemeris table.
+  if (!(std::isfinite(config.day_duration) && config.day_duration > 0.0)) {
+    throw Error("config (day_duration_s): must be finite and > 0");
+  }
+  if (!(std::isfinite(config.ephemeris_step) && config.ephemeris_step > 0.0)) {
+    throw Error("config (ephemeris_step_s): must be finite and > 0");
+  }
+  try {
+    (void)orbit::grid_sample_count(config.day_duration, config.ephemeris_step);
+  } catch (const std::exception& e) {
+    throw Error(std::string("config (day_duration_s/ephemeris_step_s): ") +
+                e.what());
   }
   // Cross-field checks run after the whole file is read (the keys may come
   // in any order). The memory-physicality check in particular must fail at

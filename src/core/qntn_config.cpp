@@ -72,8 +72,6 @@ plan::ContactPlanOptions QntnConfig::plan_options() const {
   plan::ContactPlanOptions options;
   options.horizon = day_duration;
   options.step = ephemeris_step;
-  options.max_elevation_rate = contact_max_elevation_rate;
-  options.max_range_rate = contact_max_range_rate;
   options.sample_tolerance = contact_sample_tolerance;
   return options;
 }

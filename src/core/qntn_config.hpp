@@ -90,9 +90,6 @@ struct QntnConfig {
   /// Compression tolerance on cached window transmissivities (see
   /// plan::ContactPlanOptions::sample_tolerance).
   double contact_sample_tolerance = 1.0e-4;
-  /// Scan-hop bounds; <= 0 disables the respective skip.
-  double contact_max_elevation_rate = 0.01;   ///< [rad/s]
-  double contact_max_range_rate = 16'000.0;   ///< [m/s]
 
   // --- Entanglement-management serving (src/em, DESIGN.md §11). ---
   ServingMode serving_mode = ServingMode::SingleShot;

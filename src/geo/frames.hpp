@@ -73,10 +73,7 @@ struct TopocentricFrame {
                                     const Vec3& target);
 
 /// Closest-approach distance [m] of the straight segment between two ECEF
-/// points to the geocentre. Because each endpoint moves no faster than its
-/// platform, this distance is Lipschitz in time with the same speed bound —
-/// scans use the slack above a blockage radius to hop grid points that
-/// provably cannot lose line of sight.
+/// points to the geocentre.
 [[nodiscard]] double geocentre_clearance(const Vec3& a, const Vec3& b);
 
 /// True if the straight segment between two ECEF points clears a sphere of

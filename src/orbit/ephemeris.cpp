@@ -8,10 +8,18 @@
 
 namespace qntn::orbit {
 
+std::size_t grid_sample_count(double duration, double step) {
+  QNTN_REQUIRE(std::isfinite(duration) && duration > 0.0 &&
+                   std::isfinite(step) && step > 0.0,
+               "duration and step must be finite and positive");
+  const double intervals = std::ceil(duration / step);
+  QNTN_REQUIRE(intervals < 0x1p53, "duration / step exceeds 2^53 samples");
+  return static_cast<std::size_t>(intervals) + 1;
+}
+
 Ephemeris Ephemeris::generate(const TwoBodyPropagator& prop, double duration,
                               double step, double gmst0) {
-  QNTN_REQUIRE(duration > 0.0 && step > 0.0, "duration and step must be positive");
-  const auto n = static_cast<std::size_t>(std::ceil(duration / step)) + 1;
+  const std::size_t n = grid_sample_count(duration, step);
   const obs::Span span("orbit.ephemeris_generate", n);
   // Structure-of-arrays staging: the sample times and ECI positions live in
   // contiguous tables so the propagator's batched Kepler solve and the

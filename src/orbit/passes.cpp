@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
 #include "geo/frames.hpp"
 
 namespace qntn::orbit {
@@ -38,87 +37,34 @@ std::vector<Pass> find_passes(const Ephemeris& ephemeris,
                               const geo::Geodetic& site_geodetic,
                               double duration, double min_elevation,
                               double step) {
-  QNTN_REQUIRE(duration > 0.0 && step > 0.0, "duration/step must be positive");
+  (void)grid_sample_count(duration, step);  // finite, positive, bounded
   // Hoist the site's ENU frame out of the scan: every elevation sample
   // otherwise re-derives the site ECEF position and basis trigonometry.
   const geo::TopocentricFrame site(site_geodetic);
+  // Horizon screen: a grid point with ENU up <= 0 has elevation
+  // atan2(up <= 0, .) <= 0, below any positive mask, so it skips the
+  // atan2/hypot. TopocentricFrame::up is the expression look_angles uses,
+  // so the screen cannot disagree with the exact test.
+  const bool screen = min_elevation > 0.0;
   std::vector<Pass> passes;
-  bool in_pass = elevation_at(ephemeris, site, 0.0) >= min_elevation;
+  const double elevation0 = elevation_at(ephemeris, site, 0.0);
+  bool in_pass = elevation0 >= min_elevation;
   Pass current;
   if (in_pass) {
     current.aos = 0.0;
-    current.max_elevation = elevation_at(ephemeris, site, 0.0);
+    current.max_elevation = elevation0;
     current.culmination = 0.0;
   }
   double prev_t = 0.0;
-  for (double t = step; t <= duration + step * 0.5; t += step) {
-    const double clamped = std::min(t, duration);
-    const double elevation = elevation_at(ephemeris, site, clamped);
-    const bool above = elevation >= min_elevation;
-    if (above && !in_pass) {
-      current = Pass{};
-      current.aos = refine_crossing(ephemeris, site, min_elevation, prev_t,
-                                    clamped, /*rising=*/true);
-      current.max_elevation = elevation;
-      current.culmination = clamped;
-      in_pass = true;
-    } else if (above && in_pass) {
-      if (elevation > current.max_elevation) {
-        current.max_elevation = elevation;
-        current.culmination = clamped;
-      }
-    } else if (!above && in_pass) {
-      current.los = refine_crossing(ephemeris, site, min_elevation, prev_t,
-                                    clamped, /*rising=*/false);
-      passes.push_back(current);
-      in_pass = false;
-    }
-    prev_t = clamped;
-  }
-  if (in_pass) {
-    current.los = duration;
-    passes.push_back(current);
-  }
-  return passes;
-}
-
-std::vector<Pass> find_passes_adaptive(const Ephemeris& ephemeris,
-                                       const geo::Geodetic& site_geodetic,
-                                       double duration, double min_elevation,
-                                       double step, double max_elevation_rate) {
-  QNTN_REQUIRE(duration > 0.0 && step > 0.0, "duration/step must be positive");
-  if (max_elevation_rate <= 0.0) {
-    return find_passes(ephemeris, site_geodetic, duration, min_elevation, step);
-  }
-  const geo::TopocentricFrame site(site_geodetic);
-  std::vector<Pass> passes;
-  double elevation = elevation_at(ephemeris, site, 0.0);
-  bool in_pass = elevation >= min_elevation;
-  Pass current;
-  if (in_pass) {
-    current.aos = 0.0;
-    current.max_elevation = elevation;
-    current.culmination = 0.0;
-  }
-  double prev_t = 0.0;
-  std::size_t k = 0;
-  while (prev_t < duration) {
-    // Hop over grid points that are provably below the mask: starting from
-    // elevation e at prev_t, points closer than (mask - e) / rate cannot
-    // have crossed. hop - 1 skipped points lie at offsets <= (hop-1)*step,
-    // strictly inside that guarantee.
-    std::size_t hop = 1;
-    if (!in_pass) {
-      const double margin = min_elevation - elevation;
-      if (margin > 0.0) {
-        hop = std::max<std::size_t>(
-            1, static_cast<std::size_t>(margin / (max_elevation_rate * step)));
-      }
-    }
-    k += hop;
+  for (std::size_t k = 1; prev_t < duration; ++k) {
     const double t = std::min(static_cast<double>(k) * step, duration);
-    elevation = elevation_at(ephemeris, site, t);
-    const bool above = elevation >= min_elevation;
+    const Vec3 position = ephemeris.position_ecef(t);
+    double elevation = 0.0;
+    bool above = false;
+    if (!screen || site.up(position - site.origin) > 0.0) {
+      elevation = geo::look_angles(site, position).elevation;
+      above = elevation >= min_elevation;
+    }
     if (above && !in_pass) {
       current = Pass{};
       current.aos = refine_crossing(ephemeris, site, min_elevation, prev_t, t,

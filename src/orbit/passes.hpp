@@ -25,32 +25,19 @@ struct Pass {
 };
 
 /// Find all passes of `ephemeris` over `site` with elevation above
-/// `min_elevation` within [0, duration]. Crossing times are located on the
-/// scan grid (`step`) and refined by bisection to ~1 ms. A pass in
+/// `min_elevation` within [0, duration]. Every scan grid point t = k * step
+/// (the last one clipped to `duration`) is classified; a point at or below
+/// the horizon skips the elevation evaluation when the mask is positive
+/// (exact: such a point has elevation <= 0). Crossings are bracketed by the
+/// preceding grid step and refined by bisection to ~1 ms. A pass in
 /// progress at t = 0 starts at aos = 0; one still in progress at the end
-/// closes at los = duration.
+/// closes at los = duration. This is the contact-plan compiler's pass
+/// search.
 [[nodiscard]] std::vector<Pass> find_passes(const Ephemeris& ephemeris,
                                             const geo::Geodetic& site,
                                             double duration,
                                             double min_elevation,
                                             double step = 30.0);
-
-/// Like find_passes, but skips ahead while the satellite is far below the
-/// mask: if the elevation rate is bounded by `max_elevation_rate` [rad/s],
-/// a satellite at elevation e < mask cannot reach the mask for at least
-/// (mask - e) / max_elevation_rate seconds, so whole grid stretches can be
-/// classified "below" without evaluating them. Skips stay on multiples of
-/// `step`, so every grid point the dense scan would classify as above the
-/// mask is still evaluated — the pass list is identical to find_passes'
-/// (for a sound rate bound) at a fraction of the geometry evaluations.
-/// A LEO below 20 deg is never seen faster than ~7 mrad/s from the ground
-/// (8.1 km/s relative speed over >1100 km of range); the default keeps a
-/// ~40% margin on top. max_elevation_rate <= 0 degenerates to the dense
-/// scan. This is the contact-plan compiler's workhorse.
-[[nodiscard]] std::vector<Pass> find_passes_adaptive(
-    const Ephemeris& ephemeris, const geo::Geodetic& site, double duration,
-    double min_elevation, double step = 30.0,
-    double max_elevation_rate = 0.01);
 
 /// Aggregate statistics of a pass list.
 struct PassStatistics {

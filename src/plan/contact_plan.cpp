@@ -110,6 +110,10 @@ void sample_adaptive(const Eta& eta, double t0, double e0, double t1,
   etas.push_back(e1);
 }
 
+/// Grid points per block of the ISL scan's block screen (see
+/// Compiler::grid_hop).
+constexpr std::size_t kGridBlock = 8;
+
 struct Compiler {
   const sim::NetworkModel& model;
   const sim::LinkPolicy& policy;
@@ -124,11 +128,17 @@ struct Compiler {
   /// Filled by prefill_grids before the compile passes; the parallel
   /// fan-out shares the tables read-only.
   std::vector<std::vector<Vec3>> grid_pos;
+  /// Longest step [m] between consecutive entries of each satellite's
+  /// grid table, filled alongside it. A grid point j steps from point k
+  /// lies within |j - k| * grid_hop of it (triangle inequality along the
+  /// table), so every point of a block lies within a sphere around the
+  /// block's middle point whose radius is measured from the input itself.
+  std::vector<double> grid_hop;
 
   Compiler(const sim::NetworkModel& m, const sim::LinkPolicy& p,
            const ContactPlanOptions& o)
       : model(m), policy(p), options(o), builder(m, p),
-        grid_pos(m.node_count()) {}
+        grid_pos(m.node_count()), grid_hop(m.node_count(), 0.0) {}
 
   void fill_grid(net::NodeId sat_id) {
     std::vector<Vec3>& cache = grid_pos[sat_id];
@@ -139,6 +149,10 @@ struct Compiler {
     cache.reserve(count);
     for (std::size_t k = 0; k < count; ++k) {
       cache.push_back(eph.position_ecef(static_cast<double>(k) * options.step));
+    }
+    for (std::size_t k = 1; k < count; ++k) {
+      grid_hop[sat_id] =
+          std::max(grid_hop[sat_id], distance(cache[k - 1], cache[k]));
     }
   }
 
@@ -183,10 +197,9 @@ struct Compiler {
   void compile_site_satellite(net::NodeId site_id, net::NodeId sat_id,
                               const channel::FsoLinkEvaluator& evaluator,
                               std::vector<ContactWindow>& out) const {
-    const std::vector<orbit::Pass> passes = orbit::find_passes_adaptive(
+    const std::vector<orbit::Pass> passes = orbit::find_passes(
         model.ephemeris(sat_id), model.node(site_id).position,
-        options.horizon, policy.elevation_mask, options.step,
-        options.max_elevation_rate);
+        options.horizon, policy.elevation_mask, options.step);
     compile_site_within(site_id, sat_id, evaluator, passes, out);
   }
 
@@ -325,15 +338,23 @@ struct Compiler {
   /// the scan is pure geometry; transmissivities are sampled adaptively
   /// only inside windows.
   ///
+  /// Every grid point is classified, through a screen on the squared range
+  /// that settles almost all of them exactly:
+  /// - past (threshold_range + band)^2 the exact predicate fails on its
+  ///   range test alone, whatever the line of sight;
+  /// - below min(threshold_range - band, los_safe_range)^2 it holds: the
+  ///   range is inside the budget's sure band, and line of sight is
+  ///   guaranteed (below).
+  /// Both pads carry a 1e-12 relative margin, far above the rounding of
+  /// the squared range against distance(); points between them run the
+  /// exact predicate. A flip is refined on the grid step before it.
+  ///
   /// `min_radius` is a lower bound on both endpoints' geocentric radii over
   /// the whole horizon (min ephemeris sample radius, deflated for the
   /// interpolation sagitta). Any segment shorter than the chord of the
   /// min-radius sphere tangent to the blockage sphere stays above the
   /// blockage sphere regardless of orientation, so line of sight needs an
-  /// explicit check only beyond that range — and a window can only close
-  /// once the range climbs to the threshold band or that chord, which
-  /// bounds how long it must persist and lets the scan hop in-window grid
-  /// points too (ISL windows last hours at full grid resolution otherwise).
+  /// explicit check only beyond that range.
   void compile_satellite_pair(net::NodeId sat_a, net::NodeId sat_b,
                               const channel::FsoLinkEvaluator& evaluator,
                               double threshold_range, double min_radius,
@@ -341,7 +362,6 @@ struct Compiler {
     const orbit::Ephemeris& eph_a = model.ephemeris(sat_a);
     const orbit::Ephemeris& eph_b = model.ephemeris(sat_b);
     const double threshold = policy.transmissivity_threshold;
-    const double step = options.step;
     const double clearance = kEarthRadius + kAtmosphereTopAltitude;
     // Within this band of the threshold range, decide by the actual link
     // budget instead of the precomputed crossing.
@@ -354,12 +374,7 @@ struct Compiler {
         2.0 * std::sqrt(std::max(
                   0.0, min_radius * min_radius - clearance * clearance));
 
-    const auto range_at = [&](double t) {
-      return distance(eph_a.position_ecef(t), eph_b.position_ecef(t));
-    };
-    const auto linkable = [&](double t) {
-      const Vec3 pa = eph_a.position_ecef(t);
-      const Vec3 pb = eph_b.position_ecef(t);
+    const auto linkable_at = [&](const Vec3& pa, const Vec3& pb) {
       const double range = distance(pa, pb);
       if (range > los_safe_range && !geo::line_of_sight(pa, pb, clearance)) {
         return false;
@@ -368,48 +383,53 @@ struct Compiler {
       if (range >= threshold_range + band) return false;
       return evaluator.symmetric(range, kPi / 2.0) >= threshold;
     };
+    const auto linkable = [&](double t) {
+      return linkable_at(eph_a.position_ecef(t), eph_b.position_ecef(t));
+    };
     const auto eta_at = [&](double t) {
-      return evaluator.symmetric(range_at(t), kPi / 2.0);
+      return evaluator.symmetric(
+          distance(eph_a.position_ecef(t), eph_b.position_ecef(t)), kPi / 2.0);
     };
 
-    // The range below which the link cannot drop: to close, the range must
-    // first reach the threshold band or the line-of-sight chord.
-    const double close_range = std::min(threshold_range - band, los_safe_range);
+    const double far = threshold_range + band;
+    const double near = std::min(threshold_range - band, los_safe_range);
+    const double far_sq = far * far * (1.0 + 1e-12);
+    const double near_sq =
+        near > 0.0 ? near * near * (1.0 - 1e-12) : -1.0;  // no sure-link zone
     const std::vector<Vec3>& grid_a = grid_positions(sat_a);
     const std::vector<Vec3>& grid_b = grid_positions(sat_b);
+    // Block screen: the kGridBlock points from grid point lo lie within
+    // kGridBlock / 2 steps of the middle one, so their ranges stay within
+    // `spread` of its range. A block whose every point keeps 1 m clear of
+    // the pad on the current side holds no flip (1 m dwarfs the rounding
+    // of this arithmetic at orbital ranges).
+    const double spread = static_cast<double>(kGridBlock / 2) *
+                          (grid_hop[sat_a] + grid_hop[sat_b]);
+    const auto block_settled = [&](std::size_t lo, bool linked) {
+      const std::size_t mid = lo + kGridBlock / 2;
+      const double range = distance(grid_a[mid], grid_b[mid]);
+      return linked ? range + spread < near - 1.0 : range - spread > far + 1.0;
+    };
     bool in_window = linkable(0.0);
     double window_start = 0.0;
     double prev_t = 0.0;
-    double prev_range = range_at(0.0);
-    std::size_t k = 0;
-    while (prev_t < options.horizon) {
-      // Hop grid points the range-rate bound proves uneventful: out of
-      // window the range cannot fall back to the threshold yet; in window
-      // it cannot climb to the band or far enough to lose line of sight.
-      std::size_t hop = 1;
-      if (options.max_range_rate > 0.0) {
-        const double slack = in_window ? close_range - prev_range
-                                       : prev_range - threshold_range;
-        if (slack > 0.0) {
-          hop = std::max<std::size_t>(
-              1, static_cast<std::size_t>(slack /
-                                          (options.max_range_rate * step)));
-        }
+    for (std::size_t k = 1; prev_t < options.horizon; ++k) {
+      if (k % kGridBlock == 0 && k + kGridBlock <= grid_a.size() &&
+          block_settled(k, in_window)) {
+        // No flip inside the block: resume at its last point.
+        k += kGridBlock - 1;
+        prev_t =
+            std::min(static_cast<double>(k) * options.step, options.horizon);
+        continue;
       }
-      k += hop;
-      const double t = std::min(static_cast<double>(k) * step, options.horizon);
+      const double t =
+          std::min(static_cast<double>(k) * options.step, options.horizon);
       const bool on_grid = k < grid_a.size();
       const Vec3 pa = on_grid ? grid_a[k] : eph_a.position_ecef(t);
       const Vec3 pb = on_grid ? grid_b[k] : eph_b.position_ecef(t);
-      const double range = distance(pa, pb);
-      bool above = false;
-      if (range <= los_safe_range || geo::line_of_sight(pa, pb, clearance)) {
-        if (range <= threshold_range - band) {
-          above = true;
-        } else if (range < threshold_range + band) {
-          above = evaluator.symmetric(range, kPi / 2.0) >= threshold;
-        }
-      }
+      const double range_sq = (pa - pb).norm_sq();
+      const bool above = range_sq < near_sq ||
+                         (range_sq <= far_sq && linkable_at(pa, pb));
       if (above && !in_window) {
         window_start = refine_flip(linkable, prev_t, t, /*rising=*/true);
         in_window = true;
@@ -419,7 +439,6 @@ struct Compiler {
         in_window = false;
       }
       prev_t = t;
-      prev_range = range;
     }
     if (in_window) {
       emit_isl(sat_a, sat_b, window_start, options.horizon, eta_at, out);
@@ -508,10 +527,9 @@ struct Compiler {
       }
       return;
     }
-    const std::vector<orbit::Pass> candidates = orbit::find_passes_adaptive(
+    const std::vector<orbit::Pass> candidates = orbit::find_passes(
         model.ephemeris(sat_id), group.centroid, options.horizon,
-        policy.elevation_mask - margin, options.step,
-        options.max_elevation_rate);
+        policy.elevation_mask - margin, options.step);
     for (const net::NodeId site : group.sites) {
       compile_site_within(site, sat_id, evaluator, candidates, out);
     }
@@ -669,8 +687,9 @@ ContactPlan compile_contact_plan(const sim::NetworkModel& model,
                                  const sim::LinkPolicy& policy,
                                  const ContactPlanOptions& options,
                                  ThreadPool* pool) {
-  QNTN_REQUIRE(options.horizon > 0.0 && options.step > 0.0,
-               "contact plan horizon/step must be positive");
+  // Finite, positive and a grid that fits: fill_grid sizes its tables
+  // from horizon / step.
+  (void)orbit::grid_sample_count(options.horizon, options.step);
   Compiler compiler(model, policy, options);
   return compiler.run(pool);
 }

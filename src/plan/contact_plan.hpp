@@ -15,10 +15,12 @@
 /// piecewise — a link exists only inside AOS/LOS-style windows that pass
 /// prediction can enumerate up front. compile_contact_plan does that
 /// enumeration once: for every dynamic node pair it finds the
-/// visibility-and-threshold windows (coarse grid scan with a conservative
-/// elevation-rate skip, boundaries refined by bisection to ~1 ms, clipped
-/// to [0, horizon]) and caches a piecewise-linear transmissivity profile
-/// per window. The resulting ContactPlan is immutable; ContactPlanTopology
+/// visibility-and-threshold windows (a scan of every grid point through
+/// exact geometric screens — below the horizon for site passes, squared
+/// range outside the threshold band for ISLs — with boundaries refined by
+/// bisection to ~1 ms on the preceding grid step, clipped to
+/// [0, horizon]) and caches a piecewise-linear transmissivity profile per
+/// window. The resulting ContactPlan is immutable; ContactPlanTopology
 /// (contact_topology.hpp) serves graph_at(t) from it by interval lookup,
 /// and the session scheduler (session_scheduler.hpp) admits entanglement
 /// requests against it. This mirrors how contact-plan-driven space
@@ -56,14 +58,6 @@ struct ContactPlanOptions {
   /// Scan/sample grid [s]. Must match the consumer's sampling step for the
   /// plan to reproduce the per-step rebuild exactly at grid times.
   double step = 30.0;
-  /// Conservative bound on the elevation rate seen from a ground/HAP site
-  /// [rad/s]; lets the scan hop over deep-below-horizon stretches. <= 0
-  /// scans every grid point (see orbit::find_passes_adaptive).
-  double max_elevation_rate = 0.01;
-  /// Conservative bound on the inter-satellite range rate [m/s] (two
-  /// opposing LEO velocities plus margin) for the same hop trick on ISL
-  /// scans. <= 0 scans every grid point.
-  double max_range_rate = 16'000.0;
   /// Piecewise-linear compression tolerance on cached transmissivities:
   /// interior samples are dropped while interpolation stays within this
   /// absolute error. 0 keeps every grid sample. Window *boundaries* are

@@ -206,6 +206,63 @@ TEST(ConfigIo, RejectsNonFiniteTrafficRates) {
   EXPECT_TRUE(std::isinf(patient.traffic_max_queue_delay));
 }
 
+// Every parse failure below must name the key it rejects.
+void expect_rejected(const std::string& line, const std::string& key) {
+  SCOPED_TRACE(line);
+  try {
+    (void)parse_config(line + "\n");
+    FAIL() << "must throw at parse";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << e.what();
+  }
+}
+
+TEST(ConfigIo, RejectsOutOfRangeIntegersBeforeCasting) {
+  // Range-checked before the double -> std::size_t cast, which is
+  // undefined for nan, inf and values at or past 2^64 (UBSan's
+  // float-cast-overflow check reports it).
+  for (const std::string key : {"request_steps", "em_k_paths", "traffic_seed"}) {
+    for (const std::string value :
+         {"nan", "inf", "-inf", "1e30", "18446744073709551616", "-0.5", "1.5",
+          "-3"}) {
+      expect_rejected(key + " = " + value, key);
+    }
+  }
+  EXPECT_EQ(parse_config("traffic_seed = 4294967296\n").traffic_seed,
+            std::size_t{4294967296});
+  EXPECT_EQ(parse_config("request_seed = 9007199254740992\n").request_seed,
+            std::size_t{9007199254740992});
+}
+
+TEST(ConfigIo, RejectsNonFiniteHorizonAndStep) {
+  // Parse only: an ephemeris or contact plan built on these would size
+  // its tables from an infinite or overflowing sample count.
+  for (const std::string value : {"inf", "-inf", "nan", "0", "-30"}) {
+    expect_rejected("day_duration_s = " + value, "day_duration_s");
+    expect_rejected("ephemeris_step_s = " + value, "ephemeris_step_s");
+  }
+  expect_rejected("ephemeris_step_s = 1e-300", "ephemeris_step_s");
+  expect_rejected("day_duration_s = 1e300", "day_duration_s");
+  EXPECT_EQ(parse_config("day_duration_s = 43217\n").day_duration, 43217.0);
+}
+
+TEST(ConfigIo, RemovedContactRateKeysAreUnknown) {
+  // The contact-plan scans classify every grid point, so the hop bounds
+  // that used to tune them are gone; configs that still set them fail.
+  for (const std::string key :
+       {"contact_max_elevation_rate", "contact_max_range_rate"}) {
+    try {
+      (void)parse_config(key + " = 1\n");
+      FAIL() << key << " must be rejected";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key '" + key + "'"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(serialize_config(QntnConfig{}).find(key), std::string::npos);
+  }
+}
+
 TEST(ConfigIo, HapPositionSerializedInDegrees) {
   const QntnConfig config;
   const std::string text = serialize_config(config);

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "common/constants.hpp"
 #include "common/units.hpp"
@@ -90,6 +91,24 @@ TEST(Ephemeris, RejectsDegenerateInput) {
   EXPECT_THROW((void)Ephemeris({{1, 0, 0}}, 30.0), PreconditionError);
   EXPECT_THROW((void)Ephemeris({{1, 0, 0}, {2, 0, 0}}, 0.0), PreconditionError);
   EXPECT_THROW((void)Ephemeris::generate(qntn_sat(), -1.0, 30.0), PreconditionError);
+}
+
+// The grid-size check Ephemeris::generate and the contact-plan compiler run
+// before sizing any table. Validation only: no table is built here.
+TEST(Ephemeris, GridSampleCountRejectsNonFiniteAndOversizedGrids) {
+  EXPECT_EQ(grid_sample_count(86'400.0, 30.0), 2881u);
+  EXPECT_EQ(grid_sample_count(100.0, 30.0), 5u);  // final partial step
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, -inf, nan, 0.0, -30.0}) {
+    EXPECT_THROW((void)grid_sample_count(bad, 30.0), PreconditionError);
+    EXPECT_THROW((void)grid_sample_count(86'400.0, bad), PreconditionError);
+  }
+  // Finite inputs whose ratio overflows the cast, or leaves indices that
+  // no longer convert to double exactly.
+  EXPECT_THROW((void)grid_sample_count(86'400.0, 1e-300), PreconditionError);
+  EXPECT_THROW((void)grid_sample_count(1e300, 30.0), PreconditionError);
+  EXPECT_THROW((void)grid_sample_count(0x1p53, 1.0), PreconditionError);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "common/error.hpp"
 #include "common/units.hpp"
 #include "geo/frames.hpp"
@@ -133,43 +136,112 @@ TEST(Passes, PassStraddlingTheEndClipsToDuration) {
   EXPECT_LE(last.max_elevation, reference.max_elevation + 1e-12);
 }
 
-TEST(Passes, AdaptiveMatchesDenseScan) {
-  for (const std::size_t which : {std::size_t{0}, std::size_t{3}}) {
-    const Ephemeris eph = day_ephemeris(which);
-    for (const double mask_deg : {10.0, 20.0, 45.0}) {
+// Reference pass search, the specification of find_passes: every grid
+// point t = k * step (the last one clipped to the duration) gets the exact
+// elevation, with no screen, and a crossing is bisected on the grid step
+// before it.
+double reference_crossing(const Ephemeris& eph, const geo::Geodetic& site,
+                          double mask, double lo, double hi, bool rising) {
+  for (int iter = 0; iter < 40; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    const bool above =
+        geo::look_angles(site, eph.position_ecef(mid)).elevation >= mask;
+    if (above == rising) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+    if (hi - lo < 1e-3) break;
+  }
+  return 0.5 * (lo + hi);
+}
+
+std::vector<Pass> reference_passes(const Ephemeris& eph,
+                                   const geo::Geodetic& site, double duration,
+                                   double mask, double step) {
+  const auto elevation = [&](double t) {
+    return geo::look_angles(site, eph.position_ecef(t)).elevation;
+  };
+  std::vector<Pass> passes;
+  Pass current;
+  bool in_pass = elevation(0.0) >= mask;
+  if (in_pass) current.max_elevation = elevation(0.0);
+  double prev_t = 0.0;
+  for (std::size_t k = 1; prev_t < duration; ++k) {
+    const double t = std::min(static_cast<double>(k) * step, duration);
+    const double el = elevation(t);
+    if (el >= mask && !in_pass) {
+      current = Pass{};
+      current.aos = reference_crossing(eph, site, mask, prev_t, t, true);
+      current.max_elevation = el;
+      current.culmination = t;
+      in_pass = true;
+    } else if (el >= mask && el > current.max_elevation) {
+      current.max_elevation = el;
+      current.culmination = t;
+    } else if (el < mask && in_pass) {
+      current.los = reference_crossing(eph, site, mask, prev_t, t, false);
+      passes.push_back(current);
+      in_pass = false;
+    }
+    prev_t = t;
+  }
+  if (in_pass) {
+    current.los = duration;
+    passes.push_back(current);
+  }
+  return passes;
+}
+
+// The horizon screen is exact: the merged scan returns the reference's
+// passes bit for bit, with the screen on (positive masks) and off (mask 0),
+// on a duration that is not a multiple of the step and on a scan step
+// unequal to the ephemeris step.
+TEST(Passes, MatchesReferenceGridLoop) {
+  struct Case {
+    std::size_t which;
+    double duration;
+    double step;
+  };
+  for (const Case c : {Case{0, 86'400.0, 30.0}, Case{3, 86'400.0, 30.0},
+                       Case{1, 50'017.0, 30.0}, Case{2, 86'400.0, 45.0},
+                       Case{4, 40'000.0, 20.0}}) {
+    const Ephemeris eph = day_ephemeris(c.which);
+    for (const double mask_deg : {0.0, 10.0, 20.0, 45.0}) {
       const double mask = deg_to_rad(mask_deg);
-      const auto dense = find_passes(eph, kCookeville, 86'400.0, mask);
-      const auto adaptive =
-          find_passes_adaptive(eph, kCookeville, 86'400.0, mask);
-      ASSERT_EQ(adaptive.size(), dense.size()) << "mask " << mask_deg;
-      for (std::size_t i = 0; i < dense.size(); ++i) {
-        // Same grid brackets feed the same bisection: boundaries agree to
-        // the refinement precision.
-        EXPECT_NEAR(adaptive[i].aos, dense[i].aos, 1e-6);
-        EXPECT_NEAR(adaptive[i].los, dense[i].los, 1e-6);
+      const auto expected =
+          reference_passes(eph, kCookeville, c.duration, mask, c.step);
+      const auto actual =
+          find_passes(eph, kCookeville, c.duration, mask, c.step);
+      ASSERT_EQ(actual.size(), expected.size())
+          << "sat " << c.which << " mask " << mask_deg;
+      // Every satellite rises above 20 deg over Cookeville within a day.
+      if (mask_deg <= 20.0) {
+        EXPECT_FALSE(expected.empty()) << "sat " << c.which;
+      }
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].aos, expected[i].aos) << "pass " << i;
+        EXPECT_EQ(actual[i].los, expected[i].los) << "pass " << i;
+        EXPECT_EQ(actual[i].culmination, expected[i].culmination);
+        EXPECT_EQ(actual[i].max_elevation, expected[i].max_elevation);
       }
     }
   }
-}
-
-TEST(Passes, AdaptiveClipsAtTimeZeroToo) {
-  const Ephemeris day = day_ephemeris();
-  const double mask = deg_to_rad(20.0);
-  const auto day_passes = find_passes(day, kCookeville, 86'400.0, mask);
-  ASSERT_GT(day_passes.size(), 0u);
-  const auto offset =
-      static_cast<std::size_t>(day_passes.front().culmination / day.step());
-  const Ephemeris shifted = shifted_ephemeris(day, offset);
-  const auto passes =
-      find_passes_adaptive(shifted, kCookeville, shifted.duration(), mask);
-  ASSERT_GT(passes.size(), 0u);
-  EXPECT_DOUBLE_EQ(passes.front().aos, 0.0);
 }
 
 TEST(Passes, RejectsBadArguments) {
   const Ephemeris eph = day_ephemeris();
   EXPECT_THROW((void)find_passes(eph, kCookeville, 0.0, 0.3), PreconditionError);
   EXPECT_THROW((void)find_passes(eph, kCookeville, 100.0, 0.3, 0.0),
+               PreconditionError);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)find_passes(eph, kCookeville, inf, 0.3), PreconditionError);
+  EXPECT_THROW((void)find_passes(eph, kCookeville, nan, 0.3), PreconditionError);
+  EXPECT_THROW((void)find_passes(eph, kCookeville, 100.0, 0.3, nan),
+               PreconditionError);
+  // A step so small the grid would not fit: rejected before any scan.
+  EXPECT_THROW((void)find_passes(eph, kCookeville, 86'400.0, 0.3, 1e-300),
                PreconditionError);
 }
 
