@@ -1,6 +1,7 @@
 // Contact-plan control plane vs per-step rebuild on the Fig. 6 workload:
-// one simulated day of coverage analysis (graph_at + LAN connectivity every
-// 30 s) at representative paper constellation sizes. The contact-plan case
+// one simulated day of coverage analysis (the provider's LAN connectivity
+// query every 30 s, as analyze_coverage runs it) at representative paper
+// constellation sizes. The contact-plan case
 // includes its one-off compile, so the speedup is end to end, not amortised
 // away. Exits non-zero when the two providers disagree on connected steps.
 
@@ -17,13 +18,13 @@ namespace {
 
 using namespace qntn;
 
-/// One Fig. 6 day: count connected steps on the provider's snapshots.
+/// One Fig. 6 day: count the steps at which the provider connects the LANs.
 std::size_t coverage_day(const sim::NetworkModel& model,
                          const sim::TopologyProvider& topology, double duration,
                          double step) {
   std::size_t connected = 0;
   for (double t = 0.0; t < duration; t += step) {
-    if (sim::all_lans_connected(model, topology.graph_at(t))) ++connected;
+    if (topology.lans_connected_at(model, t)) ++connected;
   }
   return connected;
 }

@@ -30,11 +30,11 @@ int main(int argc, char** argv) {
                          }
                        });
       if (sats >= 36) {
+        // What coverage runs per step: the provider's connectivity query.
         harness.run_case("coverage_step_n" + std::to_string(sats), steps, [&] {
           double t = 0.0;
           for (std::uint64_t i = 0; i < steps; ++i) {
-            const net::Graph graph = topology.graph_at(t);
-            bench::do_not_optimize(sim::all_lans_connected(model, graph));
+            bench::do_not_optimize(topology.lans_connected_at(model, t));
             t += 30.0;
           }
         });

@@ -21,7 +21,7 @@ std::string movement_sheet_to_string(const Ephemeris& ephemeris) {
   os << std::fixed << std::setprecision(6);
   for (std::size_t i = 0; i < ephemeris.sample_count(); ++i) {
     const geo::Geodetic g = geo::ecef_to_geodetic(ephemeris.sample(i));
-    os << static_cast<double>(i) * ephemeris.step() << ','
+    os << ephemeris.sample_time(i) << ','
        << rad_to_deg(g.latitude) << ',' << rad_to_deg(g.longitude) << ','
        << g.altitude << '\n';
   }
@@ -66,11 +66,20 @@ Ephemeris movement_sheet_from_string(const std::string& text) {
   if (step <= 0.0 || std::fabs(times.front()) > 1e-9) {
     throw Error("movement sheet: times must start at 0 with positive step");
   }
-  for (std::size_t i = 1; i < times.size(); ++i) {
-    if (std::fabs(times[i] - static_cast<double>(i) * step) > 1e-6) {
+  // Uniform spacing, except that the last row may end a partial step.
+  const std::size_t last = times.size() - 1;
+  for (std::size_t i = 1; i <= last; ++i) {
+    const double grid = static_cast<double>(i) * step;
+    const bool partial = i == last && i > 1 && times[i] < grid &&
+                         times[i] > grid - step;
+    if (std::fabs(times[i] - grid) > 1e-6 && !partial) {
       throw Error("movement sheet: non-uniform time spacing at row " +
                   std::to_string(i));
     }
+  }
+  const double full = static_cast<double>(last) * step;
+  if (std::fabs(times[last] - full) > 1e-6) {
+    return Ephemeris(std::move(samples), step, times[last]);
   }
   return Ephemeris(std::move(samples), step);
 }

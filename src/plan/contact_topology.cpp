@@ -18,6 +18,19 @@ struct Event {
   bool open = false;
 };
 
+/// Union-find root of v, halving the path on the way.
+net::NodeId find_root(std::vector<net::NodeId>& parent, net::NodeId v) {
+  while (parent[v] != v) {
+    parent[v] = parent[parent[v]];
+    v = parent[v];
+  }
+  return v;
+}
+
+void unite(std::vector<net::NodeId>& parent, net::NodeId a, net::NodeId b) {
+  parent[find_root(parent, a)] = find_root(parent, b);
+}
+
 }  // namespace
 
 ContactPlanTopology::ContactPlanTopology(const ContactPlan& plan,
@@ -84,6 +97,15 @@ ContactPlanTopology::ContactPlanTopology(const ContactPlan& plan,
     skeleton_.add_edge(link.a, link.b, link.transmissivity);
   }
   static_edge_count_ = skeleton_.edge_count();
+
+  static_roots_.resize(model_.node_count());
+  for (net::NodeId v = 0; v < static_roots_.size(); ++v) static_roots_[v] = v;
+  for (const sim::LinkRecord& link : plan_.static_links()) {
+    unite(static_roots_, link.a, link.b);
+  }
+  for (net::NodeId v = 0; v < static_roots_.size(); ++v) {
+    static_roots_[v] = find_root(static_roots_, v);
+  }
 }
 
 std::size_t ContactPlanTopology::epoch_of(double t) const {
@@ -173,6 +195,25 @@ std::vector<sim::LinkRecord> ContactPlanTopology::links_at(double t) const {
     links.push_back({window.a, window.b, window.eta_at(t)});
   }
   return links;
+}
+
+bool ContactPlanTopology::lans_connected_at(const sim::NetworkModel& model,
+                                            double t) const {
+  QNTN_REQUIRE(model.lan_count() >= 1, "model has no LANs");
+  QNTN_REQUIRE(model.node_count() == static_roots_.size(),
+               "connectivity query against a different model");
+  std::vector<std::size_t> ids;
+  active_windows(epoch_of(t), ids);
+  std::vector<net::NodeId> parent = static_roots_;
+  const std::vector<ContactWindow>& windows = plan_.windows();
+  for (const std::size_t id : ids) unite(parent, windows[id].a, windows[id].b);
+  const net::NodeId reference = find_root(parent, model.lan_nodes(0).front());
+  for (std::size_t lan = 1; lan < model.lan_count(); ++lan) {
+    if (find_root(parent, model.lan_nodes(lan).front()) != reference) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void ContactPlanTopology::append_dynamic_edges(

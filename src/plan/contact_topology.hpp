@@ -73,6 +73,12 @@ class ContactPlanTopology final : public sim::TopologyProvider {
   /// with the query count.
   void snapshot_at(double t, sim::TopologySnapshot& snap) const override;
 
+  /// Union-find over the static links and the active windows of t's
+  /// epoch: all_lans_connected(model, graph_at(t)) with no eta evaluated
+  /// and no graph built.
+  [[nodiscard]] bool lans_connected_at(const sim::NetworkModel& model,
+                                       double t) const override;
+
   /// Start time of epoch e; epoch 0 starts at -infinity. Epoch e covers
   /// [epoch_start(e), epoch_start(e + 1)) (the last one is unbounded).
   [[nodiscard]] double epoch_start(std::size_t epoch) const {
@@ -131,6 +137,9 @@ class ContactPlanTopology final : public sim::TopologyProvider {
   // builds start from a copy of it instead of re-adding every node.
   net::Graph skeleton_;
   std::size_t static_edge_count_ = 0;
+  /// Per node: the root of its component over the static links alone (a
+  /// union-find forest every connectivity query starts from).
+  std::vector<net::NodeId> static_roots_;
 };
 
 }  // namespace qntn::plan

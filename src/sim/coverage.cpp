@@ -9,19 +9,6 @@
 
 namespace qntn::sim {
 
-bool all_lans_connected(const NetworkModel& model, const net::Graph& graph) {
-  QNTN_REQUIRE(model.lan_count() >= 1, "model has no LANs");
-  const std::vector<std::size_t> comp = graph.components();
-  const std::size_t reference = comp[model.lan_nodes(0).front()];
-  for (std::size_t lan = 1; lan < model.lan_count(); ++lan) {
-    if (comp[model.lan_nodes(lan).front()] != reference) return false;
-  }
-  // LANs are internally connected by construction (fiber mesh/chain/star);
-  // the representative node therefore stands for its whole LAN. Verified
-  // in debug by the integration tests.
-  return true;
-}
-
 CoverageResult analyze_coverage(const NetworkModel& model,
                                 const TopologyProvider& topology,
                                 const CoverageOptions& options) {
@@ -57,12 +44,11 @@ CoverageResult analyze_coverage(const NetworkModel& model,
           const obs::ScopedRegistry ambient_registry(options.registry);
           const obs::ScopedProfiler ambient_profiler(options.profiler);
           const obs::Span span("sim.coverage_chunk", end - begin);
-          TopologySnapshot snap;
           for (std::size_t e = begin; e < end; ++e) {
-            topology.snapshot_at(representative[e], snap);
             epoch_connected[e] =
-                all_lans_connected(model, snap.graph) ? 1 : 0;
+                topology.lans_connected_at(model, representative[e]) ? 1 : 0;
           }
+          obs::count("sim.connectivity_queries", end - begin);
         });
     for (std::size_t i = 0; i < steps; ++i) {
       connected_at[i] = epoch_connected[distinct_index[i]];
@@ -70,9 +56,9 @@ CoverageResult analyze_coverage(const NetworkModel& model,
   } else {
     for (std::size_t i = 0; i < steps; ++i) {
       const double t = static_cast<double>(i) * options.step;
-      const net::Graph graph = topology.graph_at(t);
-      connected_at[i] = all_lans_connected(model, graph) ? 1 : 0;
+      connected_at[i] = topology.lans_connected_at(model, t) ? 1 : 0;
     }
+    obs::count("sim.connectivity_queries", steps);
   }
 
   // Ordered reduction, identical for both paths (and bit-identical to the

@@ -11,7 +11,8 @@
 /// is the total time during which every pair of LANs is interconnected, and
 /// the coverage percentage P (Eq. 7) relates it to the day length. Pairwise
 /// LAN connectivity is transitive over graph components, so "every pair
-/// connected" is equivalent to "all LANs in one connected component".
+/// connected" is equivalent to "all LANs in one connected component" — one
+/// TopologyProvider::lans_connected_at query per step.
 
 namespace qntn {
 class ThreadPool;
@@ -47,10 +48,6 @@ struct CoverageResult {
   /// Per-step connectivity flags (time series for plotting).
   std::vector<std::uint8_t> step_connected;
 };
-
-/// True if all LANs of the model are in one connected component of `graph`.
-[[nodiscard]] bool all_lans_connected(const NetworkModel& model,
-                                      const net::Graph& graph);
 
 /// Sweep the day and accumulate Eq. (6)/(7).
 [[nodiscard]] CoverageResult analyze_coverage(const NetworkModel& model,

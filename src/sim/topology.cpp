@@ -76,11 +76,29 @@ double isl_threshold_range(const channel::FsoLinkEvaluator& evaluator,
   return 0.5 * (lo + hi);
 }
 
+bool all_lans_connected(const NetworkModel& model, const net::Graph& graph) {
+  QNTN_REQUIRE(model.lan_count() >= 1, "model has no LANs");
+  const std::vector<std::size_t> comp = graph.components();
+  const std::size_t reference = comp[model.lan_nodes(0).front()];
+  for (std::size_t lan = 1; lan < model.lan_count(); ++lan) {
+    if (comp[model.lan_nodes(lan).front()] != reference) return false;
+  }
+  // LANs are internally connected by construction (fiber mesh/chain/star)
+  // unless the fiber threshold drops a link; the representative node stands
+  // for its LAN either way.
+  return true;
+}
+
 void TopologyProvider::snapshot_at(double t, TopologySnapshot& snap) const {
   snap.graph = graph_at(t);
   snap.epoch = kNoEpoch;
   snap.owner = this;
   snap.dynamic_base = snap.graph.edge_count();
+}
+
+bool TopologyProvider::lans_connected_at(const NetworkModel& model,
+                                         double t) const {
+  return all_lans_connected(model, graph_at(t));
 }
 
 TopologyBuilder::TopologyBuilder(const NetworkModel& model,
@@ -121,17 +139,28 @@ TopologyBuilder::TopologyBuilder(const NetworkModel& model,
         kIslThresholdBand;
   }
 
+  class_index_.resize(model_.node_count());
   for (std::size_t lan = 0; lan < model_.lan_count(); ++lan) {
     for (const net::NodeId g : model_.lan_nodes(lan)) {
+      class_index_[g] = ground_ids_.size();
       ground_ids_.push_back(g);
       ground_frames_.emplace_back(model_.node(g).position);
     }
   }
-  for (const net::NodeId h : model_.hap_ids()) {
-    hap_frames_.emplace_back(model_.node(h).position);
+  for (std::size_t h = 0; h < model_.hap_ids().size(); ++h) {
+    class_index_[model_.hap_ids()[h]] = h;
+    hap_frames_.emplace_back(model_.node(model_.hap_ids()[h]).position);
+  }
+  for (std::size_t s = 0; s < model_.satellite_ids().size(); ++s) {
+    class_index_[model_.satellite_ids()[s]] = s;
   }
 
   build_static_links();
+  static_adjacency_.resize(model_.node_count());
+  for (const LinkRecord& link : static_links_) {
+    static_adjacency_[link.a].push_back(link.b);
+    static_adjacency_[link.b].push_back(link.a);
+  }
 }
 
 void TopologyBuilder::build_static_links() {
@@ -209,25 +238,39 @@ net::Graph TopologyBuilder::graph_at(double t) const {
   return graph;
 }
 
-std::size_t TopologyBuilder::add_site_links(
-    const std::vector<geo::TopocentricFrame>& frames,
-    const std::vector<net::NodeId>& ids,
-    const channel::FsoLinkEvaluator& evaluator, net::NodeId sat_id,
-    const Vec3& sat, std::vector<LinkRecord>& links) const {
-  std::size_t budgets = 0;
-  for (std::size_t k = 0; k < frames.size(); ++k) {
-    const geo::TopocentricFrame& frame = frames[k];
-    // At or below the horizon: elevation = atan2(up <= 0, .) <= 0 < mask.
-    if (frame.up(sat - frame.origin) <= 0.0) continue;
-    const geo::AzElRange look = geo::look_angles(frame, sat);
-    if (look.elevation < policy_.elevation_mask) continue;
-    const double eta = evaluator.symmetric(look.range, look.elevation);
-    ++budgets;
-    if (eta >= policy_.transmissivity_threshold) {
-      links.push_back({ids[k], sat_id, eta});
-    }
+// Both link rules run in the innermost loops of links_at and of the
+// connectivity search (every satellite pair, every site per satellite),
+// where GCC does not inline them on its own; a call per pair would cost
+// more than the range test that rejects most pairs.
+[[gnu::always_inline]] inline std::optional<double>
+TopologyBuilder::site_link(
+    const geo::TopocentricFrame& frame,
+    const channel::FsoLinkEvaluator& evaluator, const Vec3& sat,
+    std::size_t& budgets) const {
+  // At or below the horizon: elevation = atan2(up <= 0, .) <= 0 < mask.
+  if (frame.up(sat - frame.origin) <= 0.0) return std::nullopt;
+  const geo::AzElRange look = geo::look_angles(frame, sat);
+  if (look.elevation < policy_.elevation_mask) return std::nullopt;
+  const double eta = evaluator.symmetric(look.range, look.elevation);
+  ++budgets;
+  if (eta < policy_.transmissivity_threshold) return std::nullopt;
+  return eta;
+}
+
+[[gnu::always_inline]] inline std::optional<double>
+TopologyBuilder::isl_link(const Vec3& lo, const Vec3& hi,
+                          std::size_t& budgets) const {
+  // Range first (pairs beyond the threshold range fail the monotone
+  // budget), then Earth/atmosphere clearance, then the threshold.
+  const double range = distance(lo, hi);
+  if (range >= isl_skip_range_) return std::nullopt;
+  if (!geo::line_of_sight(lo, hi, kEarthRadius + kAtmosphereTopAltitude)) {
+    return std::nullopt;
   }
-  return budgets;
+  const double eta = sat_sat_->symmetric(range, kPi / 2.0);
+  ++budgets;
+  if (eta < policy_.transmissivity_threshold) return std::nullopt;
+  return eta;
 }
 
 std::vector<LinkRecord> TopologyBuilder::links_at(double t) const {
@@ -245,39 +288,144 @@ std::vector<LinkRecord> TopologyBuilder::links_at(double t) const {
 
   // Ground-satellite and HAP-satellite links.
   std::size_t budgets = 0;
+  const auto add_site_links =
+      [&](const std::vector<geo::TopocentricFrame>& frames,
+          const std::vector<net::NodeId>& ids,
+          const channel::FsoLinkEvaluator& evaluator, std::size_t si) {
+        for (std::size_t k = 0; k < frames.size(); ++k) {
+          if (const auto eta =
+                  site_link(frames[k], evaluator, sat_pos[si], budgets)) {
+            links.push_back({ids[k], sats[si], *eta});
+          }
+        }
+      };
   for (std::size_t si = 0; si < sats.size(); ++si) {
     if (ground_sat_) {
-      budgets += add_site_links(ground_frames_, ground_ids_, *ground_sat_,
-                                sats[si], sat_pos[si], links);
+      add_site_links(ground_frames_, ground_ids_, *ground_sat_, si);
     }
     if (hap_sat_) {
-      budgets += add_site_links(hap_frames_, model_.hap_ids(), *hap_sat_,
-                                sats[si], sat_pos[si], links);
+      add_site_links(hap_frames_, model_.hap_ids(), *hap_sat_, si);
     }
   }
 
-  // Inter-satellite links: range first (pairs beyond the threshold range
-  // fail the monotone budget), then Earth/atmosphere clearance, then the
-  // threshold.
+  // Inter-satellite links.
   if (sat_sat_) {
     for (std::size_t i = 0; i < sats.size(); ++i) {
       for (std::size_t j = i + 1; j < sats.size(); ++j) {
-        const double range = distance(sat_pos[i], sat_pos[j]);
-        if (range >= isl_skip_range_) continue;
-        if (!geo::line_of_sight(sat_pos[i], sat_pos[j],
-                                kEarthRadius + kAtmosphereTopAltitude)) {
-          continue;
-        }
-        const double eta = sat_sat_->symmetric(range, kPi / 2.0);
-        ++budgets;
-        if (eta >= policy_.transmissivity_threshold) {
-          links.push_back({sats[i], sats[j], eta});
+        if (const auto eta = isl_link(sat_pos[i], sat_pos[j], budgets)) {
+          links.push_back({sats[i], sats[j], *eta});
         }
       }
     }
   }
   obs::count("sim.rebuild_link_budgets", budgets);
   return links;
+}
+
+bool TopologyBuilder::lans_connected_at(const NetworkModel& model,
+                                        double t) const {
+  QNTN_REQUIRE(model.lan_count() >= 1, "model has no LANs");
+  QNTN_REQUIRE(model.node_count() == model_.node_count(),
+               "connectivity query against a different model");
+  std::vector<char> reached(model_.node_count(), 0);
+  std::vector<net::NodeId> queue;
+  std::size_t unreached = model.lan_count();
+  // Marks v reached; true once the last LAN representative is.
+  const auto reach = [&](net::NodeId v) {
+    reached[v] = 1;
+    queue.push_back(v);
+    const Node& node = model.node(v);
+    return node.kind == NodeKind::Ground &&
+           model.lan_nodes(node.lan).front() == v && --unreached == 0;
+  };
+  if (reach(model.lan_nodes(0).front())) return true;  // a single LAN
+
+  const std::vector<net::NodeId>& sats = model_.satellite_ids();
+  const std::vector<net::NodeId>& haps = model_.hap_ids();
+  std::vector<Vec3> sat_pos;
+  sat_pos.reserve(sats.size());
+  for (const net::NodeId s : sats) {
+    sat_pos.push_back(model_.ephemeris(s).position_ecef(t));
+  }
+
+  // Each dynamic link is evaluated from the endpoint reached first and only
+  // while the other is unreached: a link to a reached node reaches nothing
+  // new, so skipping it leaves the reached set, and the answer, unchanged.
+  std::size_t budgets = 0;
+  const auto expand_dynamic = [&](net::NodeId u) {
+    const std::size_t slot = class_index_[u];
+    const NodeKind kind = model_.node(u).kind;
+    if (kind != NodeKind::Satellite) {
+      const bool ground = kind == NodeKind::Ground;
+      const auto& evaluator = ground ? ground_sat_ : hap_sat_;
+      if (!evaluator) return false;
+      const geo::TopocentricFrame& frame =
+          ground ? ground_frames_[slot] : hap_frames_[slot];
+      for (std::size_t si = 0; si < sats.size(); ++si) {
+        if (reached[sats[si]] == 0 &&
+            site_link(frame, *evaluator, sat_pos[si], budgets) &&
+            reach(sats[si])) {
+          return true;
+        }
+      }
+      return false;
+    }
+    const Vec3& pos = sat_pos[slot];
+    if (ground_sat_) {
+      for (std::size_t k = 0; k < ground_ids_.size(); ++k) {
+        if (reached[ground_ids_[k]] == 0 &&
+            site_link(ground_frames_[k], *ground_sat_, pos, budgets) &&
+            reach(ground_ids_[k])) {
+          return true;
+        }
+      }
+    }
+    if (hap_sat_) {
+      for (std::size_t h = 0; h < haps.size(); ++h) {
+        if (reached[haps[h]] == 0 &&
+            site_link(hap_frames_[h], *hap_sat_, pos, budgets) &&
+            reach(haps[h])) {
+          return true;
+        }
+      }
+    }
+    if (sat_sat_) {
+      for (std::size_t sj = 0; sj < sats.size(); ++sj) {
+        if (reached[sats[sj]] != 0) continue;
+        // Lower index first, as links_at evaluates the pair.
+        const bool forward = slot < sj;
+        if (isl_link(forward ? pos : sat_pos[sj], forward ? sat_pos[sj] : pos,
+                     budgets) &&
+            reach(sats[sj])) {
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+
+  // Static links are followed before any dynamic link is evaluated: they
+  // cost nothing, and where they join the LANs on their own (a HAP in view
+  // of every LAN) no budget is evaluated at all. Both cursors walk the one
+  // queue, so every reached node is expanded both ways.
+  bool joined = false;
+  std::size_t next_static = 0;
+  std::size_t next_dynamic = 0;
+  while (!joined && next_dynamic < queue.size()) {
+    if (next_static < queue.size()) {
+      for (const net::NodeId v : static_adjacency_[queue[next_static]]) {
+        if (reached[v] == 0 && reach(v)) {
+          joined = true;
+          break;
+        }
+      }
+      ++next_static;
+    } else {
+      joined = expand_dynamic(queue[next_dynamic++]);
+    }
+  }
+  obs::count("sim.connectivity_link_budgets", budgets);
+  return joined;
 }
 
 const channel::FsoLinkEvaluator* TopologyBuilder::evaluator(NodeKind a,

@@ -70,6 +70,11 @@ inline constexpr double kIslThresholdBand = 10.0;
 
 class TopologyProvider;
 
+/// True if all LANs of the model are in one connected component of `graph`.
+/// Each LAN is represented by its first node, `lan_nodes(lan).front()`.
+[[nodiscard]] bool all_lans_connected(const NetworkModel& model,
+                                      const net::Graph& graph);
+
 /// Reusable snapshot slot for TopologyProvider::snapshot_at. Workers of the
 /// parallel snapshot engine each own one: an epoch-aware provider that is
 /// asked for a time inside the epoch the slot already holds only rewrites
@@ -131,6 +136,14 @@ class TopologyProvider {
   /// delegates to graph_at (a full rebuild each call); epoch-aware
   /// providers override it with the in-place eta refresh.
   virtual void snapshot_at(double t, TopologySnapshot& snap) const;
+
+  /// Are all LANs of `model` in one connected component at time t? This is
+  /// the whole question coverage (Eq. 6/7) asks; etas do not enter it. The
+  /// default answers all_lans_connected(model, graph_at(t)); the built-in
+  /// providers override it to answer without building a graph, with the
+  /// same result (DESIGN.md §9).
+  [[nodiscard]] virtual bool lans_connected_at(const NetworkModel& model,
+                                               double t) const;
 };
 
 class TopologyBuilder final : public TopologyProvider {
@@ -148,6 +161,14 @@ class TopologyBuilder final : public TopologyProvider {
   /// satellite pairs (i < j). Pairs that provably fail are skipped before
   /// any link budget is evaluated (DESIGN.md §9).
   [[nodiscard]] std::vector<LinkRecord> links_at(double t) const;
+
+  /// Breadth-first search from LAN 0's representative that follows static
+  /// links before it evaluates any dynamic one, evaluates a dynamic link
+  /// only towards a node not yet reached (same rules and calls as
+  /// links_at), and stops as soon as every LAN representative is reached.
+  /// Counts "sim.connectivity_link_budgets".
+  [[nodiscard]] bool lans_connected_at(const NetworkModel& model,
+                                       double t) const override;
 
   /// Raw symmetric transmissivity between two nodes at time t before
   /// thresholding; nullopt when the geometry is not visible (below the
@@ -174,13 +195,20 @@ class TopologyBuilder final : public TopologyProvider {
  private:
   void build_static_links();
 
-  /// Appends site-satellite links of one satellite at ECEF `sat` for the
-  /// sites of `frames` (node ids `ids`); returns budgets evaluated.
-  std::size_t add_site_links(const std::vector<geo::TopocentricFrame>& frames,
-                             const std::vector<net::NodeId>& ids,
-                             const channel::FsoLinkEvaluator& evaluator,
-                             net::NodeId sat_id, const Vec3& sat,
-                             std::vector<LinkRecord>& links) const;
+  // The dynamic link rules, shared by links_at and lans_connected_at. Each
+  // returns the eta of a realised link and nullopt otherwise, and adds the
+  // link budgets it evaluates to `budgets`.
+
+  /// Site-satellite link: horizon, then mask, then budget >= threshold.
+  [[nodiscard]] std::optional<double> site_link(
+      const geo::TopocentricFrame& frame,
+      const channel::FsoLinkEvaluator& evaluator, const Vec3& sat,
+      std::size_t& budgets) const;
+
+  /// Satellite pair (requires sat_sat_): skip range, then line of sight,
+  /// then budget >= threshold. `lo` is the lower-index satellite.
+  [[nodiscard]] std::optional<double> isl_link(const Vec3& lo, const Vec3& hi,
+                                               std::size_t& budgets) const;
 
   const NetworkModel& model_;
   LinkPolicy policy_;
@@ -192,6 +220,11 @@ class TopologyBuilder final : public TopologyProvider {
   std::vector<net::NodeId> ground_ids_;
   std::vector<geo::TopocentricFrame> ground_frames_;
   std::vector<geo::TopocentricFrame> hap_frames_;
+  /// Per node: its index in its class list (ground_ids_, hap_ids(),
+  /// satellite_ids()).
+  std::vector<std::size_t> class_index_;
+  /// static_links_ as adjacency lists.
+  std::vector<std::vector<net::NodeId>> static_adjacency_;
   /// Satellite pairs at or beyond this range fail the threshold
   /// (isl_threshold_range + kIslThresholdBand; unused without ISLs).
   double isl_skip_range_ = 0.0;

@@ -25,6 +25,10 @@ TwoBodyPropagator qntn_sat() {
   return TwoBodyPropagator(el);
 }
 
+bool same(const Vec3& a, const Vec3& b) {
+  return a.x == b.x && a.y == b.y && a.z == b.z;
+}
+
 TEST(Ephemeris, SampleCountForOneDayAt30s) {
   const Ephemeris eph = Ephemeris::generate(qntn_sat(), 86'400.0, 30.0);
   // 2880 intervals + the initial sample (the paper's STK movement sheets
@@ -91,6 +95,73 @@ TEST(Ephemeris, RejectsDegenerateInput) {
   EXPECT_THROW((void)Ephemeris({{1, 0, 0}}, 30.0), PreconditionError);
   EXPECT_THROW((void)Ephemeris({{1, 0, 0}, {2, 0, 0}}, 0.0), PreconditionError);
   EXPECT_THROW((void)Ephemeris::generate(qntn_sat(), -1.0, 30.0), PreconditionError);
+}
+
+TEST(Ephemeris, RaggedHorizonInterpolatesTheFinalPartialStep) {
+  // 100 s at a 30 s step: samples at 0, 30, 60, 90 and 100. The last
+  // interval is 10 s long, not 30, and must be interpolated as such.
+  const TwoBodyPropagator prop = qntn_sat();
+  const Ephemeris eph = Ephemeris::generate(prop, 100.0, 30.0);
+  ASSERT_EQ(eph.sample_count(), 5u);
+  EXPECT_EQ(eph.duration(), 100.0);
+  EXPECT_EQ(eph.sample_time(3), 90.0);
+  EXPECT_EQ(eph.sample_time(4), 100.0);
+  const auto truth = [&prop](double t) {
+    return geo::eci_to_ecef(prop.state_at(t).position, geo::gmst_at(t, 0.0));
+  };
+  EXPECT_NEAR(distance(eph.position_ecef(100.0), truth(100.0)), 0.0, 1e-6);
+  EXPECT_NEAR(distance(eph.position_ecef(90.0), truth(90.0)), 0.0, 1e-6);
+  // Inside the 10 s step a chord of ~76 km sags by chord^2 / (8 r) ~ 0.1
+  // km at most; treating the step as 30 s long lands tens of km off.
+  for (const double t : {92.5, 95.0, 99.0}) {
+    EXPECT_LT(distance(eph.position_ecef(t), truth(t)), 150.0) << t;
+  }
+  // Past the span the query clamps to the sample at 100 s.
+  EXPECT_TRUE(same(eph.position_ecef(130.0), eph.sample(4)));
+}
+
+TEST(Ephemeris, ExactHorizonInterpolationIsUnchanged) {
+  // On a horizon that is a whole number of steps every query equals the
+  // plain grid interpolation a + (b - a) * (t / step - lo), bit for bit.
+  const Ephemeris eph = Ephemeris::generate(qntn_sat(), 3600.0, 30.0);
+  EXPECT_EQ(eph.duration(), 3600.0);
+  for (double t = 0.0; t <= 3600.0; t += 7.3) {
+    const double idx = t / 30.0;
+    const auto lo = static_cast<std::size_t>(idx);
+    if (lo + 1 >= eph.sample_count()) {
+      EXPECT_TRUE(same(eph.position_ecef(t), eph.sample(lo))) << t;
+      continue;
+    }
+    const Vec3& a = eph.sample(lo);
+    const Vec3 want =
+        a + (eph.sample(lo + 1) - a) * (idx - static_cast<double>(lo));
+    EXPECT_TRUE(same(eph.position_ecef(t), want)) << t;
+  }
+}
+
+TEST(Ephemeris, ExplicitDurationMustEndInTheLastStep) {
+  const std::vector<Vec3> samples{{1, 0, 0}, {2, 0, 0}, {3, 0, 0}};
+  EXPECT_EQ(Ephemeris(samples, 10.0, 15.0).duration(), 15.0);
+  EXPECT_EQ(Ephemeris(samples, 10.0, 20.0).duration(), 20.0);
+  EXPECT_DOUBLE_EQ(Ephemeris(samples, 10.0, 15.0).position_ecef(12.5).x, 2.5);
+  for (const double bad : {10.0, 5.0, 20.5, -1.0}) {
+    EXPECT_THROW((void)Ephemeris(samples, 10.0, bad), PreconditionError) << bad;
+  }
+}
+
+TEST(Ephemeris, ExtremeQueryTimesClampWithoutOverflow) {
+  // t / step past the size_t range must clamp before any integer cast (the
+  // ubsan preset traps float-cast-overflow), and NaN has no place to clamp.
+  const Ephemeris eph = Ephemeris::generate(qntn_sat(), 600.0, 30.0);
+  const Vec3& last = eph.sample(eph.sample_count() - 1);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(same(eph.position_ecef(1e30), last));
+  EXPECT_TRUE(same(eph.position_ecef(std::numeric_limits<double>::max()), last));
+  EXPECT_TRUE(same(eph.position_ecef(inf), last));
+  EXPECT_TRUE(same(eph.position_ecef(-inf), eph.sample(0)));
+  EXPECT_TRUE(same(eph.position_ecef(-1e30), eph.sample(0)));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW((void)eph.position_ecef(nan), PreconditionError);
 }
 
 // The grid-size check Ephemeris::generate and the contact-plan compiler run

@@ -66,6 +66,26 @@ TEST(MovementSheet, RejectsMalformedInput) {
   EXPECT_THROW((void)load_movement_sheet("/nonexistent/sheet.csv"), Error);
 }
 
+TEST(MovementSheet, RaggedHorizonRoundTripsItsLastSampleTime) {
+  // 100 s at 30 s: the last row is at 100 s, a 10 s partial step.
+  const Ephemeris original = sample_ephemeris(100.0, 30.0);
+  const std::string text = movement_sheet_to_string(original);
+  EXPECT_NE(text.find("\n100.000000,"), std::string::npos);
+  const Ephemeris loaded = movement_sheet_from_string(text);
+  EXPECT_EQ(loaded.sample_count(), 5u);
+  EXPECT_EQ(loaded.duration(), 100.0);
+  for (double t : {45.0, 95.0, 100.0}) {
+    EXPECT_NEAR(distance(loaded.position_ecef(t), original.position_ecef(t)),
+                0.0, 1.5)
+        << t;
+  }
+  // Only the last row may end a partial step.
+  const std::string header = "time_s,latitude_deg,longitude_deg,altitude_m\n";
+  EXPECT_THROW((void)movement_sheet_from_string(
+                   header + "0,10,20,5\n30,10,20,5\n40,10,20,5\n70,10,20,5\n"),
+               Error);
+}
+
 TEST(MovementSheet, LoadedSheetDrivesTheSimulator) {
   // The paper's workflow: import a movement sheet and attach it to a
   // satellite node. The Ephemeris API is the same either way.
