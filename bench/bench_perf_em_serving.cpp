@@ -68,7 +68,6 @@ int main(int argc, char** argv) {
     const auto convention = quantum::FidelityConvention::Uhlmann;
 
     em::EmOptions options;
-    options.enabled = true;
     options.purify.fidelity_slo = 0.9;
 
     for (const std::size_t sats : {std::size_t{12}, std::size_t{108}}) {

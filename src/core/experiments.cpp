@@ -44,30 +44,6 @@ double transmissivity_threshold_for(const std::vector<FidelityPoint>& sweep,
   return 1.0;
 }
 
-ArchitectureMetrics traffic_metrics(std::string architecture,
-                                    std::size_t satellites,
-                                    const sim::TrafficResult& r) {
-  ArchitectureMetrics m;
-  m.architecture = std::move(architecture);
-  m.satellites = satellites;
-  m.served_percent = 100.0 * r.served_fraction();
-  m.mean_fidelity = r.fidelity.mean();
-  m.mean_transmissivity = r.path_eta.mean();
-  m.requests_issued = r.arrivals;
-  m.requests_served = r.served;
-  m.requests_no_path = r.dropped_no_path;
-  // Queue drops are deadline expiries, matching the scenario traffic mode.
-  m.requests_dropped_deadline = r.dropped_queue;
-  m.traffic.enabled = true;
-  m.latency_p50 = r.latency_percentile(0.50);
-  m.latency_p95 = r.latency_percentile(0.95);
-  m.latency_p99 = r.latency_percentile(0.99);
-  m.waiting_p50 = r.waiting_percentile(0.50);
-  m.waiting_p95 = r.waiting_percentile(0.95);
-  m.waiting_p99 = r.waiting_percentile(0.99);
-  return m;
-}
-
 std::vector<std::size_t> paper_constellation_sizes() {
   std::vector<std::size_t> sizes;
   for (std::size_t n = 6; n <= 108; n += 6) sizes.push_back(n);
@@ -87,7 +63,7 @@ sim::ScenarioConfig RunContext::scenario_config() const {
 namespace {
 
 ArchitectureMetrics summarize(std::string architecture,
-                              std::size_t n_satellites,
+                              std::size_t n_satellites, ServingMode mode,
                               const sim::ScenarioResult& r) {
   ArchitectureMetrics m;
   m.architecture = std::move(architecture);
@@ -105,7 +81,7 @@ ArchitectureMetrics summarize(std::string architecture,
   m.requests_rejected_capacity = r.requests_rejected_capacity;
   m.requests_dropped_deadline = r.requests_dropped_deadline;
   m.handovers = r.handovers;
-  if (r.em.enabled) {
+  if (mode == ServingMode::Entanglement) {
     m.em.enabled = true;
     m.em.swaps = r.em.swaps;
     m.em.purification_rounds = r.em.purification_rounds;
@@ -120,7 +96,7 @@ ArchitectureMetrics summarize(std::string architecture,
       m.latency_p99 = percentile(r.em.latency_samples, 0.99);
     }
   }
-  if (r.traffic.enabled) {
+  if (mode == ServingMode::Traffic) {
     m.traffic.enabled = true;
     m.traffic.mean_peak_utilisation = r.traffic.peak_utilisation.mean();
     m.traffic.peak_queue_depth = r.traffic.peak_queue_depth;
@@ -168,7 +144,8 @@ ArchitectureMetrics evaluate_architecture(const RunContext& ctx,
   }
   const sim::ScenarioResult result =
       sim::run_scenario(model, topology.provider(), ctx.scenario_config());
-  return summarize(std::move(architecture), n_satellites, result);
+  return summarize(std::move(architecture), n_satellites,
+                   ctx.config.serving_mode, result);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "common/thread_pool.hpp"
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
-#include "sim/traffic.hpp"
 
 namespace qntn::obs {
 class Profiler;
@@ -111,14 +110,6 @@ struct ArchitectureMetrics {
     std::size_t peak_queue_depth = 0;
   } traffic;
 };
-
-/// Convert an event-driven traffic run into the unified metrics row
-/// (served fraction, delivered fidelity, latency/waiting tails). Coverage,
-/// hop and em fields stay at their defaults — the traffic engine does not
-/// measure them.
-[[nodiscard]] ArchitectureMetrics traffic_metrics(std::string architecture,
-                                                  std::size_t satellites,
-                                                  const sim::TrafficResult& r);
 
 /// --- Execution context threaded through every runner. ---
 /// Aggregates the scenario parameters with the machinery an evaluation may

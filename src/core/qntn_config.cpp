@@ -29,6 +29,7 @@ sim::ScenarioConfig QntnConfig::scenario_config() const {
   config.metric = metric;
   config.convention = convention;
   config.request_seed = request_seed;
+  config.serving_mode = serving_mode;
   config.em = em_options();
   config.traffic = traffic_options();
   return config;
@@ -36,7 +37,6 @@ sim::ScenarioConfig QntnConfig::scenario_config() const {
 
 em::EmOptions QntnConfig::em_options() const {
   em::EmOptions options;
-  options.enabled = serving_mode == ServingMode::Entanglement;
   options.pool.slots_per_node = em_memory_slots;
   options.pool.generation_period = em_generation_period;
   options.pool.max_storage = em_max_storage;
@@ -52,15 +52,12 @@ em::EmOptions QntnConfig::em_options() const {
 
 sim::TrafficConfig QntnConfig::traffic_options() const {
   sim::TrafficConfig options;
-  options.enabled = serving_mode == ServingMode::Traffic;
-  options.duration = day_duration;
   options.arrival_rate = traffic_arrival_rate;
   options.diurnal_amplitude = traffic_diurnal_amplitude;
   options.node_capacity = traffic_node_capacity;
   options.service_overhead = traffic_service_overhead;
   options.max_queue_delay = traffic_max_queue_delay;
   options.max_backlog = traffic_max_backlog;
-  options.snapshot_interval = ephemeris_step;
   options.memory = quantum::MemoryModel{em_memory_t1, em_memory_t2};
   options.metric = metric;
   options.seed = traffic_seed;

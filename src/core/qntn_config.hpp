@@ -25,19 +25,9 @@ enum class TopologyMode {
   ContactPlan,
 };
 
-/// How request snapshots are served (DESIGN.md §11/§12).
-enum class ServingMode {
-  /// The paper's model: every snapshot routes one path per request and
-  /// serves it instantaneously from fresh link-generated pairs.
-  SingleShot,
-  /// The entanglement-management layer: buffered elementary pairs, swap
-  /// trees, purification budgeting, k-disjoint multipath load balancing.
-  Entanglement,
-  /// The open-arrival traffic engine: per-LAN diurnal Poisson user
-  /// populations served through the event-driven core with capacity
-  /// claims, queueing deadlines, and backpressure.
-  Traffic,
-};
+/// How request snapshots are served (DESIGN.md §11/§12); the enum lives
+/// with the engines it selects.
+using ServingMode = sim::ServingMode;
 
 struct QntnConfig {
   // --- Paper parameters (Section IV). ---
@@ -91,8 +81,10 @@ struct QntnConfig {
   /// plan::ContactPlanOptions::sample_tolerance).
   double contact_sample_tolerance = 1.0e-4;
 
-  // --- Entanglement-management serving (src/em, DESIGN.md §11). ---
+  // --- Serving engine (DESIGN.md §12). ---
   ServingMode serving_mode = ServingMode::SingleShot;
+
+  // --- Entanglement-management serving (src/em, DESIGN.md §11). ---
   /// Pair halves per node memory. The pool fair-shares these across a
   /// node's incident links, so size to the topology's degree: TN-LAN clique
   /// nodes see ~14 fiber neighbours plus visible satellites, and fewer
@@ -124,18 +116,17 @@ struct QntnConfig {
   /// Derived: the sim::LinkPolicy for this configuration.
   [[nodiscard]] sim::LinkPolicy link_policy() const;
 
-  /// Derived: the sim::ScenarioConfig for this configuration (including
-  /// the em options when serving_mode is Entanglement).
+  /// Derived: the sim::ScenarioConfig for this configuration (serving
+  /// mode plus the em and traffic options).
   [[nodiscard]] sim::ScenarioConfig scenario_config() const;
 
-  /// Derived: the em::EmOptions this configuration describes (enabled iff
-  /// serving_mode is Entanglement). Throws qntn::Error on invalid em
-  /// parameters — including the T2 <= 2 T1 memory-physicality check.
+  /// Derived: the em::EmOptions this configuration describes. Throws
+  /// qntn::Error on invalid em parameters — including the T2 <= 2 T1
+  /// memory-physicality check.
   [[nodiscard]] em::EmOptions em_options() const;
 
-  /// Derived: the sim::TrafficConfig this configuration describes (enabled
-  /// iff serving_mode is Traffic). Throws qntn::PreconditionError on
-  /// degenerate traffic parameters.
+  /// Derived: the sim::TrafficConfig this configuration describes. Throws
+  /// qntn::PreconditionError on degenerate traffic parameters.
   [[nodiscard]] sim::TrafficConfig traffic_options() const;
 
   /// Derived: contact-plan compile options (horizon = day, step =

@@ -99,10 +99,9 @@ struct EmServeResult {
   }
 };
 
+/// Parameters of the entanglement manager. Scenarios select it with
+/// sim::ServingMode::Entanglement; these options only configure it.
 struct EmOptions {
-  /// Master switch: scenarios keep the paper's single-shot serving unless
-  /// this is on (seed results stay untouched by default).
-  bool enabled = false;
   MemoryPoolOptions pool{};
   SwapPlanOptions swap{};
   PurifyOptions purify{};

@@ -12,7 +12,9 @@
 /// the coverage percentage P (Eq. 7) relates it to the day length. Pairwise
 /// LAN connectivity is transitive over graph components, so "every pair
 /// connected" is equivalent to "all LANs in one connected component" — one
-/// TopologyProvider::lans_connected_at query per step.
+/// TopologyProvider::lans_connected_at query per step, or per topology
+/// epoch on an epoch-partitioned provider (the edge set is constant within
+/// an epoch, so the result bits are the same).
 
 namespace qntn {
 class ThreadPool;
@@ -27,10 +29,9 @@ namespace qntn::sim {
 struct CoverageOptions {
   double duration = 86'400.0;  ///< [s], the paper evaluates one day
   double step = 30.0;          ///< [s], the paper's STK sampling interval
-  /// Borrowed pool for the parallel engine; nullptr = serial per-step loop.
-  /// The engine also needs an epoch-partitioned provider: the edge set is
-  /// constant within an epoch, so LAN connectivity is computed once per
-  /// *epoch* (in parallel) instead of once per step — same result bits.
+  /// Borrowed pool for the parallel engine; nullptr = serial loop. The
+  /// engine also needs an epoch-partitioned provider, whose per-epoch
+  /// connectivity questions it fans out across the workers.
   ThreadPool* pool = nullptr;
   /// Ambient metrics/profiler to install inside worker tasks (they are
   /// thread-local, so workers do not inherit the caller's); nullptr = none.

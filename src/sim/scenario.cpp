@@ -94,8 +94,11 @@ ScenarioResult run_scenario(const NetworkModel& model,
   const obs::ScopedTimer serving_timer("time.serving_s");
   const obs::Span serving_span("sim.serving", config.request_steps);
 
-  result.em.enabled = !config.traffic.enabled && config.em.enabled;
-  result.traffic.enabled = config.traffic.enabled;
+  const bool em_mode = config.serving_mode == ServingMode::Entanglement;
+  const bool traffic_mode = config.serving_mode == ServingMode::Traffic;
+  // Fixed-batch modes re-serve one request batch at every step; open
+  // arrivals have no cross-step identity.
+  const bool fixed_batch = !traffic_mode;
 
   // The per-step merge shared by the serial and parallel paths and by all
   // three serving engines: it replays the historical single-loop
@@ -104,7 +107,6 @@ ScenarioResult run_scenario(const NetworkModel& model,
   const auto merge = [&](std::size_t step, const ServeStepResult& sr) {
     const double t = static_cast<double>(step) * interval;
     const ServeOutcome& oc = sr.outcome;
-    const bool fixed_batch = !sr.traffic_enabled;
     std::size_t step_handovers = 0;
     for (std::size_t i = 0; i < sr.requests.size(); ++i) {
       const RequestRecord& rec = sr.requests[i];
@@ -159,7 +161,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
                        static_cast<std::uint64_t>(rec.em.route_index))
                 .field("latency", rec.latency);
           }
-          if (sr.traffic_enabled) {
+          if (traffic_mode) {
             event.field("latency", rec.latency).field("waiting", rec.waiting);
           }
         }
@@ -180,7 +182,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
     result.requests_dropped_deadline += oc.dropped_deadline;
     result.handovers += step_handovers;
 
-    if (sr.em_enabled) {
+    if (em_mode) {
       result.em.swaps += sr.em.swaps;
       result.em.purification_rounds += sr.em.purification_rounds;
       result.em.pairs_consumed += sr.em.pairs_consumed;
@@ -190,7 +192,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
       result.em.swap_depth.merge(sr.em.swap_depth);
       result.em.latency.merge(sr.em.latency);
     }
-    if (sr.traffic_enabled) {
+    if (traffic_mode) {
       result.traffic.latency.merge(sr.traffic.latency);
       result.traffic.waiting.merge(sr.traffic.waiting);
       result.traffic.latency_samples.insert(
@@ -209,10 +211,10 @@ ScenarioResult run_scenario(const NetworkModel& model,
     obs::count("scenario.requests_served", oc.served);
     obs::count("scenario.requests_no_path", oc.no_path);
     obs::count("scenario.requests_isolated", oc.isolated);
-    if (sr.em_enabled) {
+    if (em_mode) {
       obs::count("scenario.requests_congested", oc.congested);
     }
-    if (sr.traffic_enabled) {
+    if (traffic_mode) {
       obs::count("scenario.requests_rejected_capacity", oc.rejected_capacity);
       obs::count("scenario.requests_dropped_deadline", oc.dropped_deadline);
     }
@@ -228,11 +230,11 @@ ScenarioResult run_scenario(const NetworkModel& model,
           .field("total", static_cast<std::uint64_t>(oc.issued))
           .field("no_path", static_cast<std::uint64_t>(oc.no_path))
           .field("isolated", static_cast<std::uint64_t>(oc.isolated));
-      if (sr.em_enabled) {
+      if (em_mode) {
         event.field("congested", static_cast<std::uint64_t>(oc.congested))
             .field("occupancy", sr.em.memory_occupancy);
       }
-      if (sr.traffic_enabled) {
+      if (traffic_mode) {
         event
             .field("rejected_capacity",
                    static_cast<std::uint64_t>(oc.rejected_capacity))
@@ -253,8 +255,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
   // provider; the fixed-batch engines only profit from chunking when the
   // provider is epoch-partitioned (PR 4's condition).
   const bool parallel_engine =
-      config.pool != nullptr &&
-      (topology.epoch_count() > 0 || config.traffic.enabled);
+      config.pool != nullptr && (topology.epoch_count() > 0 || traffic_mode);
   if (parallel_engine) {
     // Parallel snapshot engine, in bounded rounds: each round hands every
     // worker slot a run of kRoundSteps consecutive steps, the workers fill

@@ -64,26 +64,24 @@ struct ScenarioConfig {
   /// their inner evaluations.
   ThreadPool* pool = nullptr;
 
-  /// Entanglement-management serving mode (DESIGN.md §11): when
-  /// `em.enabled`, requests are served from buffered elementary pairs via
-  /// swap trees, purification budgeting, and k-disjoint multipath routing
-  /// instead of the paper's instantaneous single-shot links. Off by
-  /// default, so seed results are untouched.
+  /// The serving engine (DESIGN.md §12). SingleShot, the default, is the
+  /// paper's instantaneous serving, so seed results are untouched.
+  /// Entanglement serves the batch from buffered elementary pairs via swap
+  /// trees, purification budgeting, and k-disjoint multipath routing
+  /// (§11). Traffic replaces the fixed batch with per-LAN Poisson user
+  /// populations with a diurnal rate profile, served through the
+  /// event-driven engine (capacity claims, queueing deadlines,
+  /// backpressure) one window per snapshot step.
+  ServingMode serving_mode = ServingMode::SingleShot;
+  /// Parameters of the Entanglement engine (read only in that mode).
   em::EmOptions em{};
-
-  /// Open-arrival traffic serving mode (DESIGN.md §12): when
-  /// `traffic.enabled`, the fixed request batch is replaced by per-LAN
-  /// Poisson user populations with a diurnal rate profile, served through
-  /// the event-driven engine (capacity claims, queueing deadlines,
-  /// backpressure) one window per snapshot step. Takes precedence over the
-  /// em mode. Off by default, so seed results are untouched.
+  /// Parameters of the Traffic engine (read only in that mode).
   TrafficConfig traffic{};
 };
 
-/// Entanglement-management serving statistics, filled only when
-/// ScenarioConfig::em.enabled.
+/// Entanglement-management serving statistics, filled only in
+/// ServingMode::Entanglement.
 struct EmScenarioStats {
-  bool enabled = false;
   std::size_t swaps = 0;                ///< BSMs across all served requests
   std::size_t purification_rounds = 0;  ///< BBPSSW rounds spent
   std::size_t pairs_consumed = 0;       ///< buffered pairs spent
@@ -97,10 +95,8 @@ struct EmScenarioStats {
   std::vector<double> latency_samples;
 };
 
-/// Open-arrival traffic statistics, filled only when
-/// ScenarioConfig::traffic.enabled.
+/// Open-arrival traffic statistics, filled only in ServingMode::Traffic.
 struct TrafficScenarioStats {
-  bool enabled = false;
   RunningStats latency;           ///< arrival -> delivered, served [s]
   RunningStats waiting;           ///< queueing component [s]
   RunningStats peak_utilisation;  ///< per window busiest-node load, [0, 1]
@@ -145,9 +141,9 @@ struct ScenarioResult {
   /// (fixed-batch modes only; open arrivals have no cross-step identity).
   std::size_t handovers = 0;
 
-  /// Entanglement-management statistics (em.enabled scenarios only).
+  /// Entanglement-management statistics (Entanglement mode only).
   EmScenarioStats em;
-  /// Open-arrival traffic statistics (traffic.enabled scenarios only).
+  /// Open-arrival traffic statistics (Traffic mode only).
   TrafficScenarioStats traffic;
 };
 

@@ -113,7 +113,6 @@ class EmEngine final : public ServingEngine {
     out.outcome.fidelity = sr.fidelity;
     out.outcome.transmissivity = sr.transmissivity;
     out.outcome.hops = sr.hops;
-    out.em_enabled = true;
     out.em.swaps = sr.swaps;
     out.em.purification_rounds = sr.purification_rounds;
     out.em.pairs_consumed = sr.pairs_consumed;
@@ -152,15 +151,17 @@ std::unique_ptr<ServingEngine> make_serving_engine(
     const NetworkModel& model, const TopologyProvider& topology,
     const RequestBatch& batch, const ScenarioConfig& config,
     double step_interval, bool record_requests) {
-  if (config.traffic.enabled) {
-    return std::make_unique<TrafficEngine>(model, topology, config.traffic,
-                                           step_interval, record_requests);
-  }
-  if (config.em.enabled) {
-    // Fixed-batch engines always record: the scenario's handover accounting
-    // reads per-request relays regardless of tracing.
-    return std::make_unique<EmEngine>(topology, batch, config.em,
-                                      config.convention);
+  switch (config.serving_mode) {
+    case ServingMode::Traffic:
+      return std::make_unique<TrafficEngine>(model, topology, config.traffic,
+                                             step_interval, record_requests);
+    case ServingMode::Entanglement:
+      // Fixed-batch engines always record: the scenario's handover
+      // accounting reads per-request relays regardless of tracing.
+      return std::make_unique<EmEngine>(topology, batch, config.em,
+                                        config.convention);
+    case ServingMode::SingleShot:
+      break;
   }
   return std::make_unique<SingleShotEngine>(topology, batch, config.metric,
                                             config.convention);

@@ -29,6 +29,21 @@
 
 namespace qntn::sim {
 
+/// Which engine serves the scenario's snapshots: the one selector of the
+/// serving stage (ScenarioConfig::serving_mode, DESIGN.md §11/§12).
+enum class ServingMode : std::uint8_t {
+  /// The paper's model: every snapshot routes one path per request and
+  /// serves it instantaneously from fresh link-generated pairs.
+  SingleShot,
+  /// The entanglement-management layer: buffered elementary pairs, swap
+  /// trees, purification budgeting, k-disjoint multipath load balancing.
+  Entanglement,
+  /// The open-arrival traffic engine: per-LAN diurnal Poisson user
+  /// populations served through the event-driven core with capacity
+  /// claims, queueing deadlines, and backpressure.
+  Traffic,
+};
+
 /// Unified per-request disposition across all serving engines. The names
 /// (serve_disposition_name) match the historical trace vocabulary of the
 /// single-shot and em modes, so trace bytes are unchanged by the redesign.
@@ -127,13 +142,12 @@ struct TrafficStepStats {
 };
 
 /// Everything one engine step produces: the common accounting plus the
-/// mode-specific extras the scenario folds into its result and trace.
+/// mode-specific extras the scenario folds into its result and trace (only
+/// the selected mode's extras are filled).
 struct ServeStepResult {
   ServeOutcome outcome;
   std::vector<RequestRecord> requests;
-  bool em_enabled = false;
   EmStepStats em;
-  bool traffic_enabled = false;
   TrafficStepStats traffic;
 };
 
@@ -155,9 +169,7 @@ class TopologyProvider;
 struct RequestBatch;
 struct ScenarioConfig;
 
-/// Build the engine the scenario config selects: traffic when
-/// config.traffic.enabled, em when config.em.enabled, single-shot
-/// otherwise. `step_interval` is the scenario's snapshot spacing (the
+/// Build the engine config.serving_mode selects. `step_interval` is the scenario's snapshot spacing (the
 /// traffic engine's serving-window length); `record_requests` asks the
 /// traffic engine for per-arrival records (fixed-batch engines always
 /// record — the handover accounting needs them). Each parallel worker

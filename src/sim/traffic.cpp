@@ -8,13 +8,13 @@
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "obs/registry.hpp"
 #include "quantum/fidelity.hpp"
 
 namespace qntn::sim {
 
 void TrafficConfig::validate() const {
-  QNTN_REQUIRE(duration > 0.0, "traffic duration must be > 0");
   // An infinite rate would draw arrivals forever (every gap -log(u)/rate
   // is 0) and an infinite overhead would schedule completions at +inf;
   // the deadline alone may be infinite (never drop).
@@ -27,8 +27,6 @@ void TrafficConfig::validate() const {
   QNTN_REQUIRE(max_backlog > 0, "traffic max backlog must be positive");
   QNTN_REQUIRE(diurnal_amplitude >= 0.0 && diurnal_amplitude <= 1.0,
                "traffic diurnal amplitude must be in [0, 1]");
-  QNTN_REQUIRE(snapshot_interval > 0.0,
-               "traffic snapshot interval must be > 0");
 }
 
 namespace {
@@ -50,33 +48,6 @@ struct InFlight {
   std::vector<net::NodeId> nodes;
 };
 
-struct PendingRequest {
-  Request request;
-  double arrival = 0.0;
-};
-
-/// Caches topology snapshots on the configured grid.
-class SnapshotCache {
- public:
-  SnapshotCache(const TopologyProvider& topology, double interval)
-      : topology_(topology), interval_(interval), graph_(topology.graph_at(0.0)) {}
-
-  const net::Graph& at(double t) {
-    const auto bucket = static_cast<std::size_t>(t / interval_);
-    if (bucket != bucket_) {
-      bucket_ = bucket;
-      graph_ = topology_.graph_at(static_cast<double>(bucket) * interval_);
-    }
-    return graph_;
-  }
-
- private:
-  const TopologyProvider& topology_;
-  double interval_;
-  std::size_t bucket_ = 0;
-  net::Graph graph_;
-};
-
 /// splitmix64 finaliser: one well-mixed 64-bit seed per substream index, so
 /// every (step, LAN) arrival stream is independent of processing order.
 std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t index) {
@@ -87,142 +58,6 @@ std::uint64_t substream_seed(std::uint64_t seed, std::uint64_t index) {
 }
 
 }  // namespace
-
-TrafficResult run_traffic_simulation(const NetworkModel& model,
-                                     const TopologyProvider& topology,
-                                     const TrafficConfig& config) {
-  config.validate();
-
-  TrafficResult result;
-
-  // Draw the Poisson arrival process and the request endpoints up front so
-  // the run is a pure function of the seed.
-  Rng rng(config.seed);
-  std::vector<double> arrival_times;
-  if (config.arrival_rate > 0.0) {
-    double t = 0.0;
-    for (;;) {
-      const double u = rng.uniform(1e-12, 1.0);
-      t += -std::log(u) / config.arrival_rate;
-      if (t >= config.duration) break;
-      arrival_times.push_back(t);
-    }
-  }
-  const std::vector<Request> requests =
-      generate_requests(model, arrival_times.size(), rng);
-  result.arrivals = arrival_times.size();
-
-  SnapshotCache snapshots(topology, config.snapshot_interval);
-  std::vector<std::size_t> busy(model.node_count(), 0);
-  std::vector<InFlight> in_flight;
-  std::deque<PendingRequest> backlog;
-
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap;
-  std::uint64_t sequence = 0;
-  for (std::size_t i = 0; i < arrival_times.size(); ++i) {
-    heap.push({arrival_times[i], sequence++, Event::Kind::Arrival, i});
-  }
-
-  // Attempt to start service for a request at time `now`; returns true if
-  // it was started (or dropped) and false if it must wait in the backlog.
-  const auto try_start = [&](const Request& request, double arrival,
-                             double now) -> bool {
-    const net::Graph& graph = snapshots.at(now);
-    const auto route = net::bellman_ford(graph, request.source,
-                                         request.destination, config.metric);
-    if (!route.has_value()) {
-      // No path right now. Treat as no-path only on first attempt (at
-      // arrival); queued requests keep waiting for topology/capacity.
-      if (now == arrival) {
-        ++result.dropped_no_path;
-        return true;
-      }
-      return false;
-    }
-    for (const net::NodeId id : route->path) {
-      if (busy[id] >= config.node_capacity) return false;  // wait
-    }
-    // Claim capacity and schedule completion.
-    for (const net::NodeId id : route->path) ++busy[id];
-
-    // Heralding: light makes one round trip over the physical path; the
-    // route's cost metric does not know distances, so approximate the path
-    // length from node positions at `now`.
-    double path_length = 0.0;
-    for (std::size_t i = 0; i + 1 < route->path.size(); ++i) {
-      path_length += distance(model.position_ecef(route->path[i], now),
-                              model.position_ecef(route->path[i + 1], now));
-    }
-    const double service =
-        config.service_overhead + 2.0 * path_length / kSpeedOfLight;
-    const double waiting = now - arrival;
-    const double storage = waiting + service;
-
-    in_flight.push_back({route->path});
-    heap.push({now + service, sequence++, Event::Kind::Completion,
-               in_flight.size() - 1});
-
-    ++result.served;
-    result.latency.add(waiting + service);
-    result.waiting.add(waiting);
-    result.latency_samples.push_back(waiting + service);
-    result.waiting_samples.push_back(waiting);
-    result.path_eta.add(route->transmissivity);
-    result.fidelity.add(
-        config.memory.stored_pair_fidelity(route->transmissivity, storage));
-    return true;
-  };
-
-  // Drain the backlog (FIFO) as far as capacity allows at time `now`.
-  const auto drain_backlog = [&](double now) {
-    std::deque<PendingRequest> still_waiting;
-    while (!backlog.empty()) {
-      PendingRequest pending = backlog.front();
-      backlog.pop_front();
-      if (now - pending.arrival > config.max_queue_delay) {
-        ++result.dropped_queue;
-        continue;
-      }
-      if (!try_start(pending.request, pending.arrival, now)) {
-        still_waiting.push_back(pending);
-      }
-    }
-    backlog = std::move(still_waiting);
-  };
-
-  while (!heap.empty()) {
-    const Event event = heap.top();
-    heap.pop();
-    if (event.kind == Event::Kind::Arrival) {
-      const Request& request = requests[event.payload];
-      if (!try_start(request, event.time, event.time)) {
-        backlog.push_back({request, event.time});
-      }
-    } else {
-      for (const net::NodeId id : in_flight[event.payload].nodes) {
-        QNTN_REQUIRE(busy[id] > 0, "capacity accounting underflow");
-        --busy[id];
-      }
-      drain_backlog(event.time);
-    }
-  }
-  // Whatever is still queued at the end of the span never got served.
-  result.dropped_queue += backlog.size();
-  return result;
-}
-
-double TrafficResult::latency_percentile(double q) const {
-  if (latency_samples.empty()) return 0.0;
-  return percentile(latency_samples, q);
-}
-
-double TrafficResult::waiting_percentile(double q) const {
-  if (waiting_samples.empty()) return 0.0;
-  return percentile(waiting_samples, q);
-}
-
-// ---------------------------------------------------------------------------
-// TrafficEngine: the scenario serving mode.
 
 TrafficEngine::TrafficEngine(const NetworkModel& model,
                              const TopologyProvider& topology,
@@ -335,7 +170,6 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
   draw_arrivals(step, t);
 
   ServeStepResult out;
-  out.traffic_enabled = true;
   out.outcome.issued = arrivals_.size();
   if (record_requests_) out.requests.resize(arrivals_.size());
 
@@ -438,10 +272,9 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
         break;
       }
     }
-    // Saturation reroute (the absorbed sim/capacity policy): retry with
-    // every edge touching a saturated node priced out, or wait for capacity
-    // when only infinite-cost detours are left. Deterministic — depends only
-    // on the busy table at `now`.
+    // Saturation reroute: retry with every edge touching a saturated node
+    // priced out, or wait for capacity when only infinite-cost detours are
+    // left. Deterministic — depends only on the busy table at `now`.
     auto route =
         saturated
             ? net::reroute_around_saturated(

@@ -2,115 +2,60 @@
 
 #include <cstdint>
 
-#include "common/stats.hpp"
 #include "geo/sun.hpp"
 #include "net/routing.hpp"
 #include "quantum/memory.hpp"
-#include "sim/requests.hpp"
 #include "sim/serving_engine.hpp"
 #include "sim/topology.hpp"
 
 /// \file traffic.hpp
-/// Discrete-event traffic simulation. The paper serves a fixed request
-/// batch instantaneously at topology snapshots; this engine models the
-/// dynamics it abstracts away: Poisson request arrivals, per-node service
+/// The open-arrival serving engine (`ServingMode::Traffic`, DESIGN.md §12).
+/// The paper serves a fixed request batch instantaneously at topology
+/// snapshots; this engine models the dynamics it abstracts away: per-LAN
+/// Poisson request arrivals with a diurnal rate profile, per-node service
 /// occupancy (a node can work on a bounded number of pairs at once),
 /// queueing delay, heralding latency at the speed of light, and memory
 /// decoherence while pairs wait — so throughput, latency and *effective*
 /// fidelity can be traded off against offered load.
 ///
-/// Event-driven core: a time-ordered heap of events (request arrivals,
-/// service completions); arrivals claim capacity on every node of their
-/// route or wait in a FIFO backlog bounded by `max_queue_delay` and
-/// `max_backlog`.
-///
-/// Two frontends share the core:
-///  - run_traffic_simulation: the standalone single-span study (one global
-///    Poisson stream over a fixed duration, endpoints drawn like the
-///    paper's batch workload);
-///  - TrafficEngine: the scenario serving mode (ServingEngine, DESIGN.md
-///    §12) — per-LAN user populations with a diurnal rate profile, one
-///    bounded serving window per scenario step, unified ServeOutcome
-///    accounting with backpressure counters.
+/// Event-driven core: one serving window per scenario step, a time-ordered
+/// heap of events (request arrivals, service completions); arrivals claim
+/// capacity on every node of their route or wait in a FIFO backlog bounded
+/// by `max_queue_delay` and `max_backlog`, with unified ServeOutcome
+/// accounting.
 
 namespace qntn::sim {
 
 struct TrafficConfig {
-  /// Scenario serving-mode switch (core::ServingMode::Traffic sets it);
-  /// the standalone run_traffic_simulation ignores it.
-  bool enabled = false;
-  double duration = 3'600.0;        ///< simulated span [s] (standalone)
-  /// Poisson request arrivals [1/s]: the global rate of the standalone
-  /// span, the *per-LAN* population rate of the scenario engine.
+  /// Poisson request arrivals per LAN population [1/s], before the diurnal
+  /// factor.
   double arrival_rate = 1.0;
-  /// Concurrent pairs a node can work on (relays bind first). Absorbs the
-  /// former sim::CapacityPolicy::per_node_capacity role for open arrivals.
+  /// Concurrent pairs a node can work on (relays bind first).
   std::size_t node_capacity = 4;
   /// Base service time per request [s] on top of the light-time heralding
   /// (local BSMs, classical processing).
   double service_overhead = 0.01;
   /// Requests queued longer than this are dropped (decohered / timed out).
   double max_queue_delay = 0.5;
-  /// Backpressure bound (scenario engine): arrivals finding this many
-  /// requests already queued are refused at admission (rejected_capacity).
+  /// Backpressure bound: arrivals finding this many requests already
+  /// queued are refused at admission (rejected_capacity).
   std::size_t max_backlog = 256;
-  /// Diurnal modulation amplitude a in [0, 1] (scenario engine): a LAN's
-  /// arrival rate is arrival_rate * (1 + a) while the sun is up at the LAN
-  /// site and arrival_rate * (1 - a) at night — user populations are awake
-  /// in daylight even though FSO links prefer darkness.
+  /// Diurnal modulation amplitude a in [0, 1]: a LAN's arrival rate is
+  /// arrival_rate * (1 + a) while the sun is up at the LAN site and
+  /// arrival_rate * (1 - a) at night — user populations are awake in
+  /// daylight even though FSO links prefer darkness.
   double diurnal_amplitude = 0.5;
   /// Solar geometry behind the diurnal profile (sim/daylight's model).
   geo::SunModel sun{};
-  /// Topology snapshot granularity [s] (standalone span; the scenario
-  /// engine snapshots once per serving window instead).
-  double snapshot_interval = 30.0;
   quantum::MemoryModel memory{};
   net::CostMetric metric = net::CostMetric::InverseEta;
   std::uint64_t seed = 7;
 
   /// Throws qntn::PreconditionError on degenerate parameters
-  /// (non-positive duration/deadline/capacity, negative rate, amplitude
+  /// (non-positive deadline/capacity/backlog, negative rate, amplitude
   /// outside [0, 1], ...).
   void validate() const;
 };
-
-struct TrafficResult {
-  std::size_t arrivals = 0;
-  std::size_t served = 0;
-  std::size_t dropped_no_path = 0;
-  std::size_t dropped_queue = 0;
-  RunningStats latency;         ///< arrival -> pair delivered [s]
-  RunningStats waiting;         ///< queueing component of latency [s]
-  RunningStats fidelity;        ///< including memory decoherence while waiting
-  RunningStats path_eta;        ///< optical transmissivity of chosen routes
-  /// Per-served-request samples backing the tail percentiles (event order,
-  /// deterministic for a fixed config).
-  std::vector<double> latency_samples;
-  std::vector<double> waiting_samples;
-
-  /// Latency percentile over served requests, q in [0, 1]; 0 when nothing
-  /// was served. p50/p95/p99 are what the reports print — the tails are
-  /// where queueing bites, and means hide them.
-  [[nodiscard]] double latency_percentile(double q) const;
-  /// Waiting-time percentile over served requests, q in [0, 1].
-  [[nodiscard]] double waiting_percentile(double q) const;
-
-  [[nodiscard]] double served_fraction() const {
-    return arrivals > 0
-               ? static_cast<double>(served) / static_cast<double>(arrivals)
-               : 0.0;
-  }
-  /// Delivered pairs per second of simulated time.
-  [[nodiscard]] double throughput(double duration) const {
-    return duration > 0.0 ? static_cast<double>(served) / duration : 0.0;
-  }
-};
-
-/// Run the event-driven simulation of Poisson traffic over the (possibly
-/// time-varying) topology. Deterministic for a fixed config.
-[[nodiscard]] TrafficResult run_traffic_simulation(
-    const NetworkModel& model, const TopologyProvider& topology,
-    const TrafficConfig& config);
 
 /// The open-arrival serving engine of the scenario loop (ServingEngine
 /// impl). Each scenario step is one serving window [t, t + window): per-LAN

@@ -109,11 +109,13 @@ TEST(ConfigIo, EmKeysRoundTrip) {
   EXPECT_DOUBLE_EQ(parsed.em_fidelity_slo, 0.9);
   EXPECT_EQ(parsed.em_purify_max_rounds, 3u);
   // The scenario config the parsed document builds really runs em serving.
-  EXPECT_TRUE(parsed.scenario_config().em.enabled);
+  EXPECT_EQ(parsed.scenario_config().serving_mode,
+            sim::ServingMode::Entanglement);
   EXPECT_EQ(parsed.scenario_config().em.k_paths, 5u);
   // Defaults keep the paper's single-shot serving.
   EXPECT_EQ(QntnConfig{}.serving_mode, ServingMode::SingleShot);
-  EXPECT_FALSE(QntnConfig{}.scenario_config().em.enabled);
+  EXPECT_EQ(QntnConfig{}.scenario_config().serving_mode,
+            sim::ServingMode::SingleShot);
 }
 
 TEST(ConfigIo, RejectsUnphysicalEmMemoryPair) {
@@ -153,12 +155,12 @@ TEST(ConfigIo, TrafficKeysRoundTrip) {
   EXPECT_EQ(parsed.traffic_max_backlog, 64u);
   EXPECT_EQ(parsed.traffic_seed, 777u);
   // The scenario config the parsed document builds really runs traffic
-  // serving, with the em mode off.
-  EXPECT_TRUE(parsed.scenario_config().traffic.enabled);
-  EXPECT_FALSE(parsed.scenario_config().em.enabled);
+  // serving.
+  EXPECT_EQ(parsed.scenario_config().serving_mode, sim::ServingMode::Traffic);
   EXPECT_DOUBLE_EQ(parsed.scenario_config().traffic.arrival_rate, 2.5);
   // Defaults keep the paper's single-shot serving.
-  EXPECT_FALSE(QntnConfig{}.scenario_config().traffic.enabled);
+  EXPECT_EQ(QntnConfig{}.scenario_config().serving_mode,
+            sim::ServingMode::SingleShot);
 }
 
 TEST(ConfigIo, RejectsDegenerateTrafficParameters) {

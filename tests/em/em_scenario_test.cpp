@@ -74,7 +74,6 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.result.requests_congested, b.result.requests_congested);
   EXPECT_EQ(a.result.handovers, b.result.handovers);
 
-  EXPECT_EQ(a.result.em.enabled, b.result.em.enabled);
   EXPECT_EQ(a.result.em.swaps, b.result.em.swaps);
   EXPECT_EQ(a.result.em.purification_rounds, b.result.em.purification_rounds);
   EXPECT_EQ(a.result.em.pairs_consumed, b.result.em.pairs_consumed);
@@ -90,7 +89,8 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
 
 TEST(EmScenario, BitIdenticalAcrossThreadCountsContactPlan) {
   const RunOutput serial = run_em(TopologyMode::ContactPlan, nullptr);
-  EXPECT_TRUE(serial.result.em.enabled);
+  // The em fold ran: one occupancy observation per snapshot.
+  EXPECT_EQ(serial.result.em.memory_occupancy.count(), 10u);
   EXPECT_FALSE(serial.trace.empty());
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
@@ -119,7 +119,6 @@ TEST(EmScenario, RequestAccountingIsComplete) {
   obs::Registry registry;
   const RunOutput out = run_em(TopologyMode::ContactPlan, &pool, &registry);
   const ScenarioResult& r = out.result;
-  EXPECT_TRUE(r.em.enabled);
   EXPECT_EQ(r.requests_issued, 300u);  // 30 requests x 10 snapshots
   EXPECT_EQ(r.requests_issued, r.requests_served + r.requests_no_path +
                                    r.requests_isolated + r.requests_congested);
@@ -145,7 +144,7 @@ TEST(EmScenario, SingleShotLeavesEmStatsUntouched) {
   sc.request_steps = 10;
   sc.request_step_interval = 1440.0;
   const ScenarioResult r = run_scenario(model, topology.provider(), sc);
-  EXPECT_FALSE(r.em.enabled);
+  EXPECT_EQ(r.em.memory_occupancy.count(), 0u);
   EXPECT_EQ(r.requests_congested, 0u);
   EXPECT_EQ(r.em.pairs_consumed, 0u);
   EXPECT_TRUE(r.em.latency_samples.empty());

@@ -39,7 +39,6 @@ struct Diamond {
 EmServeResult serve_diamond(std::size_t k_paths, std::size_t requests) {
   Diamond fixture;
   EmOptions options;
-  options.enabled = true;
   options.k_paths = k_paths;
   options.node_capacity = 1;  // each relay can swap once per snapshot
   EntanglementManager manager(options);
@@ -55,7 +54,6 @@ TEST(EmServing, DirectLinkDeliversStoredPairFidelity) {
   const auto d = g.add_node();
   g.add_edge(s, d, 0.9);
   EmOptions options;
-  options.enabled = true;
   EntanglementManager manager(options);
   const EmServeResult result = manager.serve(
       g, {EmRequest{s, d}}, 0, FidelityConvention::Uhlmann, true);
@@ -81,7 +79,6 @@ TEST(EmServing, IsolatedEndpointIsReported) {
   g.add_node();  // rest of the graph still has links
   g.add_edge(s, d, 0.9);
   EmOptions options;
-  options.enabled = true;
   EntanglementManager manager(options);
   const EmServeResult result =
       manager.serve(g, {EmRequest{s, net::NodeId{2}}}, 0,
@@ -100,7 +97,6 @@ TEST(EmServing, DisconnectedComponentsAreNoPath) {
   g.add_edge(a, b, 0.9);
   g.add_edge(c, d, 0.9);
   EmOptions options;
-  options.enabled = true;
   EntanglementManager manager(options);
   const EmServeResult result = manager.serve(
       g, {EmRequest{a, c}}, 0, FidelityConvention::Uhlmann, true);
@@ -137,7 +133,6 @@ TEST(EmServing, BufferExhaustionCongests) {
   const auto d = g.add_node();
   g.add_edge(s, d, 0.9);
   EmOptions options;
-  options.enabled = true;
   options.pool.slots_per_node = 2;  // the edge buffers exactly two pairs
   options.node_capacity = 100;      // relays are not the bottleneck here
   EntanglementManager manager(options);
@@ -155,7 +150,6 @@ TEST(EmServing, BufferExhaustionCongests) {
 TEST(EmServing, RepeatedServeIsByteIdentical) {
   Diamond fixture;
   EmOptions options;
-  options.enabled = true;
   options.k_paths = 2;
   options.node_capacity = 1;
   options.purify.fidelity_slo = 0.8;
@@ -187,7 +181,6 @@ TEST(EmServing, RepeatedServeIsByteIdentical) {
 TEST(EmServing, RelayRoutePaysHeraldingLatency) {
   Diamond fixture;
   EmOptions options;
-  options.enabled = true;
   options.k_paths = 2;
   EntanglementManager manager(options);
   const EmServeResult result =
@@ -248,7 +241,6 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
     SCOPED_TRACE(metric == net::CostMetric::HopCount ? "hop_count"
                                                      : "inverse_eta");
     EmOptions options;
-    options.enabled = true;
     options.metric = metric;
     options.pool.slots_per_node = 64;
     options.purify.fidelity_slo = 0.9;

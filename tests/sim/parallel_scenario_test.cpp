@@ -133,11 +133,25 @@ void single_shot_hop_count(ScenarioConfig& sc) {
 }
 
 void traffic_hop_count(ScenarioConfig& sc) {
-  sc.traffic.enabled = true;
+  sc.serving_mode = ServingMode::Traffic;
   sc.traffic.metric = net::CostMetric::HopCount;
 }
 
-void em_default(ScenarioConfig& sc) { sc.em.enabled = true; }
+void em_default(ScenarioConfig& sc) {
+  sc.serving_mode = ServingMode::Entanglement;
+}
+
+const char* mode_name(const ScenarioConfig& sc) {
+  switch (sc.serving_mode) {
+    case ServingMode::Traffic:
+      return "traffic";
+    case ServingMode::Entanglement:
+      return "em";
+    case ServingMode::SingleShot:
+      break;
+  }
+  return "single-shot";
+}
 
 void expect_same_stats(const RunningStats& a, const RunningStats& b) {
   EXPECT_EQ(a.count(), b.count());
@@ -168,28 +182,24 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
             b.result.requests_rejected_capacity);
   EXPECT_EQ(a.result.requests_dropped_deadline,
             b.result.requests_dropped_deadline);
-  EXPECT_EQ(a.result.em.enabled, b.result.em.enabled);
-  if (a.result.em.enabled) {
-    EXPECT_EQ(a.result.em.swaps, b.result.em.swaps);
-    EXPECT_EQ(a.result.em.purification_rounds, b.result.em.purification_rounds);
-    EXPECT_EQ(a.result.em.pairs_consumed, b.result.em.pairs_consumed);
-    EXPECT_EQ(a.result.em.slo_met, b.result.em.slo_met);
-    EXPECT_EQ(a.result.em.spilled, b.result.em.spilled);
-    expect_same_stats(a.result.em.memory_occupancy, b.result.em.memory_occupancy);
-    expect_same_stats(a.result.em.swap_depth, b.result.em.swap_depth);
-    EXPECT_EQ(a.result.em.latency_samples, b.result.em.latency_samples);
-  }
-  EXPECT_EQ(a.result.traffic.enabled, b.result.traffic.enabled);
-  if (a.result.traffic.enabled) {
-    expect_same_stats(a.result.traffic.peak_utilisation,
-                      b.result.traffic.peak_utilisation);
-    EXPECT_EQ(a.result.traffic.peak_queue_depth,
-              b.result.traffic.peak_queue_depth);
-    EXPECT_EQ(a.result.traffic.latency_samples,
-              b.result.traffic.latency_samples);
-    EXPECT_EQ(a.result.traffic.waiting_samples,
-              b.result.traffic.waiting_samples);
-  }
+  // The mode-specific stats are empty outside their mode, so comparing
+  // both sets unconditionally is exact for every mode.
+  EXPECT_EQ(a.result.em.swaps, b.result.em.swaps);
+  EXPECT_EQ(a.result.em.purification_rounds, b.result.em.purification_rounds);
+  EXPECT_EQ(a.result.em.pairs_consumed, b.result.em.pairs_consumed);
+  EXPECT_EQ(a.result.em.slo_met, b.result.em.slo_met);
+  EXPECT_EQ(a.result.em.spilled, b.result.em.spilled);
+  expect_same_stats(a.result.em.memory_occupancy, b.result.em.memory_occupancy);
+  expect_same_stats(a.result.em.swap_depth, b.result.em.swap_depth);
+  EXPECT_EQ(a.result.em.latency_samples, b.result.em.latency_samples);
+  expect_same_stats(a.result.traffic.peak_utilisation,
+                    b.result.traffic.peak_utilisation);
+  EXPECT_EQ(a.result.traffic.peak_queue_depth,
+            b.result.traffic.peak_queue_depth);
+  EXPECT_EQ(a.result.traffic.latency_samples,
+            b.result.traffic.latency_samples);
+  EXPECT_EQ(a.result.traffic.waiting_samples,
+            b.result.traffic.waiting_samples);
   EXPECT_EQ(a.trace, b.trace);
 }
 
@@ -248,16 +258,16 @@ TEST(ParallelScenario, EmModeBitIdenticalAcrossThreadCounts) {
   // worker's manager caches candidate routes per epoch, and workers see
   // different step runs at every thread count — results and trace must
   // still match the serial run to the bit.
-  const auto enable_em = [](ScenarioConfig& sc) { sc.em.enabled = true; };
   const RunOutput serial =
-      run_with(TopologyMode::ContactPlan, nullptr, nullptr, enable_em);
-  EXPECT_TRUE(serial.result.em.enabled);
+      run_with(TopologyMode::ContactPlan, nullptr, nullptr, em_default);
+  // The em fold ran: one occupancy observation per snapshot.
+  EXPECT_EQ(serial.result.em.memory_occupancy.count(), 10u);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ThreadPool pool(threads);
     const RunOutput parallel =
-        run_with(TopologyMode::ContactPlan, &pool, nullptr, enable_em);
+        run_with(TopologyMode::ContactPlan, &pool, nullptr, em_default);
     expect_identical(serial, parallel);
   }
 }
@@ -290,7 +300,8 @@ TEST(ParallelScenario, TrafficModeBitIdenticalAcrossThreadCounts) {
   obs::Registry registry;
   const RunOutput serial =
       run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
-  EXPECT_TRUE(serial.result.traffic.enabled);
+  EXPECT_EQ(serial.result.traffic.peak_utilisation.count(),
+            sc.request_steps);  // the traffic fold ran once per window
   EXPECT_GT(serial.result.requests_served, 0u);
   // Any ground node can originate an arrival. Without same-epoch reuse
   // every window would build a tree per source it saw; with it, the
@@ -348,9 +359,7 @@ TEST(ParallelScenario, EpochCachesMatchEpochBlindServing) {
        {single_shot_hop_count, traffic_hop_count, em_default}) {
     ScenarioConfig sc = dense_config(mode);
     sc.request_steps = 130;
-    SCOPED_TRACE(sc.traffic.enabled ? "traffic"
-                 : sc.em.enabled    ? "em"
-                                    : "single-shot");
+    SCOPED_TRACE(mode_name(sc));
     obs::Registry cached_registry;
     obs::Registry blind_registry;
     const RunOutput cached = run_on(day.model, plan, sc, nullptr,
@@ -358,7 +367,7 @@ TEST(ParallelScenario, EpochCachesMatchEpochBlindServing) {
     expect_identical(cached,
                      run_on(day.model, blind, sc, nullptr, &blind_registry));
     // The caches must have engaged, or the comparison proves nothing.
-    if (sc.em.enabled) {
+    if (sc.serving_mode == ServingMode::Entanglement) {
       EXPECT_GT(cached_registry.counter("em.route_cache_hits"), 0u);
       EXPECT_EQ(blind_registry.counter("em.route_cache_hits"), 0u);
     } else {
@@ -386,17 +395,15 @@ TEST(ParallelScenario, RoundBoundariesMatchSerial) {
   const TopologyProvider& plan = day.topology.provider();
   for (void (*mode)(ScenarioConfig&) :
        {+[](ScenarioConfig&) {}, em_default,
-        +[](ScenarioConfig& sc) { sc.traffic.enabled = true; }}) {
+        +[](ScenarioConfig& sc) { sc.serving_mode = ServingMode::Traffic; }}) {
     ScenarioConfig sc = quick_config(day.config);
     sc.request_steps = 130;
     sc.request_step_interval = 100.0;
     mode(sc);
-    SCOPED_TRACE(sc.traffic.enabled ? "traffic"
-                 : sc.em.enabled    ? "em"
-                                    : "single-shot");
+    SCOPED_TRACE(mode_name(sc));
     const RunOutput serial = run_on(day.model, plan, sc, nullptr);
     EXPECT_GT(serial.result.requests_served, 0u);
-    if (!sc.traffic.enabled) {
+    if (sc.serving_mode != ServingMode::Traffic) {
       EXPECT_GT(serial.result.handovers, 0u);
     }
     for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
@@ -409,16 +416,31 @@ TEST(ParallelScenario, RoundBoundariesMatchSerial) {
 }
 
 TEST(ParallelScenario, SerialContactPlanQueriesCoverEveryStep) {
-  // Serial contact-plan runs ask one connectivity question per coverage
-  // step and build one graph per request snapshot, and the hit/build split
-  // accounts for every graph query on the fresh-materialisation path too
-  // (graph_at counts as a build).
+  // Serial contact-plan runs ask one connectivity question per distinct
+  // topology epoch of the coverage steps (as the pool path does) and build
+  // one graph per request snapshot, and the hit/build split accounts for
+  // every graph query on the fresh-materialisation path too (graph_at
+  // counts as a build).
+  QntnConfig config;
+  config.topology_mode = TopologyMode::ContactPlan;
+  const NetworkModel model = core::build_space_ground_model(config, 12);
+  const core::Topology topology = core::make_topology(config, model);
+  const ScenarioConfig sc = quick_config(config);
+  std::uint64_t epoch_runs = 0;
+  std::size_t last_epoch = TopologyProvider::kNoEpoch;
+  for (std::size_t i = 0; i < 120; ++i) {  // 4 h / 120 s coverage steps
+    const double t = static_cast<double>(i) * sc.coverage.step;
+    const std::size_t epoch = topology.provider().epoch_of(t);
+    if (epoch_runs == 0 || epoch != last_epoch) ++epoch_runs;
+    last_epoch = epoch;
+  }
+  EXPECT_LT(epoch_runs, 120u);  // some steps share an epoch
   obs::Registry registry;
-  (void)run_with(TopologyMode::ContactPlan, nullptr, &registry);
+  (void)run_on(model, topology.provider(), sc, nullptr, &registry);
   const std::uint64_t queries = registry.counter("plan.graph_queries");
   const std::uint64_t hits = registry.counter("plan.epoch_hits");
   const std::uint64_t builds = registry.counter("plan.epoch_builds");
-  EXPECT_EQ(registry.counter("sim.connectivity_queries"), 120u);  // 4 h / 120 s
+  EXPECT_EQ(registry.counter("sim.connectivity_queries"), epoch_runs);
   EXPECT_EQ(queries, 10u);  // the request snapshots
   EXPECT_EQ(queries, hits + builds);
 }

@@ -6,20 +6,26 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "core/experiments.hpp"
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
 #include "geo/sun.hpp"
+#include "net/routing.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "sim/scenario.hpp"
 #include "sim/network_model.hpp"
+#include "sim/topology.hpp"
 #include "sim/traffic.hpp"
 
 /// The open-arrival traffic serving mode of run_scenario (DESIGN.md §12):
 /// determinism across thread counts (the PR 4 golden contract extended to
 /// event windows), the six-bucket accounting identity, backpressure and
-/// deadline behaviour under saturation, and the diurnal arrival profile.
+/// deadline behaviour under saturation, the diurnal arrival profile, and
+/// the TrafficEngine's single-window behaviour: queueing, per-node
+/// capacity limits and saturation rerouting.
 
 namespace qntn::sim {
 namespace {
@@ -139,8 +145,8 @@ TEST(TrafficScenario, AccountingReconcilesAndCountersMatch) {
   // Open arrivals have no cross-step identity: no handovers, no em stats.
   EXPECT_EQ(r.handovers, 0u);
   EXPECT_EQ(r.requests_congested, 0u);
-  EXPECT_FALSE(r.em.enabled);
-  ASSERT_TRUE(r.traffic.enabled);
+  EXPECT_EQ(r.em.memory_occupancy.count(), 0u);
+  EXPECT_EQ(r.traffic.peak_utilisation.count(), 10u);  // one per window
   EXPECT_EQ(r.traffic.latency_samples.size(), r.requests_served);
   EXPECT_EQ(r.traffic.waiting_samples.size(), r.requests_served);
   EXPECT_EQ(registry.counter("scenario.requests_issued"), r.requests_issued);
@@ -192,11 +198,182 @@ TEST(TrafficScenario, SingleShotModeCarriesNoTrafficState) {
   sc.request_steps = 10;
   sc.request_step_interval = 1440.0;
   const ScenarioResult r = run_scenario(model, topology.provider(), sc);
-  EXPECT_FALSE(r.traffic.enabled);
+  EXPECT_EQ(r.traffic.peak_utilisation.count(), 0u);
   EXPECT_EQ(r.requests_rejected_capacity, 0u);
   EXPECT_EQ(r.requests_dropped_deadline, 0u);
   EXPECT_EQ(r.traffic.latency_samples.size(), 0u);
   EXPECT_EQ(r.requests_issued, 300u);  // 30 requests x 10 snapshots
+}
+
+/// The air-ground network on the rebuild provider: every inter-LAN route is
+/// ground - HAP - ground, and the HAP never moves.
+struct AirGround {
+  QntnConfig config;
+  NetworkModel model = core::build_air_ground_model(config);
+  TopologyBuilder topology{model, config.link_policy()};
+};
+
+/// A constant-rate (no diurnal factor) population of `rate` arrivals per
+/// second per LAN at capacity 8.
+TrafficConfig steady(double rate) {
+  TrafficConfig tc;
+  tc.arrival_rate = rate;
+  tc.diurnal_amplitude = 0.0;
+  tc.node_capacity = 8;
+  return tc;
+}
+
+/// Serve the window [0, window) on a fresh engine.
+ServeStepResult serve_window(const NetworkModel& model,
+                             const TopologyProvider& topology,
+                             const TrafficConfig& tc, double window,
+                             bool record = false) {
+  TrafficEngine engine(model, topology, tc, window, record);
+  return engine.serve_step(0, 0.0);
+}
+
+/// ~0.2 arrivals/s across the three LANs: ~120 in a 600-s window.
+constexpr double kLightRate = 0.2 / 3.0;
+
+TEST(Traffic, NoArrivalsNoActivity) {
+  const AirGround ag;
+  const ServeStepResult out =
+      serve_window(ag.model, ag.topology, steady(0.0), 600.0, true);
+  EXPECT_EQ(out.outcome.issued, 0u);
+  EXPECT_EQ(out.outcome.served, 0u);
+  EXPECT_TRUE(out.outcome.reconciles());
+  EXPECT_TRUE(out.requests.empty());
+  EXPECT_EQ(out.traffic.latency.count(), 0u);
+  EXPECT_EQ(out.traffic.peak_utilisation, 0.0);
+}
+
+TEST(Traffic, DeterministicForFixedSeed) {
+  // A window is a pure function of (step, t, config): two engines agree,
+  // and one engine serving the same step again after another agrees too.
+  const AirGround ag;
+  TrafficEngine a(ag.model, ag.topology, steady(kLightRate), 600.0, false);
+  TrafficEngine b(ag.model, ag.topology, steady(kLightRate), 600.0, false);
+  const ServeStepResult first = a.serve_step(3, 1'800.0);
+  (void)a.serve_step(4, 2'400.0);
+  for (const ServeStepResult& other :
+       {b.serve_step(3, 1'800.0), a.serve_step(3, 1'800.0)}) {
+    EXPECT_EQ(other.outcome.issued, first.outcome.issued);
+    EXPECT_EQ(other.outcome.served, first.outcome.served);
+    EXPECT_EQ(other.traffic.latency_samples, first.traffic.latency_samples);
+    EXPECT_EQ(other.outcome.fidelity.mean(), first.outcome.fidelity.mean());
+  }
+}
+
+TEST(Traffic, LightLoadOnAirGroundServesEverything) {
+  const AirGround ag;
+  const ServeStepResult out =
+      serve_window(ag.model, ag.topology, steady(kLightRate), 600.0);
+  ASSERT_GT(out.outcome.issued, 50u);  // ~120 expected
+  EXPECT_EQ(out.outcome.served, out.outcome.issued);
+  EXPECT_EQ(out.outcome.no_path, 0u);
+  EXPECT_EQ(out.outcome.dropped_deadline, 0u);
+  // Latency is dominated by the configured overhead plus ~ms of light time.
+  EXPECT_GT(out.traffic.latency.mean(), 0.01);
+  EXPECT_LT(out.traffic.latency.mean(), 0.02);
+  EXPECT_EQ(out.traffic.waiting.max(), 0.0);
+}
+
+TEST(Traffic, PercentilesBackedByOneSamplePerServedRequest) {
+  QntnConfig config;
+  config.serving_mode = core::ServingMode::Traffic;
+  config.day_duration = 600.0;
+  config.request_steps = 1;
+  config.traffic_arrival_rate = kLightRate;
+  config.traffic_diurnal_amplitude = 0.0;
+  const NetworkModel model = core::build_air_ground_model(config);
+  const core::Topology topology = core::make_topology(config, model);
+  const ScenarioResult r =
+      run_scenario(model, topology.provider(), config.scenario_config());
+  ASSERT_GT(r.requests_served, 0u);
+  EXPECT_EQ(r.traffic.latency_samples.size(), r.requests_served);
+  EXPECT_EQ(r.traffic.waiting_samples.size(), r.requests_served);
+  // Tails are ordered and bracketed by the running stats' extremes.
+  const double p50 = percentile(r.traffic.latency_samples, 0.50);
+  const double p95 = percentile(r.traffic.latency_samples, 0.95);
+  const double p99 = percentile(r.traffic.latency_samples, 0.99);
+  EXPECT_LE(r.traffic.latency.min(), p50);
+  EXPECT_LE(p50, p95);
+  EXPECT_LE(p95, p99);
+  EXPECT_LE(p99, r.traffic.latency.max());
+  const core::ArchitectureMetrics m = core::evaluate_air_ground(config);
+  EXPECT_EQ(m.latency_p99, p99);
+  EXPECT_LE(m.waiting_p50, m.waiting_p99);
+  // Empty distributions report 0 instead of throwing.
+  config.traffic_arrival_rate = 0.0;
+  const core::ArchitectureMetrics idle = core::evaluate_air_ground(config);
+  EXPECT_EQ(idle.latency_p99, 0.0);
+  EXPECT_EQ(idle.waiting_p50, 0.0);
+}
+
+TEST(Traffic, AccountingAlwaysBalances) {
+  const AirGround ag;
+  for (const double rate : {0.5, 5.0, 50.0}) {
+    SCOPED_TRACE(rate);
+    const ServeStepResult out =
+        serve_window(ag.model, ag.topology, steady(rate / 3.0), 120.0);
+    EXPECT_TRUE(out.outcome.reconciles());
+    EXPECT_EQ(out.traffic.latency_samples.size(), out.outcome.served);
+  }
+}
+
+TEST(Traffic, OverloadSaturatesAndQueues) {
+  const AirGround ag;
+  TrafficConfig tc = steady(200.0 / 3.0);  // far above the HAP's capacity
+  tc.node_capacity = 2;
+  tc.service_overhead = 0.05;
+  const ServeStepResult out = serve_window(ag.model, ag.topology, tc, 120.0);
+  EXPECT_GT(out.outcome.dropped_deadline, 0u);
+  EXPECT_LT(out.outcome.served_fraction(), 0.5);
+  // Throughput is pinned near capacity / service_time = 2 / 0.05 = 40/s
+  // (the HAP is on every route).
+  EXPECT_NEAR(static_cast<double>(out.outcome.served) / 120.0, 40.0, 8.0);
+  EXPECT_GT(out.traffic.waiting.max(), 0.0);
+}
+
+TEST(Traffic, QueueingCostsFidelityThroughMemory) {
+  const AirGround ag;
+  TrafficConfig relaxed = steady(kLightRate);
+  TrafficConfig loaded = steady(100.0 / 3.0);
+  loaded.node_capacity = 2;
+  loaded.service_overhead = 0.05;
+  loaded.max_queue_delay = 2.0;
+  loaded.memory.t1 = 0.5;
+  loaded.memory.t2 = 0.2;
+  relaxed.memory = loaded.memory;
+  const ServeStepResult fast =
+      serve_window(ag.model, ag.topology, relaxed, 600.0);
+  const ServeStepResult slow = serve_window(ag.model, ag.topology, loaded, 60.0);
+  ASSERT_GT(slow.outcome.served, 0u);
+  EXPECT_GT(slow.traffic.waiting.mean(), fast.traffic.waiting.mean());
+  EXPECT_LT(slow.outcome.fidelity.mean(), fast.outcome.fidelity.mean());
+}
+
+TEST(Traffic, GroundOnlyNetworkDropsEverythingAsNoPath) {
+  const QntnConfig config;
+  const NetworkModel model = core::build_ground_model(config);
+  const TopologyBuilder topology(model, config.link_policy());
+  const ServeStepResult out =
+      serve_window(model, topology, steady(kLightRate), 600.0);
+  ASSERT_GT(out.outcome.issued, 0u);
+  EXPECT_EQ(out.outcome.served, 0u);
+  EXPECT_EQ(out.outcome.no_path, out.outcome.issued);
+}
+
+TEST(Traffic, RejectsBadConfig) {
+  const AirGround ag;
+  TrafficConfig bad = steady(kLightRate);
+  bad.node_capacity = 0;
+  EXPECT_THROW(TrafficEngine(ag.model, ag.topology, bad, 600.0, false),
+               PreconditionError);
+  // The serving window is the scenario's snapshot interval; it must be > 0.
+  EXPECT_THROW(
+      TrafficEngine(ag.model, ag.topology, steady(kLightRate), 0.0, false),
+      PreconditionError);
 }
 
 TEST(TrafficEngine, FullAmplitudeSilencesNightWindows) {
@@ -366,6 +543,203 @@ TEST(TrafficEngine, EveryTreeIsASourceTreeOrAMaskedReroute) {
   EXPECT_GT(registry.counter("sim.reroute_gated"), 0u);
   EXPECT_EQ(registry.counter("net.bf_trees"),
             source_trees + registry.counter("sim.reroute_trees"));
+}
+
+/// Air-ground arrivals whose service outlasts the window: a served pair
+/// holds its route's capacity for the rest of the window, so per-node
+/// capacity caps the pairs a node takes part in per window (~50 arrivals
+/// here).
+TrafficConfig held_for_window(std::size_t capacity) {
+  TrafficConfig tc = steady(50.0 / 300.0);
+  tc.node_capacity = capacity;
+  tc.service_overhead = 1'000.0;
+  return tc;
+}
+
+TEST(Capacity, UnlimitedEnoughCapacityMatchesBaseline) {
+  // Metamorphic relation on both providers: with capacity at or above a
+  // window's arrivals, no deadline and an ample backlog, nothing is lost to
+  // capacity or to the queue, nothing waits, and every arrival is served
+  // on exactly the route the unconstrained router picks. The same arrivals
+  // at capacity 1 do lose requests, so the relation is not vacuous.
+  for (const TopologyMode mode :
+       {TopologyMode::Rebuild, TopologyMode::ContactPlan}) {
+    SCOPED_TRACE(mode == TopologyMode::Rebuild ? "rebuild" : "contact plan");
+    QntnConfig config;
+    config.serving_mode = core::ServingMode::Traffic;
+    config.topology_mode = mode;
+    const NetworkModel model = core::build_space_ground_model(config, 36);
+    const core::Topology topology = core::make_topology(config, model);
+    ScenarioConfig sc = quick_traffic_config(config);
+    sc.traffic.arrival_rate = 0.5;
+    sc.traffic.service_overhead = 0.25;
+    sc.traffic.node_capacity = 1'000'000;
+    sc.traffic.max_queue_delay = std::numeric_limits<double>::infinity();
+    sc.traffic.max_backlog = 1'000'000;
+    const ScenarioResult r = run_scenario(model, topology.provider(), sc);
+    ASSERT_GT(r.requests_served, 0u);
+    EXPECT_LT(r.requests_issued / sc.request_steps, sc.traffic.node_capacity);
+    EXPECT_EQ(r.requests_rejected_capacity, 0u);
+    EXPECT_EQ(r.requests_dropped_deadline, 0u);
+    EXPECT_EQ(r.traffic.waiting.max(), 0.0);
+
+    TrafficEngine engine(model, topology.provider(), sc.traffic,
+                         sc.request_step_interval, true);
+    std::size_t served = 0;
+    for (std::size_t step = 0; step < sc.request_steps; ++step) {
+      const double t = static_cast<double>(step) * sc.request_step_interval;
+      const ServeStepResult out = engine.serve_step(step, t);
+      const net::Graph graph = topology.provider().graph_at(t);
+      for (const RequestRecord& rec : out.requests) {
+        const auto route =
+            net::bellman_ford(graph, rec.source, rec.destination, sc.metric);
+        ASSERT_EQ(rec.disposition == ServeDisposition::Served,
+                  route.has_value());
+        if (!route.has_value()) continue;
+        ++served;
+        EXPECT_EQ(rec.transmissivity, route->transmissivity);
+        EXPECT_EQ(rec.hops + 1, route->path.size());
+      }
+    }
+    EXPECT_EQ(served, r.requests_served);
+
+    sc.traffic.node_capacity = 1;
+    sc.traffic.max_queue_delay = 0.5;
+    const ScenarioResult tight = run_scenario(model, topology.provider(), sc);
+    EXPECT_LT(tight.requests_served, r.requests_served);
+  }
+}
+
+TEST(Capacity, HapSaturationCapsService) {
+  // Every air-ground route relays through the single HAP; with capacity C
+  // the HAP can take part in at most C pairs of the window.
+  const AirGround ag;
+  const ServeStepResult out =
+      serve_window(ag.model, ag.topology, held_for_window(10), 300.0);
+  ASSERT_GT(out.outcome.issued, 10u);
+  EXPECT_EQ(out.outcome.served, 10u);
+  EXPECT_EQ(out.outcome.no_path, 0u);
+  EXPECT_EQ(out.outcome.rejected_capacity + out.outcome.dropped_deadline,
+            out.outcome.issued - 10);
+  EXPECT_EQ(out.traffic.peak_utilisation, 1.0);
+}
+
+TEST(Capacity, OutcomeReconciles) {
+  // The ServeOutcome identity pins capacity-limited serving to the common
+  // accounting shape; the engine never produces the em-only bucket, and
+  // every endpoint of the air-ground network is linked.
+  const AirGround ag;
+  TrafficEngine engine(ag.model, ag.topology, held_for_window(7), 300.0,
+                       false);
+  for (std::size_t step = 0; step < 5; ++step) {
+    const ServeStepResult out =
+        engine.serve_step(step, static_cast<double>(step) * 300.0);
+    EXPECT_TRUE(out.outcome.reconciles());
+    EXPECT_EQ(out.outcome.served, 7u);
+    EXPECT_EQ(out.outcome.isolated, 0u);
+    EXPECT_EQ(out.outcome.congested, 0u);
+  }
+}
+
+TEST(Capacity, DisconnectedRequestsAreNoPathNotCapacity) {
+  // The ground-only network has no inter-LAN route: requests are no-path
+  // even at capacity 1 with claims that would saturate every node.
+  const QntnConfig config;
+  const NetworkModel model = core::build_ground_model(config);
+  const TopologyBuilder topology(model, config.link_policy());
+  const ServeStepResult out =
+      serve_window(model, topology, held_for_window(1), 300.0);
+  ASSERT_GT(out.outcome.issued, 0u);
+  EXPECT_EQ(out.outcome.served, 0u);
+  EXPECT_EQ(out.outcome.rejected_capacity, 0u);
+  EXPECT_EQ(out.outcome.dropped_deadline, 0u);
+  EXPECT_EQ(out.outcome.no_path, out.outcome.issued);
+  EXPECT_TRUE(out.outcome.reconciles());
+}
+
+TEST(Capacity, PeakUtilisationZeroWithoutServedWork) {
+  // Relays that never carry a pair consume no capacity: an empty window and
+  // an all-unreachable window both leave peak utilisation at 0.
+  const AirGround ag;
+  EXPECT_EQ(serve_window(ag.model, ag.topology, steady(0.0), 300.0)
+                .traffic.peak_utilisation,
+            0.0);
+  const NetworkModel ground = core::build_ground_model(ag.config);
+  const TopologyBuilder topology(ground, ag.config.link_policy());
+  const ServeStepResult blocked =
+      serve_window(ground, topology, held_for_window(1), 300.0);
+  ASSERT_GT(blocked.outcome.no_path, 0u);
+  EXPECT_EQ(blocked.traffic.peak_utilisation, 0.0);
+}
+
+/// Records of a two-relay window at capacity 1 with services that outlast
+/// it (see TrafficEngine.SaturatedRelayDetoursThroughTheOther).
+ServeStepResult two_relay_window(const NetworkModel& model,
+                                 const TopologyProvider& topology) {
+  TrafficConfig tc;
+  tc.node_capacity = 1;
+  tc.service_overhead = 1'000.0;
+  tc.arrival_rate = 0.1;
+  tc.diurnal_amplitude = 0.0;
+  return serve_window(model, topology, tc, 100.0, true);
+}
+
+TEST(Capacity, ReroutesAroundSaturatedRelays) {
+  // The first arrival rides the better relay (eta 0.9 per hop); the first
+  // later arrival with disjoint endpoints finds it saturated and is served
+  // over the worse relay (eta 0.6 per hop).
+  const NetworkModel model = two_relay_model();
+  const TwoRelayTopology topology(model);
+  const ServeStepResult out = two_relay_window(model, topology);
+  const auto& records = out.requests;
+  ASSERT_GE(records.size(), 2u);
+  EXPECT_EQ(records[0].disposition, ServeDisposition::Served);
+  EXPECT_NEAR(records[0].transmissivity, 0.9 * 0.9, 1e-12);
+  std::size_t second = 1;
+  while (second < records.size() &&
+         (records[second].source == records[0].source ||
+          records[second].source == records[0].destination ||
+          records[second].destination == records[0].source ||
+          records[second].destination == records[0].destination)) {
+    ++second;
+  }
+  ASSERT_LT(second, records.size());
+  EXPECT_EQ(records[second].disposition, ServeDisposition::Served);
+  EXPECT_NEAR(records[second].transmissivity, 0.6 * 0.6, 1e-12);
+  EXPECT_EQ(records[second].waiting, 0.0);
+}
+
+TEST(Capacity, SaturationReroutingIsDeterministic) {
+  // Who gets the better relay depends only on arrival order, so repeated
+  // windows agree record for record.
+  const NetworkModel model = two_relay_model();
+  const TwoRelayTopology topology(model);
+  const ServeStepResult first = two_relay_window(model, topology);
+  const ServeStepResult second = two_relay_window(model, topology);
+  EXPECT_EQ(first.traffic.peak_utilisation, 1.0);
+  EXPECT_EQ(second.traffic.peak_utilisation, first.traffic.peak_utilisation);
+  EXPECT_EQ(second.outcome.served, first.outcome.served);
+  EXPECT_EQ(second.outcome.transmissivity.mean(),
+            first.outcome.transmissivity.mean());
+  EXPECT_EQ(second.outcome.fidelity.mean(), first.outcome.fidelity.mean());
+  ASSERT_EQ(second.requests.size(), first.requests.size());
+  for (std::size_t i = 0; i < first.requests.size(); ++i) {
+    EXPECT_EQ(second.requests[i].disposition, first.requests[i].disposition);
+    EXPECT_EQ(second.requests[i].relay, first.requests[i].relay);
+    EXPECT_EQ(second.requests[i].waiting, first.requests[i].waiting);
+  }
+}
+
+TEST(Capacity, RejectsZeroCapacity) {
+  TrafficConfig zero;
+  zero.node_capacity = 0;
+  try {
+    zero.validate();
+    FAIL() << "zero node capacity must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("capacity"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TrafficConfigValidate, RejectsDegenerateParameters) {
