@@ -57,6 +57,25 @@ FsoLinkEvaluator::FsoLinkEvaluator(const FsoConfig& config,
                "apertures must be positive");
   QNTN_REQUIRE(altitude_high >= altitude_low, "altitude band reversed");
   QNTN_REQUIRE(ao_gain_ >= 1.0, "AO gain cannot degrade the Fried parameter");
+  // Every factor of the budget stays in [0, 1] only under these: the
+  // topology layers evaluate links at query time and trust the value.
+  QNTN_REQUIRE(receiver_efficiency_ >= 0.0 && receiver_efficiency_ <= 1.0,
+               "FSO config: receiver_efficiency must be in [0, 1]");
+  const double zenith = config.extinction.zenith_transmittance;
+  QNTN_REQUIRE(zenith > 0.0 && zenith <= 1.0,
+               "FSO config: extinction.zenith_transmittance must be in (0, 1]");
+  const auto finite_non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0.0;
+  };
+  QNTN_REQUIRE(finite_non_negative(a.pointing_jitter) &&
+                   finite_non_negative(b.pointing_jitter),
+               "optical terminal: pointing_jitter must be finite and >= 0");
+  QNTN_REQUIRE(finite_non_negative(config.weather.platform_jitter),
+               "weather: platform_jitter must be finite and >= 0");
+  QNTN_REQUIRE(finite_non_negative(config.weather.optical_depth_factor),
+               "weather: optical_depth_factor must be finite and >= 0");
+  QNTN_REQUIRE(finite_non_negative(config.weather.turbulence_factor),
+               "weather: turbulence_factor must be finite and >= 0");
 
   const double wj = config.weather.platform_jitter;
   jitter_sq_ = a.pointing_jitter * a.pointing_jitter +
@@ -152,14 +171,6 @@ double FsoLinkEvaluator::symmetric(double range, double elevation) const {
   const double ba =
       evaluate_directed(aperture_b_, aperture_a_, range, elevation).total;
   return std::min(ab, ba);
-}
-
-void FsoLinkEvaluator::symmetric_batch(const double* ranges,
-                                       const double* elevations,
-                                       std::size_t count, double* out) const {
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = symmetric(ranges[i], elevations[i]);
-  }
 }
 
 FsoBudget evaluate_fso(const FsoConfig& config, const OpticalTerminal& tx,

@@ -98,7 +98,11 @@ struct FsoBudget {
 class FsoLinkEvaluator {
  public:
   /// Band [altitude_low, altitude_high] is the nominal altitude range of
-  /// the link class (e.g. 0 to 500 km for ground-satellite).
+  /// the link class (e.g. 0 to 500 km for ground-satellite). Throws a
+  /// PreconditionError naming the field unless receiver_efficiency is in
+  /// [0, 1], the zenith transmittance in (0, 1], and the pointing jitters
+  /// and weather factors finite and >= 0; with these every budget factor
+  /// stays in [0, 1].
   FsoLinkEvaluator(const FsoConfig& config, const OpticalTerminal& a,
                    const OpticalTerminal& b, double altitude_low,
                    double altitude_high);
@@ -108,15 +112,6 @@ class FsoLinkEvaluator {
 
   /// Symmetric (undirected) transmissivity: worse of the two directions.
   [[nodiscard]] double symmetric(double range, double elevation) const;
-
-  /// Batched symmetric transmissivity over contiguous geometry arrays:
-  /// out[i] = symmetric(ranges[i], elevations[i]), element-wise identical.
-  /// The contact compiler stages each pass's grid geometry into
-  /// structure-of-arrays buffers and evaluates the budget here, keeping the
-  /// exp/trig-heavy loop free of the window state machine so the compiler
-  /// can pipeline it. Same preconditions per element as symmetric.
-  void symmetric_batch(const double* ranges, const double* elevations,
-                       std::size_t count, double* out) const;
 
  private:
   [[nodiscard]] FsoBudget evaluate_directed(double tx_aperture,

@@ -147,7 +147,6 @@ std::string serialize_config(const QntnConfig& config) {
      << "topology_mode = " << topology_mode_name(config.topology_mode) << '\n'
      << "parallel_snapshots = "
      << (config.parallel_snapshots ? "true" : "false") << '\n'
-     << "contact_sample_tolerance = " << config.contact_sample_tolerance << '\n'
      << "serving_mode = " << serving_mode_name(config.serving_mode) << '\n'
      << "em_memory_slots = " << config.em_memory_slots << '\n'
      << "em_generation_period_s = " << config.em_generation_period << '\n'
@@ -257,8 +256,6 @@ QntnConfig parse_config(const std::string& text) {
            [&](const std::string& v) { config.topology_mode = topology_mode_from(v); }},
           {"parallel_snapshots",
            [&](const std::string& v) { config.parallel_snapshots = as_bool(v); }},
-          {"contact_sample_tolerance",
-           [&](const std::string& v) { config.contact_sample_tolerance = as_double(v); }},
           {"serving_mode",
            [&](const std::string& v) { config.serving_mode = serving_mode_from(v); }},
           {"em_memory_slots",

@@ -69,7 +69,6 @@ plan::ContactPlanOptions QntnConfig::plan_options() const {
   plan::ContactPlanOptions options;
   options.horizon = day_duration;
   options.step = ephemeris_step;
-  options.sample_tolerance = contact_sample_tolerance;
   return options;
 }
 

@@ -77,9 +77,6 @@ struct QntnConfig {
   /// deterministic, and off it falls back to the serial loop; this switch
   /// exists for A/B timing and as an escape hatch.
   bool parallel_snapshots = true;
-  /// Compression tolerance on cached window transmissivities (see
-  /// plan::ContactPlanOptions::sample_tolerance).
-  double contact_sample_tolerance = 1.0e-4;
 
   // --- Serving engine (DESIGN.md §12). ---
   ServingMode serving_mode = ServingMode::SingleShot;

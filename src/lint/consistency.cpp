@@ -1,8 +1,11 @@
 #include "lint/consistency.hpp"
 
 #include <algorithm>
+#include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <regex>
 #include <set>
 #include <sstream>
@@ -101,6 +104,116 @@ void report_missing(const std::vector<NamedSite>& sites,
   }
 }
 
+/// Cells of a `| a | b |` markdown row without emphasis, trimmed.
+[[nodiscard]] std::vector<std::string> table_cells(const std::string& line) {
+  std::vector<std::string> cells;
+  std::string cell;
+  for (const char c : line.substr(1)) {
+    if (c == '|') {
+      const std::size_t first = cell.find_first_not_of(' ');
+      cells.push_back(first == std::string::npos
+                          ? std::string()
+                          : cell.substr(first, cell.find_last_not_of(' ') -
+                                                   first + 1));
+      cell.clear();
+    } else if (c != '*') {
+      cell += c;
+    }
+  }
+  return cells;
+}
+
+/// Row id of a cell: lowercased, spaces turned into dashes
+/// ("Space-Ground" -> "space-ground").
+[[nodiscard]] std::string row_id(std::string cell) {
+  for (char& c : cell) {
+    c = c == ' ' ? '-'
+                 : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return cell;
+}
+
+/// Measured-number tables of EXPERIMENTS.md pinned to `golden` (the
+/// `key = value` lines of tests/golden/repro.golden): a table under
+/// `<!-- qntn-lint: golden SPEC... -->` (closed by `<!-- qntn-lint: end
+/// -->`) has one SPEC per column: `-` leaves the column unchecked, `=word`
+/// checks the row only when this cell's row_id is `word`, anything else is
+/// a golden key with `{id}` standing for the row_id of the row's first
+/// cell. Each checked cell (a trailing `%` dropped) must print the golden
+/// value at the cell's own number of decimals.
+void check_golden_tables(const std::string& text, const std::string& golden,
+                         std::vector<Finding>& findings) {
+  static const std::regex kOpen(R"(<!-- qntn-lint: golden (.*) -->)");
+  static const std::regex kNumber(R"(-?[0-9]+(\.([0-9]+))?)");
+  static const std::regex kSeparator(R"(\|[ :|-]+)");
+  std::map<std::string, double> values;
+  std::istringstream golden_lines(golden);
+  for (std::string line; std::getline(golden_lines, line);) {
+    const std::size_t eq = line.find(" = ");
+    if (line[0] != '#' && eq != std::string::npos) {
+      values[line.substr(0, eq)] = std::stod(line.substr(eq + 3));
+    }
+  }
+  std::istringstream in(text);
+  std::vector<std::string> specs;  // empty outside a golden block
+  bool header = false;
+  std::size_t line_number = 0;
+  for (std::string line; std::getline(in, line);) {
+    ++line_number;
+    std::smatch open;
+    if (std::regex_search(line, open, kOpen)) {
+      std::istringstream words(open[1].str());
+      specs.assign(std::istream_iterator<std::string>(words), {});
+      header = true;
+      continue;
+    }
+    if (line.find("<!-- qntn-lint: end -->") != std::string::npos) {
+      specs.clear();
+    }
+    if (specs.empty() || line.rfind('|', 0) != 0) continue;
+    if (std::regex_match(line, kSeparator)) {
+      header = false;  // the separator row ends the header
+      continue;
+    }
+    std::vector<std::string> cells = table_cells(line);
+    cells.resize(specs.size());  // a missing cell reads as empty
+    bool guarded_out = header;
+    for (std::size_t c = 0; c < specs.size(); ++c) {
+      guarded_out |=
+          specs[c][0] == '=' && row_id(cells[c]) != specs[c].substr(1);
+    }
+    for (std::size_t c = 0; c < specs.size() && !guarded_out; ++c) {
+      if (specs[c] == "-" || specs[c][0] == '=') continue;
+      std::string key = specs[c];
+      if (const std::size_t at = key.find("{id}"); at != std::string::npos) {
+        key.replace(at, 4, row_id(cells.front()));
+      }
+      const auto value = values.find(key);
+      if (value == values.end()) {
+        findings.push_back({"EXPERIMENTS.md", line_number, "golden-key-missing",
+                            "table cell '" + key +
+                                "' names no line of tests/golden/repro.golden"});
+        continue;
+      }
+      std::string cell = cells[c];
+      if (!cell.empty() && cell.back() == '%') cell.pop_back();
+      std::smatch number;
+      char printed[64] = "a plain decimal number";
+      if (std::regex_match(cell, number, kNumber)) {
+        std::snprintf(printed, sizeof printed, "%.*f",
+                      static_cast<int>(number[2].length()), value->second);
+      }
+      if (cell != printed) {
+        findings.push_back({"EXPERIMENTS.md", line_number,
+                            "experiments-stale-golden",
+                            "table cell '" + key + "' reads '" + cell +
+                                "' but the golden value prints " + printed +
+                                " (stale table?)"});
+      }
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> check_consistency(
@@ -170,6 +283,14 @@ std::vector<Finding> check_consistency(
 
   // --- diff the artifacts ---
   std::vector<Finding> findings;
+  {
+    std::string experiments;
+    std::string golden;
+    if (read_file(fs::path(root) / "EXPERIMENTS.md", experiments) &&
+        read_file(fs::path(root) / "tests/golden/repro.golden", golden)) {
+      check_golden_tables(experiments, golden, findings);
+    }
+  }
   report_missing(counters, names_of(doc_counters), "counter-undocumented",
                  "counter",
                  "is not in a `qntn-lint: counters` doc table "

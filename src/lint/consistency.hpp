@@ -30,7 +30,13 @@
 ///     documented (`config-key-undocumented`) and serialized
 ///     (`config-key-unserialized`), every serialized key is parseable
 ///     (`config-key-unparsed`), and every documented key is parsed
-///     (`config-key-stale-doc`).
+///     (`config-key-stale-doc`);
+///   * every measured number in an EXPERIMENTS.md table under
+///     `<!-- qntn-lint: golden SPEC... -->` (one SPEC per column: `-`
+///     unchecked, `=word` a row guard, else a golden key with `{id}` for
+///     the row's first cell) names a golden line (`golden-key-missing`)
+///     and prints its tests/golden/repro.golden value at the cell's own
+///     precision (`experiments-stale-golden`).
 ///
 /// Findings are raw — the tree pipeline applies `// lint: <token>`
 /// justifications to the code-side rules (doc- and golden-side findings

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/constants.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace qntn::orbit {
@@ -11,6 +12,21 @@ namespace qntn::orbit {
 TwoBodyPropagator::TwoBodyPropagator(const KeplerianElements& epoch_elements,
                                      PropagatorOptions options)
     : epoch_(epoch_elements) {
+  // Checked here rather than deep inside solve_kepler, naming the field.
+  QNTN_REQUIRE(std::isfinite(epoch_.semi_major_axis) &&
+                   epoch_.semi_major_axis > 0.0,
+               "orbital elements: semi_major_axis must be finite and > 0");
+  QNTN_REQUIRE(epoch_.eccentricity >= 0.0 && epoch_.eccentricity < 1.0,
+               "orbital elements: eccentricity must be in [0, 1) (elliptical "
+               "orbits only)");
+  QNTN_REQUIRE(std::isfinite(epoch_.inclination),
+               "orbital elements: inclination must be finite");
+  QNTN_REQUIRE(std::isfinite(epoch_.raan),
+               "orbital elements: raan must be finite");
+  QNTN_REQUIRE(std::isfinite(epoch_.arg_perigee),
+               "orbital elements: arg_perigee must be finite");
+  QNTN_REQUIRE(std::isfinite(epoch_.true_anomaly),
+               "orbital elements: true_anomaly must be finite");
   mean_anomaly0_ = true_to_mean_anomaly(epoch_.true_anomaly, epoch_.eccentricity);
   mean_motion_ = epoch_.mean_motion();
   if (options.include_j2) {

@@ -18,7 +18,9 @@ struct PropagatorOptions {
 
 class TwoBodyPropagator {
  public:
-  /// Elements are taken to be osculating at sim time 0.
+  /// Elements are taken to be osculating at sim time 0. Throws a
+  /// PreconditionError naming the field for a non-finite element, a
+  /// semi-major axis <= 0 or an eccentricity outside [0, 1).
   explicit TwoBodyPropagator(const KeplerianElements& epoch_elements,
                              PropagatorOptions options = {});
 

@@ -36,80 +36,6 @@ double refine_flip(const Linkable& linkable, double lo, double hi,
   return 0.5 * (lo + hi);
 }
 
-/// Drop interior points of a polyline while linear interpolation between
-/// the retained points stays within `tol` of every dropped sample (the
-/// streaming "sleeve" algorithm: track the feasible slope corridor from the
-/// current anchor). Retained points keep their exact sampled values.
-void compress_polyline(std::vector<double>& times, std::vector<double>& etas,
-                       double tol) {
-  const std::size_t n = times.size();
-  if (tol <= 0.0 || n <= 2) return;
-  std::vector<double> kept_t, kept_e;
-  kept_t.reserve(n);
-  kept_e.reserve(n);
-  std::size_t anchor = 0;
-  kept_t.push_back(times[0]);
-  kept_e.push_back(etas[0]);
-  double lo = -std::numeric_limits<double>::infinity();
-  double hi = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 1; i < n; ++i) {
-    const double dt = times[i] - times[anchor];
-    const double slope = (etas[i] - etas[anchor]) / dt;
-    if (i + 1 < n && slope >= lo && slope <= hi) {
-      // Segment anchor->i still passes within tol of every skipped point;
-      // tighten the corridor so future extensions keep point i in reach.
-      lo = std::max(lo, (etas[i] - tol - etas[anchor]) / dt);
-      hi = std::min(hi, (etas[i] + tol - etas[anchor]) / dt);
-      continue;
-    }
-    if (i + 1 == n) {
-      // Always keep the final point; if the closing segment violates the
-      // corridor, keep the previous point too.
-      if ((slope < lo || slope > hi) && i - 1 > anchor) {
-        kept_t.push_back(times[i - 1]);
-        kept_e.push_back(etas[i - 1]);
-      }
-      kept_t.push_back(times[i]);
-      kept_e.push_back(etas[i]);
-      break;
-    }
-    // Corridor violated: the previous point becomes the new anchor.
-    anchor = i - 1;
-    kept_t.push_back(times[anchor]);
-    kept_e.push_back(etas[anchor]);
-    const double ndt = times[i] - times[anchor];
-    lo = (etas[i] - tol - etas[anchor]) / ndt;
-    hi = (etas[i] + tol - etas[anchor]) / ndt;
-  }
-  times = std::move(kept_t);
-  etas = std::move(kept_e);
-}
-
-/// Recursively sample a smooth eta(t) over [t0, t1]: subdivide until linear
-/// interpolation matches the midpoint within tol (spans longer than
-/// `always_split` are split unconditionally so symmetric oscillations
-/// cannot fool the midpoint test) or the span falls below `min_dt`.
-template <class Eta>
-void sample_adaptive(const Eta& eta, double t0, double e0, double t1,
-                     double e1, double tol, double min_dt,
-                     double always_split, std::vector<double>& times,
-                     std::vector<double>& etas) {
-  const double span = t1 - t0;
-  if (span > min_dt) {
-    const double tm = 0.5 * (t0 + t1);
-    const double em = eta(tm);
-    if (span > always_split || std::abs(em - 0.5 * (e0 + e1)) > tol) {
-      sample_adaptive(eta, t0, e0, tm, em, tol, min_dt, always_split, times,
-                      etas);
-      sample_adaptive(eta, tm, em, t1, e1, tol, min_dt, always_split, times,
-                      etas);
-      return;
-    }
-  }
-  times.push_back(t1);
-  etas.push_back(e1);
-}
-
 /// Grid points per block of the ISL scan's block screen (see
 /// Compiler::grid_hop).
 constexpr std::size_t kGridBlock = 8;
@@ -174,21 +100,11 @@ struct Compiler {
     return grid_pos[sat_id];
   }
 
-  /// Append a window for pair (a, b) spanning [start, end) with the given
-  /// sampled profile (compressed in place).
-  void emit(net::NodeId a, net::NodeId b, double start, double end,
-            std::vector<double> times, std::vector<double> etas,
-            std::vector<ContactWindow>& out) const {
+  /// Append a window for pair (a, b) spanning [start, end).
+  static void emit(net::NodeId a, net::NodeId b, double start, double end,
+                   std::vector<ContactWindow>& out) {
     if (end - start < 1e-6) return;  // degenerate: below refinement precision
-    ContactWindow window;
-    window.a = a;
-    window.b = b;
-    window.start = start;
-    window.end = end;
-    compress_polyline(times, etas, options.sample_tolerance);
-    window.times = std::move(times);
-    window.etas = std::move(etas);
-    out.push_back(std::move(window));
+    out.push_back({a, b, start, end});
   }
 
   /// Windows of one site (ground or HAP) against one satellite: pass
@@ -221,10 +137,6 @@ struct Compiler {
     const double threshold = policy.transmissivity_threshold;
     const double step = options.step;
 
-    const auto eta_at = [&](double t) {
-      const geo::AzElRange look = geo::look_angles(frame, eph.position_ecef(t));
-      return evaluator.symmetric(look.range, look.elevation);
-    };
     const auto linkable = [&](double t) {
       const geo::AzElRange look = geo::look_angles(frame, eph.position_ecef(t));
       return look.elevation >= policy.elevation_mask &&
@@ -232,14 +144,6 @@ struct Compiler {
     };
 
     const std::vector<Vec3>& sat_grid = grid_positions(sat_id);
-    // Structure-of-arrays scratch reused across the sweep's passes: the
-    // look angles of one pass's grid slice, the above-mask subset packed
-    // into contiguous buffers for the batched budget evaluation, and the
-    // per-point transmissivities scattered back (0 below the mask, exactly
-    // as the scalar scan computed them).
-    std::vector<double> grid_elev, grid_eta;
-    std::vector<double> vis_range, vis_elev, vis_eta;
-    std::vector<std::size_t> vis_idx;
     for (const orbit::Pass& pass : passes) {
       // Grid points inside the pass (nudged so a boundary exactly on the
       // grid still counts as inside).
@@ -249,71 +153,40 @@ struct Compiler {
           static_cast<std::size_t>(std::floor(pass.los / step + 1e-9));
       if (k_lo > k_hi) continue;  // sub-step pass: invisible to the grid
 
-      // Mask first, budget second — the same predicate the per-step
-      // rebuild applies, so a candidate grid point below the site's own
-      // mask can never open a window.
-      const std::size_t count = k_hi - k_lo + 1;
-      grid_elev.resize(count);
-      grid_eta.assign(count, 0.0);
-      vis_range.clear();
-      vis_elev.clear();
-      vis_idx.clear();
-      for (std::size_t idx = 0; idx < count; ++idx) {
-        const geo::AzElRange look =
-            geo::look_angles(frame, sat_grid[k_lo + idx]);
-        grid_elev[idx] = look.elevation;
-        if (look.elevation >= policy.elevation_mask) {
-          vis_idx.push_back(idx);
-          vis_range.push_back(look.range);
-          vis_elev.push_back(look.elevation);
-        }
-      }
-      vis_eta.resize(vis_idx.size());
-      evaluator.symmetric_batch(vis_range.data(), vis_elev.data(),
-                                vis_idx.size(), vis_eta.data());
-      for (std::size_t i = 0; i < vis_idx.size(); ++i) {
-        grid_eta[vis_idx[i]] = vis_eta[i];
-      }
-
       bool in_window = false;
       double window_start = 0.0;
-      std::vector<double> times, etas;
-      // Skip duplicates when a refined boundary lands exactly on the grid.
-      double last_pushed = -std::numeric_limits<double>::infinity();
-      const auto push_sample = [&](double t, double eta) {
-        if (t <= last_pushed + 1e-9) return;
-        times.push_back(t);
-        etas.push_back(eta);
-        last_pushed = t;
-      };
-      const auto close_window = [&](double end) {
-        push_sample(end, eta_at(end));
-        emit(site_id, sat_id, window_start, last_pushed, std::move(times),
-             std::move(etas), out);
+      // Latest in-window time of the scan (the window start or a grid point
+      // after it). A time within 1e-9 s past it lands on it, so neither a
+      // grid point nor the refined end can sit a rounding error away.
+      double last_in = 0.0;
+      const auto snap = [&last_in](double t) {
+        return t <= last_in + 1e-9 ? last_in : t;
       };
       double prev_t = pass.aos;
       for (std::size_t k = k_lo; k <= k_hi; ++k) {
         const double t = static_cast<double>(k) * step;
-        const bool visible = grid_elev[k - k_lo] >= policy.elevation_mask;
-        const double eta = grid_eta[k - k_lo];
-        const bool above = visible && eta >= threshold;
+        // Mask first, budget second — the same predicate the per-step
+        // rebuild applies, so a candidate grid point below the site's own
+        // mask can never open a window.
+        const geo::AzElRange look = geo::look_angles(frame, sat_grid[k]);
+        const bool above =
+            look.elevation >= policy.elevation_mask &&
+            evaluator.symmetric(look.range, look.elevation) >= threshold;
         if (above && !in_window) {
           in_window = true;
-          times.clear();
-          etas.clear();
-          last_pushed = -std::numeric_limits<double>::infinity();
           if (k == k_lo && linkable(pass.aos)) {
             // Already above threshold when the satellite clears the mask.
             window_start = pass.aos;
           } else {
             window_start = refine_flip(linkable, prev_t, t, /*rising=*/true);
           }
-          push_sample(window_start, eta_at(window_start));
-          push_sample(t, eta);
+          last_in = window_start;
+          last_in = snap(t);
         } else if (above && in_window) {
-          push_sample(t, eta);
+          last_in = snap(t);
         } else if (!above && in_window) {
-          close_window(refine_flip(linkable, prev_t, t, /*rising=*/false));
+          emit(site_id, sat_id, window_start,
+               snap(refine_flip(linkable, prev_t, t, /*rising=*/false)), out);
           in_window = false;
         }
         prev_t = t;
@@ -326,7 +199,7 @@ struct Compiler {
         if (!linkable(pass.los) && pass.los > prev_t) {
           end = refine_flip(linkable, prev_t, pass.los, /*rising=*/false);
         }
-        close_window(end);
+        emit(site_id, sat_id, window_start, snap(end), out);
       }
     }
   }
@@ -335,8 +208,7 @@ struct Compiler {
   /// at which the vacuum link budget crosses the threshold
   /// (sim::isl_threshold_range; transmissivity is non-increasing in range,
   /// pinned by IslThresholdRange.SatSatBudgetIsNonIncreasingInRange), so
-  /// the scan is pure geometry; transmissivities are sampled adaptively
-  /// only inside windows.
+  /// the scan is pure geometry.
   ///
   /// Every grid point is classified, through a screen on the squared range
   /// that settles almost all of them exactly:
@@ -386,10 +258,6 @@ struct Compiler {
     const auto linkable = [&](double t) {
       return linkable_at(eph_a.position_ecef(t), eph_b.position_ecef(t));
     };
-    const auto eta_at = [&](double t) {
-      return evaluator.symmetric(
-          distance(eph_a.position_ecef(t), eph_b.position_ecef(t)), kPi / 2.0);
-    };
 
     const double far = threshold_range + band;
     const double near = std::min(threshold_range - band, los_safe_range);
@@ -435,29 +303,14 @@ struct Compiler {
         in_window = true;
       } else if (!above && in_window) {
         const double end = refine_flip(linkable, prev_t, t, /*rising=*/false);
-        emit_isl(sat_a, sat_b, window_start, end, eta_at, out);
+        emit(sat_a, sat_b, window_start, end, out);
         in_window = false;
       }
       prev_t = t;
     }
     if (in_window) {
-      emit_isl(sat_a, sat_b, window_start, options.horizon, eta_at, out);
+      emit(sat_a, sat_b, window_start, options.horizon, out);
     }
-  }
-
-  template <class Eta>
-  void emit_isl(net::NodeId sat_a, net::NodeId sat_b, double start, double end,
-                const Eta& eta_at, std::vector<ContactWindow>& out) const {
-    if (end - start < 1e-6) return;
-    std::vector<double> times{start};
-    std::vector<double> etas{eta_at(start)};
-    // Split spans beyond 16 grid steps unconditionally: ISL ranges breathe
-    // on the orbital period, and a symmetric arc could sneak past a single
-    // midpoint test.
-    sample_adaptive(eta_at, start, etas.front(), end, eta_at(end),
-                    options.sample_tolerance, options.step,
-                    16.0 * options.step, times, etas);
-    emit(sat_a, sat_b, start, end, std::move(times), std::move(etas), out);
   }
 
   /// A set of near-colocated sites sharing one candidate pass search (a
@@ -621,41 +474,25 @@ struct Compiler {
     }
 
     return ContactPlan(std::move(windows), builder.static_links(),
-                       model.node_count(), options.horizon);
+                       model.node_count(), options.horizon, policy);
   }
 };
 
 }  // namespace
 
-double ContactWindow::eta_at(double t) const {
-  t = std::clamp(t, start, end);
-  const auto it = std::upper_bound(times.begin(), times.end(), t);
-  if (it == times.begin()) return etas.front();
-  if (it == times.end()) return etas.back();
-  const auto hi = static_cast<std::size_t>(it - times.begin());
-  const std::size_t lo = hi - 1;
-  const double span = times[hi] - times[lo];
-  if (span <= 0.0) return etas[lo];
-  const double w = (t - times[lo]) / span;
-  return etas[lo] + w * (etas[hi] - etas[lo]);
-}
-
 ContactPlan::ContactPlan(std::vector<ContactWindow> windows,
                          std::vector<sim::LinkRecord> static_links,
-                         std::size_t node_count, double horizon)
+                         std::size_t node_count, double horizon,
+                         const sim::LinkPolicy& policy)
     : windows_(std::move(windows)),
       static_links_(std::move(static_links)),
       node_count_(node_count),
-      horizon_(horizon) {
+      horizon_(horizon),
+      policy_(policy) {
   std::sort(windows_.begin(), windows_.end(),
             [](const ContactWindow& a, const ContactWindow& b) {
               return a.start < b.start;
             });
-  for (const ContactWindow& window : windows_) {
-    QNTN_REQUIRE(window.times.size() >= 2 &&
-                     window.times.size() == window.etas.size(),
-                 "contact window needs a sampled profile");
-  }
 }
 
 std::vector<const ContactWindow*> ContactPlan::pair_windows(
@@ -674,7 +511,6 @@ ContactPlanStats ContactPlan::stats() const {
   stats.window_count = windows_.size();
   for (const ContactWindow& window : windows_) {
     stats.total_contact += window.duration();
-    stats.sample_count += window.times.size();
   }
   if (stats.window_count > 0) {
     stats.mean_window_duration =

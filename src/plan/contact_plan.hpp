@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -19,13 +20,15 @@
 /// exact geometric screens — below the horizon for site passes, squared
 /// range outside the threshold band for ISLs — with boundaries refined by
 /// bisection to ~1 ms on the preceding grid step, clipped to
-/// [0, horizon]) and caches a piecewise-linear transmissivity profile per
-/// window. The resulting ContactPlan is immutable; ContactPlanTopology
-/// (contact_topology.hpp) serves graph_at(t) from it by interval lookup,
-/// and the session scheduler (session_scheduler.hpp) admits entanglement
-/// requests against it. This mirrors how contact-plan-driven space
-/// networks (Hu et al., QuESat) scale: topology queries cost per
-/// *link-state change*, not per step times N^2.
+/// [0, horizon]). The plan stores *when* each link is up and nothing
+/// else: a link's transmissivity at time t comes from the geometry at t
+/// (ContactPlanTopology asks TopologyBuilder::dynamic_eta). The resulting
+/// ContactPlan is immutable; ContactPlanTopology (contact_topology.hpp)
+/// serves graph_at(t) from it by interval lookup, and the session scheduler
+/// (session_scheduler.hpp) admits entanglement requests against it. This
+/// mirrors how contact-plan-driven space networks (Hu et al., QuESat)
+/// scale: topology queries cost per *link-state change*, not per step
+/// times N^2.
 
 namespace qntn {
 class ThreadPool;
@@ -34,41 +37,31 @@ class ThreadPool;
 namespace qntn::plan {
 
 /// One contact window: node pair `a`-`b` is linkable (visible and above
-/// the transmissivity threshold) throughout [start, end). The cached
-/// transmissivity profile is piecewise linear over `times`/`etas`
-/// (times strictly increasing, spanning [start, end]; at least 2 points).
+/// the transmissivity threshold) throughout [start, end). For a site link
+/// `a` is the site; for a satellite pair `a` is the lower satellite index.
 struct ContactWindow {
   net::NodeId a = 0;
   net::NodeId b = 0;
   double start = 0.0;  ///< [s], clipped to >= 0
   double end = 0.0;    ///< [s], clipped to <= horizon
-  std::vector<double> times;
-  std::vector<double> etas;
 
   [[nodiscard]] double duration() const { return end - start; }
-
-  /// Interpolated transmissivity at t (clamped to [start, end]). Exact at
-  /// every retained sample point; between samples the error is bounded by
-  /// the compile-time sample tolerance.
-  [[nodiscard]] double eta_at(double t) const;
 };
+
+// Windows are plain boundaries: per-window heap storage (sampled profiles)
+// cost the plan 17 MiB at n = 108 and must not come back.
+static_assert(std::is_trivially_copyable_v<ContactWindow>);
 
 struct ContactPlanOptions {
   double horizon = 86'400.0;  ///< [s]; the paper evaluates one day
-  /// Scan/sample grid [s]. Must match the consumer's sampling step for the
-  /// plan to reproduce the per-step rebuild exactly at grid times.
+  /// Scan grid [s]. Must match the consumer's sampling step for the plan
+  /// to reproduce the per-step rebuild exactly at grid times.
   double step = 30.0;
-  /// Piecewise-linear compression tolerance on cached transmissivities:
-  /// interior samples are dropped while interpolation stays within this
-  /// absolute error. 0 keeps every grid sample. Window *boundaries* are
-  /// never affected — connectivity is exact regardless.
-  double sample_tolerance = 1.0e-4;
 };
 
 /// Aggregate statistics of a compiled plan (for reports and the CLI).
 struct ContactPlanStats {
   std::size_t window_count = 0;
-  std::size_t sample_count = 0;       ///< retained eta samples
   double total_contact = 0.0;         ///< sum of window durations [s]
   double mean_window_duration = 0.0;  ///< [s]
 };
@@ -80,7 +73,7 @@ class ContactPlan {
   ContactPlan() = default;
   ContactPlan(std::vector<ContactWindow> windows,
               std::vector<sim::LinkRecord> static_links, std::size_t node_count,
-              double horizon);
+              double horizon, const sim::LinkPolicy& policy);
 
   /// Dynamic-link windows sorted by start time.
   [[nodiscard]] const std::vector<ContactWindow>& windows() const {
@@ -92,6 +85,9 @@ class ContactPlan {
   }
   [[nodiscard]] std::size_t node_count() const { return node_count_; }
   [[nodiscard]] double horizon() const { return horizon_; }
+  /// The link policy the windows were compiled under; query-time
+  /// transmissivities are evaluated under the same one.
+  [[nodiscard]] const sim::LinkPolicy& policy() const { return policy_; }
 
   /// Windows of one node pair, sorted by start (order-insensitive lookup).
   [[nodiscard]] std::vector<const ContactWindow*> pair_windows(
@@ -104,13 +100,13 @@ class ContactPlan {
   std::vector<sim::LinkRecord> static_links_;
   std::size_t node_count_ = 0;
   double horizon_ = 0.0;
+  sim::LinkPolicy policy_{};
 };
 
 /// Compile the contact plan for `model` under `policy`. Evaluates the same
 /// per-class link budgets as sim::TopologyBuilder (shared evaluators), so
 /// at every grid time t = k * options.step the plan's link set equals the
-/// per-step rebuild's, and retained samples carry bit-identical
-/// transmissivities.
+/// per-step rebuild's.
 ///
 /// `pool` (optional, borrowed) fans the per-satellite scans out across
 /// workers. The fan-out is deterministic: each task appends windows to its

@@ -35,7 +35,7 @@ void unite(std::vector<net::NodeId>& parent, net::NodeId a, net::NodeId b) {
 
 ContactPlanTopology::ContactPlanTopology(const ContactPlan& plan,
                                          const sim::NetworkModel& model)
-    : plan_(plan), model_(model) {
+    : plan_(plan), model_(model), links_(model, plan.policy()) {
   const std::vector<ContactWindow>& windows = plan_.windows();
   QNTN_REQUIRE(windows.size() < std::numeric_limits<std::uint32_t>::max(),
                "contact plan window count overflows the event encoding");
@@ -189,10 +189,12 @@ std::vector<sim::LinkRecord> ContactPlanTopology::links_at(double t) const {
   active_windows(epoch_of(t), ids);
   std::vector<sim::LinkRecord> links = plan_.static_links();
   const std::vector<ContactWindow>& windows = plan_.windows();
+  std::vector<Vec3> sat_pos;
+  links_.satellite_positions(t, sat_pos);
   links.reserve(links.size() + ids.size());
   for (const std::size_t id : ids) {
-    const ContactWindow& window = windows[id];
-    links.push_back({window.a, window.b, window.eta_at(t)});
+    const ContactWindow& w = windows[id];
+    links.push_back({w.a, w.b, links_.dynamic_eta(w.a, w.b, sat_pos)});
   }
   return links;
 }
@@ -221,9 +223,11 @@ void ContactPlanTopology::append_dynamic_edges(
     std::vector<std::size_t>& ids) const {
   active_windows(epoch, ids);
   const std::vector<ContactWindow>& windows = plan_.windows();
+  std::vector<Vec3> sat_pos;
+  links_.satellite_positions(t, sat_pos);
   for (const std::size_t id : ids) {
-    const ContactWindow& window = windows[id];
-    graph.add_edge(window.a, window.b, window.eta_at(t));
+    const ContactWindow& w = windows[id];
+    graph.add_edge(w.a, w.b, links_.dynamic_eta(w.a, w.b, sat_pos));
   }
 }
 
@@ -245,16 +249,18 @@ void ContactPlanTopology::snapshot_at(double t,
   const obs::Span span("plan.graph_at");
   obs::count("plan.graph_queries");
   const std::size_t epoch = epoch_of(t);
-  const std::vector<ContactWindow>& windows = plan_.windows();
 
   if (snap.owner == this && snap.epoch == epoch) {
     // Same epoch: the edge set is unchanged, only etas moved. Rewrite the
     // dynamic tail in place — dynamic_tags records the window behind each
     // dynamic edge, in edge order.
+    const std::vector<ContactWindow>& windows = plan_.windows();
+    std::vector<Vec3> sat_pos;
+    links_.satellite_positions(t, sat_pos);
     for (std::size_t i = 0; i < snap.dynamic_tags.size(); ++i) {
-      const ContactWindow& window = windows[snap.dynamic_tags[i]];
+      const ContactWindow& w = windows[snap.dynamic_tags[i]];
       snap.graph.set_edge_transmissivity(snap.dynamic_base + i,
-                                         window.eta_at(t));
+                                         links_.dynamic_eta(w.a, w.b, sat_pos));
     }
     obs::count("plan.epoch_hits");
     return;

@@ -23,10 +23,15 @@
 /// searches the epoch start times, copies the nearest checkpoint at or
 /// before the epoch, and merges in the few events between — O(log E +
 /// active + stride), lock-free, random-access (no cursor, identical cost
-/// forwards, backwards, or from many threads at once). snapshot_at
-/// additionally refreshes a caller-held graph in place: same epoch rewrites
-/// only the dynamic etas, and an epoch change truncates the dynamic tail
-/// and re-appends it, reusing every allocation across epochs.
+/// forwards, backwards, or from many threads at once). The plan decides
+/// which links exist; each active link's transmissivity is evaluated at the
+/// query time from the geometry at that time, through the same calls the
+/// per-step rebuild makes (TopologyBuilder::dynamic_eta), so wherever both
+/// providers realise a link they give it the same eta bit for bit.
+/// snapshot_at additionally refreshes a caller-held graph in place: same
+/// epoch rewrites only the dynamic etas, and an epoch change truncates the
+/// dynamic tail and re-appends it, reusing the graph's storage across
+/// epochs.
 
 namespace qntn::plan {
 
@@ -36,7 +41,8 @@ namespace qntn::plan {
 /// exception is windows clipped at the plan horizon — those never close, so
 /// graph_at(horizon) equals the rebuild's final snapshot. All state is
 /// immutable after construction; every query is safe from any thread with
-/// no synchronisation. The plan and model must outlive the provider.
+/// no synchronisation. The plan and model must outlive the provider, and
+/// the model must be the one the plan was compiled for.
 ///
 /// Thread-safety discipline: this class deliberately holds NO mutex, so
 /// there is nothing for the clang -Wthread-safety annotations
@@ -65,8 +71,8 @@ class ContactPlanTopology final : public sim::TopologyProvider {
   }
 
   /// Fill (or refresh in place) the snapshot for time t. Same-epoch refresh
-  /// rewrites only the dynamic edges' transmissivities — zero allocation —
-  /// and counts "plan.epoch_hits"; an epoch change rebuilds the dynamic
+  /// re-evaluates only the dynamic edges' transmissivities at t and counts
+  /// "plan.epoch_hits"; an epoch change rebuilds the dynamic
   /// tail (reusing the slot's graph storage when the slot is already owned
   /// by this provider) and counts "plan.epoch_builds". Either way
   /// "plan.graph_queries" ticks once, so hits + builds always reconcile
@@ -120,6 +126,9 @@ class ContactPlanTopology final : public sim::TopologyProvider {
 
   const ContactPlan& plan_;
   const sim::NetworkModel& model_;
+  /// The rebuild's link evaluator under the plan's policy: satellite
+  /// positions and budgets at the query time.
+  const sim::TopologyBuilder links_;
   std::size_t event_count_ = 0;
 
   // Epoch partition: epoch e covers [epoch_starts_[e], epoch_starts_[e+1])

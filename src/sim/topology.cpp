@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -251,7 +252,7 @@ TopologyBuilder::site_link(
   if (frame.up(sat - frame.origin) <= 0.0) return std::nullopt;
   const geo::AzElRange look = geo::look_angles(frame, sat);
   if (look.elevation < policy_.elevation_mask) return std::nullopt;
-  const double eta = evaluator.symmetric(look.range, look.elevation);
+  const double eta = site_budget(evaluator, look);
   ++budgets;
   if (eta < policy_.transmissivity_threshold) return std::nullopt;
   return eta;
@@ -267,24 +268,54 @@ TopologyBuilder::isl_link(const Vec3& lo, const Vec3& hi,
   if (!geo::line_of_sight(lo, hi, kEarthRadius + kAtmosphereTopAltitude)) {
     return std::nullopt;
   }
-  const double eta = sat_sat_->symmetric(range, kPi / 2.0);
+  const double eta = isl_budget(range);
   ++budgets;
   if (eta < policy_.transmissivity_threshold) return std::nullopt;
   return eta;
+}
+
+void TopologyBuilder::satellite_positions(double t,
+                                          std::vector<Vec3>& out) const {
+  // The link rules never read a satellite's geodetic position, so take the
+  // ECEF positions straight from the ephemerides.
+  out.clear();
+  out.reserve(model_.satellite_ids().size());
+  for (const net::NodeId s : model_.satellite_ids()) {
+    out.push_back(model_.ephemeris(s).position_ecef(t));
+  }
+}
+
+double TopologyBuilder::dynamic_eta(net::NodeId a, net::NodeId b,
+                                    const std::vector<Vec3>& sat_pos) const {
+  if (model_.node(a).kind == NodeKind::Satellite &&
+      model_.node(b).kind != NodeKind::Satellite) {
+    std::swap(a, b);
+  }
+  const NodeKind site_kind = model_.node(a).kind;
+  const Vec3& sat = sat_pos[class_index_[b]];
+  if (site_kind == NodeKind::Satellite) {
+    QNTN_REQUIRE(sat_sat_.has_value(), "no inter-satellite channel");
+    // Lower satellite index first, as links_at evaluates the pair.
+    const Vec3& other = sat_pos[class_index_[a]];
+    return class_index_[a] < class_index_[b] ? isl_budget(distance(other, sat))
+                                             : isl_budget(distance(sat, other));
+  }
+  const bool ground = site_kind == NodeKind::Ground;
+  const auto& evaluator = ground ? ground_sat_ : hap_sat_;
+  QNTN_REQUIRE(evaluator.has_value(), "no site-satellite channel");
+  const geo::TopocentricFrame& frame = ground
+                                           ? ground_frames_[class_index_[a]]
+                                           : hap_frames_[class_index_[a]];
+  return site_budget(*evaluator, geo::look_angles(frame, sat));
 }
 
 std::vector<LinkRecord> TopologyBuilder::links_at(double t) const {
   obs::count("sim.rebuild_queries");
   std::vector<LinkRecord> links = static_links_;
 
-  // links_at never reads a satellite's geodetic position, so take the ECEF
-  // positions straight from the ephemerides.
   const std::vector<net::NodeId>& sats = model_.satellite_ids();
   std::vector<Vec3> sat_pos;
-  sat_pos.reserve(sats.size());
-  for (const net::NodeId s : sats) {
-    sat_pos.push_back(model_.ephemeris(s).position_ecef(t));
-  }
+  satellite_positions(t, sat_pos);
 
   // Ground-satellite and HAP-satellite links.
   std::size_t budgets = 0;
@@ -343,10 +374,7 @@ bool TopologyBuilder::lans_connected_at(const NetworkModel& model,
   const std::vector<net::NodeId>& sats = model_.satellite_ids();
   const std::vector<net::NodeId>& haps = model_.hap_ids();
   std::vector<Vec3> sat_pos;
-  sat_pos.reserve(sats.size());
-  for (const net::NodeId s : sats) {
-    sat_pos.push_back(model_.ephemeris(s).position_ecef(t));
-  }
+  satellite_positions(t, sat_pos);
 
   // Each dynamic link is evaluated from the endpoint reached first and only
   // while the other is unreached: a link to a reached node reaches nothing

@@ -177,6 +177,20 @@ class TopologyBuilder final : public TopologyProvider {
                                                           net::NodeId b,
                                                           double t) const;
 
+  /// ECEF position of every satellite at t, in satellite_ids() order: the
+  /// positions links_at evaluates the dynamic links at.
+  void satellite_positions(double t, std::vector<Vec3>& out) const;
+
+  /// Transmissivity of the dynamic link a-b (site-satellite or satellite
+  /// pair, either order) with the satellites at `sat_pos`
+  /// (satellite_positions): the value links_at gives the link when it is
+  /// realised, from the same calls, with no visibility or threshold
+  /// decision. The caller has decided that the link exists (the contact
+  /// plan's windows); the pair's class must have a channel under the
+  /// policy, and a site link needs the satellite above the site's horizon.
+  [[nodiscard]] double dynamic_eta(net::NodeId a, net::NodeId b,
+                                   const std::vector<Vec3>& sat_pos) const;
+
   [[nodiscard]] const LinkPolicy& policy() const { return policy_; }
 
   /// Time-invariant links (intra-LAN fiber plus ground-HAP FSO), already
@@ -194,6 +208,21 @@ class TopologyBuilder final : public TopologyProvider {
 
  private:
   void build_static_links();
+
+  // The budgets of the two dynamic link classes, with no decision: what
+  // the rules below return for a realised link, and what dynamic_eta
+  // returns for a link the caller has decided on.
+
+  /// Site-satellite budget at the look angles through the site's frame.
+  [[nodiscard]] static double site_budget(
+      const channel::FsoLinkEvaluator& evaluator, const geo::AzElRange& look) {
+    return evaluator.symmetric(look.range, look.elevation);
+  }
+
+  /// Satellite-pair budget at `range` (requires sat_sat_).
+  [[nodiscard]] double isl_budget(double range) const {
+    return sat_sat_->symmetric(range, kPi / 2.0);
+  }
 
   // The dynamic link rules, shared by links_at and lans_connected_at. Each
   // returns the eta of a realised link and nullopt otherwise, and adds the

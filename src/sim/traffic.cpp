@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <queue>
 
@@ -175,10 +174,19 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
 
   std::fill(busy_.begin(), busy_.end(), 0);
   std::vector<InFlight> in_flight;
+  // Whether try_start succeeds for a queued arrival depends only on its
+  // tree and the set S of saturated nodes (busy >= capacity), and failure
+  // is monotone in S: a superset of saturated nodes blocks whatever the
+  // subset did. `releases` logs every node that left S, in order; a queued
+  // arrival carries the log length at its last failure, and is retried
+  // only once a node released since then is unsaturated at the drain.
+  // Otherwise S has only grown since the failure and the retry would fail.
   struct Pending {
     std::size_t arrival_index = 0;
+    std::size_t stamp = 0;  ///< releases.size() at the last failure
   };
-  std::deque<Pending> backlog;
+  std::vector<Pending> backlog;
+  std::vector<net::NodeId> releases;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap;
   std::uint64_t sequence = 0;
   for (std::size_t i = 0; i < arrivals_.size(); ++i) {
@@ -319,23 +327,26 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     return true;
   };
 
-  // Drain the backlog (FIFO) as far as capacity allows at time `now`.
+  // Drain the backlog (FIFO) as far as capacity allows at time `now`,
+  // compacting the still-waiting arrivals in place.
   const auto drain_backlog = [&](double now) {
-    std::deque<Pending> still_waiting;
-    while (!backlog.empty()) {
-      const Pending pending = backlog.front();
-      backlog.pop_front();
+    std::size_t kept = 0;
+    for (Pending pending : backlog) {
       if (now - arrivals_[pending.arrival_index].time >
           config_.max_queue_delay) {
         finish(pending.arrival_index, ServeDisposition::DroppedDeadline,
                nullptr, 0.0, 0.0);
         continue;
       }
-      if (!try_start(pending.arrival_index, now)) {
-        still_waiting.push_back(pending);
-      }
+      const bool released = std::any_of(
+          releases.begin() + static_cast<std::ptrdiff_t>(pending.stamp),
+          releases.end(),
+          [&](net::NodeId id) { return busy_[id] < config_.node_capacity; });
+      pending.stamp = releases.size();
+      if (released && try_start(pending.arrival_index, now)) continue;
+      backlog[kept++] = pending;
     }
-    backlog = std::move(still_waiting);
+    backlog.resize(kept);
   };
 
   while (!heap.empty()) {
@@ -348,7 +359,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
           finish(event.payload, ServeDisposition::RejectedCapacity, nullptr,
                  0.0, 0.0);
         } else {
-          backlog.push_back({event.payload});
+          backlog.push_back({event.payload, releases.size()});
           out.traffic.peak_queue_depth =
               std::max(out.traffic.peak_queue_depth, backlog.size());
         }
@@ -356,17 +367,20 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     } else {
       for (const net::NodeId id : in_flight[event.payload].nodes) {
         QNTN_REQUIRE(busy_[id] > 0, "capacity accounting underflow");
+        const bool saturated = busy_[id] >= config_.node_capacity;
         --busy_[id];
+        if (saturated && busy_[id] < config_.node_capacity) {
+          releases.push_back(id);
+        }
       }
       drain_backlog(event.time);
     }
   }
   // Whatever is still queued when the window's work drains never got
   // served: the window boundary is its deadline.
-  while (!backlog.empty()) {
-    finish(backlog.front().arrival_index, ServeDisposition::DroppedDeadline,
-           nullptr, 0.0, 0.0);
-    backlog.pop_front();
+  for (const Pending& pending : backlog) {
+    finish(pending.arrival_index, ServeDisposition::DroppedDeadline, nullptr,
+           0.0, 0.0);
   }
   obs::count("sim.reroute_gated", reroute_.gated - gated_before);
   obs::count("sim.reroute_trees", reroute_.trees - trees_before);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -33,6 +35,81 @@ FsoGeometry sat_geometry(double elevation) {
   g.altitude_low = 0.0;
   g.altitude_high = h;
   return g;
+}
+
+// Each physics input the evaluator trusts is checked at construction; the
+// rejection names the field.
+void expect_rejected(const FsoConfig& config, const OpticalTerminal& a,
+                     const std::string& field) {
+  try {
+    const FsoLinkEvaluator evaluator(config, a, big(), 0.0, 500e3);
+    FAIL() << field << " must be rejected";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(FsoGuards, RejectsReceiverEfficiencyOutsideUnitInterval) {
+  for (const double bad : {-0.1, 1.01, kNan}) {
+    FsoConfig config = paper_config();
+    config.receiver_efficiency = bad;
+    expect_rejected(config, big(), "receiver_efficiency");
+  }
+}
+
+TEST(FsoGuards, RejectsZenithTransmittanceOutsideHalfOpenUnitInterval) {
+  for (const double bad : {0.0, -0.5, 1.5, kNan}) {
+    FsoConfig config = paper_config();
+    config.extinction.zenith_transmittance = bad;
+    expect_rejected(config, big(), "zenith_transmittance");
+  }
+}
+
+TEST(FsoGuards, RejectsNegativeOrNonFinitePointingJitter) {
+  for (const double bad : {-1e-7, kNan, kInf}) {
+    expect_rejected(paper_config(), {1.2, bad}, "pointing_jitter");
+  }
+}
+
+TEST(FsoGuards, RejectsNegativeOrNonFinitePlatformJitter) {
+  for (const double bad : {-1e-6, kNan, kInf}) {
+    FsoConfig config = paper_config();
+    config.weather.platform_jitter = bad;
+    expect_rejected(config, big(), "platform_jitter");
+  }
+}
+
+TEST(FsoGuards, RejectsNegativeOrNonFiniteOpticalDepthFactor) {
+  for (const double bad : {-1.0, kNan, kInf}) {
+    FsoConfig config = paper_config();
+    config.weather.optical_depth_factor = bad;
+    expect_rejected(config, big(), "optical_depth_factor");
+  }
+}
+
+TEST(FsoGuards, RejectsNegativeOrNonFiniteTurbulenceFactor) {
+  for (const double bad : {-1.0, kNan, kInf}) {
+    FsoConfig config = paper_config();
+    config.weather.turbulence_factor = bad;
+    expect_rejected(config, big(), "turbulence_factor");
+  }
+}
+
+TEST(FsoGuards, BoundaryValuesAreAccepted) {
+  FsoConfig config = paper_config();
+  config.receiver_efficiency = 1.0;
+  config.extinction.zenith_transmittance = 1.0;
+  config.weather.optical_depth_factor = 0.0;
+  config.weather.turbulence_factor = 0.0;
+  config.weather.platform_jitter = 0.0;
+  const FsoLinkEvaluator evaluator(config, {1.2, 0.0}, big(), 0.0, 500e3);
+  const double eta = evaluator.symmetric(600e3, deg_to_rad(60.0));
+  EXPECT_GT(eta, 0.0);
+  EXPECT_LE(eta, 1.0);
 }
 
 TEST(Fso, BudgetFactorsAreInUnitRange) {

@@ -83,6 +83,24 @@ TEST(LintTree, ConsistencyMismatchFiresInEveryDirection) {
   EXPECT_EQ(findings.size(), expected.size());
 }
 
+// EXPERIMENTS.md tables under a `qntn-lint: golden` marker must print the
+// golden's values; the fixture has exactly one stale cell (0.9410 where the
+// golden prints 0.9426), a paper row the row guard skips, and an unmarked
+// table.
+TEST(LintTree, StaleExperimentsCellFires) {
+  const auto findings = check_tree_fixture("golden_stale");
+  const auto hits = with_rule(findings, "experiments-stale-golden");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].file, "EXPERIMENTS.md");
+  EXPECT_EQ(hits[0].line, 7u);
+  EXPECT_NE(hits[0].message.find("'fig8.n108.mean_fidelity' reads '0.9410'"),
+            std::string::npos)
+      << hits[0].message;
+  EXPECT_NE(hits[0].message.find("prints 0.9426"), std::string::npos)
+      << hits[0].message;
+  EXPECT_EQ(findings.size(), hits.size()) << "unexpected extra findings";
+}
+
 TEST(LintTree, StaleSuppressionFires) {
   const auto findings = check_tree_fixture("stale_suppression");
   const auto hits = with_rule(findings, "stale-suppression");

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/constants.hpp"
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace qntn::orbit {
@@ -19,6 +22,52 @@ KeplerianElements leo() {
   el.arg_perigee = 0.0;
   el.true_anomaly = deg_to_rad(30.0);
   return el;
+}
+
+// Bad elements are rejected when the propagator is built, naming the field,
+// instead of failing inside solve_kepler at the first query.
+void expect_rejected(const KeplerianElements& el, const std::string& field) {
+  try {
+    const TwoBodyPropagator prop(el);
+    FAIL() << field << " must be rejected";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(PropagatorGuards, RejectsHyperbolicParabolicAndNanEccentricity) {
+  for (const double bad : {1.0, 1.5, -0.1, kNan}) {
+    KeplerianElements el = leo();
+    el.eccentricity = bad;
+    expect_rejected(el, "eccentricity");
+  }
+}
+
+TEST(PropagatorGuards, RejectsNonPositiveOrNonFiniteSemiMajorAxis) {
+  for (const double bad : {0.0, -7e6, kNan,
+                           std::numeric_limits<double>::infinity()}) {
+    KeplerianElements el = leo();
+    el.semi_major_axis = bad;
+    expect_rejected(el, "semi_major_axis");
+  }
+}
+
+TEST(PropagatorGuards, RejectsNonFiniteAngles) {
+  KeplerianElements el = leo();
+  el.inclination = kNan;
+  expect_rejected(el, "inclination");
+  el = leo();
+  el.raan = kNan;
+  expect_rejected(el, "raan");
+  el = leo();
+  el.arg_perigee = kNan;
+  expect_rejected(el, "arg_perigee");
+  el = leo();
+  el.true_anomaly = kNan;
+  expect_rejected(el, "true_anomaly");
 }
 
 TEST(Propagator, ReturnsEpochStateAtZero) {

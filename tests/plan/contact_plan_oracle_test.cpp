@@ -2,9 +2,11 @@
 // the specification of the plan, written as plainly as possible: every
 // grid point t = k * step (the last one clipped to the horizon) gets the
 // exact linkability predicate with no screen and no hop, and a flip is
-// bisected on the grid step before it. Boundary refinement and the eta
-// profile rules are restated here, so the compiled plan must match the
-// reference byte for byte: every window field and every profile sample.
+// bisected on the grid step before it. Boundary refinement is restated
+// here, so the compiled plan must match the reference byte for byte: every
+// window's pair, start and end. The plan carries no transmissivities; the
+// provider-equivalence test (contact_equivalence_test.cpp) pins the etas
+// the topology evaluates from it.
 
 #include <gtest/gtest.h>
 
@@ -41,59 +43,6 @@ double bisect_flip(const Pred& pred, double lo, double hi, bool rising) {
     if (hi - lo < 1e-3) break;
   }
   return 0.5 * (lo + hi);
-}
-
-// Keep a sample unless linear interpolation from the last kept sample to a
-// later one stays within tol of every sample in between ("sleeve" rule).
-void compress(std::vector<double>& times, std::vector<double>& etas,
-              double tol) {
-  const std::size_t n = times.size();
-  if (tol <= 0.0 || n <= 2) return;
-  std::vector<double> kt{times[0]}, ke{etas[0]};
-  std::size_t anchor = 0;
-  double lo = -kInf, hi = kInf;
-  for (std::size_t i = 1; i < n; ++i) {
-    const double dt = times[i] - times[anchor];
-    const double slope = (etas[i] - etas[anchor]) / dt;
-    const bool fits = slope >= lo && slope <= hi;
-    if (i + 1 < n && fits) {
-      lo = std::max(lo, (etas[i] - tol - etas[anchor]) / dt);
-      hi = std::min(hi, (etas[i] + tol - etas[anchor]) / dt);
-    } else if (i + 1 == n) {
-      if (!fits && i - 1 > anchor) {
-        kt.push_back(times[i - 1]);
-        ke.push_back(etas[i - 1]);
-      }
-      kt.push_back(times[i]);
-      ke.push_back(etas[i]);
-    } else {
-      anchor = i - 1;
-      kt.push_back(times[anchor]);
-      ke.push_back(etas[anchor]);
-      const double ndt = times[i] - times[anchor];
-      lo = (etas[i] - tol - etas[anchor]) / ndt;
-      hi = (etas[i] + tol - etas[anchor]) / ndt;
-    }
-  }
-  times = std::move(kt);
-  etas = std::move(ke);
-}
-
-template <class Eta>
-void subdivide(const Eta& eta, double t0, double e0, double t1, double e1,
-               double tol, double min_dt, double always_split,
-               std::vector<double>& times, std::vector<double>& etas) {
-  if (t1 - t0 > min_dt) {
-    const double tm = 0.5 * (t0 + t1);
-    const double em = eta(tm);
-    if (t1 - t0 > always_split || std::abs(em - 0.5 * (e0 + e1)) > tol) {
-      subdivide(eta, t0, e0, tm, em, tol, min_dt, always_split, times, etas);
-      subdivide(eta, tm, em, t1, e1, tol, min_dt, always_split, times, etas);
-      return;
-    }
-  }
-  times.push_back(t1);
-  etas.push_back(e1);
 }
 
 std::vector<orbit::Pass> reference_passes(const orbit::Ephemeris& eph,
@@ -135,11 +84,9 @@ struct ReferenceCompiler {
   const sim::TopologyBuilder builder{model, policy};
   std::vector<ContactWindow> windows{};
 
-  void emit(net::NodeId a, net::NodeId b, double start, double end,
-            std::vector<double> times, std::vector<double> etas) {
+  void emit(net::NodeId a, net::NodeId b, double start, double end) {
     if (end - start < 1e-6) return;
-    compress(times, etas, options.sample_tolerance);
-    windows.push_back({a, b, start, end, std::move(times), std::move(etas)});
+    windows.push_back({a, b, start, end});
   }
 
   // One site against one satellite, scanning the grid points inside each
@@ -152,16 +99,6 @@ struct ReferenceCompiler {
     const double threshold = policy.transmissivity_threshold;
     const double mask = policy.elevation_mask;
     const double step = options.step;
-    const auto eta_at = [&](double t) {
-      const geo::AzElRange look = geo::look_angles(site, eph.position_ecef(t));
-      return look.elevation >= mask
-                 ? evaluator.symmetric(look.range, look.elevation)
-                 : 0.0;
-    };
-    const auto exact_eta = [&](double t) {
-      const geo::AzElRange look = geo::look_angles(site, eph.position_ecef(t));
-      return evaluator.symmetric(look.range, look.elevation);
-    };
     const auto linkable = [&](double t) {
       const geo::AzElRange look = geo::look_angles(site, eph.position_ecef(t));
       return look.elevation >= mask &&
@@ -174,33 +111,31 @@ struct ReferenceCompiler {
           static_cast<std::size_t>(std::floor(pass.los / step + 1e-9));
       bool in_window = false;
       double start = 0.0;
-      std::vector<double> times, etas;
-      const auto push = [&](double t, double eta) {
-        if (!times.empty() && t <= times.back() + 1e-9) return;
-        times.push_back(t);
-        etas.push_back(eta);
+      // The in-window times seen so far, start first; one within 1e-9 s of
+      // the latest is the same instant.
+      std::vector<double> times;
+      const auto push = [&](double t) {
+        if (times.empty() || t > times.back() + 1e-9) times.push_back(t);
       };
       const auto close = [&](double end) {
-        push(end, exact_eta(end));
-        emit(site_id, sat_id, start, times.back(), times, etas);
+        push(end);
+        emit(site_id, sat_id, start, times.back());
         times.clear();
-        etas.clear();
         in_window = false;
       };
       double prev_t = pass.aos;
       for (std::size_t k = k_lo; k <= k_hi; ++k) {
         const double t = static_cast<double>(k) * step;
-        const double eta = eta_at(t);
         const bool above = linkable(t);
         if (above && !in_window) {
           in_window = true;
           start = k == k_lo && linkable(pass.aos)
                       ? pass.aos
                       : bisect_flip(linkable, prev_t, t, true);
-          push(start, exact_eta(start));
-          push(t, eta);
+          push(start);
+          push(t);
         } else if (above) {
-          push(t, eta);
+          push(t);
         } else if (in_window) {
           close(bisect_flip(linkable, prev_t, t, false));
         }
@@ -271,12 +206,6 @@ struct ReferenceCompiler {
     const orbit::Ephemeris& eph_b = model.ephemeris(sat_b);
     const double clearance = kEarthRadius + kAtmosphereTopAltitude;
     const double band = sim::kIslThresholdBand;
-    const auto range_at = [&](double t) {
-      return distance(eph_a.position_ecef(t), eph_b.position_ecef(t));
-    };
-    const auto eta_at = [&](double t) {
-      return evaluator.symmetric(range_at(t), kPi / 2.0);
-    };
     const auto linkable = [&](double t) {
       const Vec3 pa = eph_a.position_ecef(t);
       const Vec3 pb = eph_b.position_ecef(t);
@@ -286,15 +215,6 @@ struct ReferenceCompiler {
       return range < threshold_range + band &&
              evaluator.symmetric(range, kPi / 2.0) >=
                  policy.transmissivity_threshold;
-    };
-    const auto emit_isl = [&](double start, double end) {
-      if (end - start < 1e-6) return;
-      std::vector<double> times{start};
-      std::vector<double> etas{eta_at(start)};
-      subdivide(eta_at, start, etas.front(), end, eta_at(end),
-                options.sample_tolerance, options.step, 16.0 * options.step,
-                times, etas);
-      emit(sat_a, sat_b, start, end, std::move(times), std::move(etas));
     };
     bool in_window = linkable(0.0);
     double start = 0.0;
@@ -307,12 +227,12 @@ struct ReferenceCompiler {
         start = bisect_flip(linkable, prev_t, t, true);
         in_window = true;
       } else if (!above && in_window) {
-        emit_isl(start, bisect_flip(linkable, prev_t, t, false));
+        emit(sat_a, sat_b, start, bisect_flip(linkable, prev_t, t, false));
         in_window = false;
       }
       prev_t = t;
     }
-    if (in_window) emit_isl(start, options.horizon);
+    if (in_window) emit(sat_a, sat_b, start, options.horizon);
   }
 
   ContactPlan run() {
@@ -347,7 +267,7 @@ struct ReferenceCompiler {
       }
     }
     return ContactPlan(std::move(windows), builder.static_links(),
-                       model.node_count(), options.horizon);
+                       model.node_count(), options.horizon, policy);
   }
 };
 
@@ -362,8 +282,6 @@ void expect_identical(const ContactPlan& actual, const ContactPlan& expected,
     ASSERT_EQ(x.b, y.b) << label << " window " << i;
     ASSERT_EQ(x.start, y.start) << label << " window " << i;
     ASSERT_EQ(x.end, y.end) << label << " window " << i;
-    ASSERT_EQ(x.times, y.times) << label << " window " << i;
-    ASSERT_EQ(x.etas, y.etas) << label << " window " << i;
   }
   EXPECT_EQ(actual.horizon(), expected.horizon()) << label;
   EXPECT_EQ(actual.static_links().size(), expected.static_links().size());

@@ -34,8 +34,6 @@ ContactWindow window(net::NodeId a, net::NodeId b, double start, double end) {
   w.b = b;
   w.start = start;
   w.end = end;
-  w.times = {start, end};
-  w.etas = {0.8, 0.8};
   return w;
 }
 
@@ -48,7 +46,7 @@ ContactPlan crafted_plan() {
   // Relay 3 sees A over [90, 200) and B over [80, 210): bridge [90, 200).
   windows.push_back(window(0, 3, 90.0, 200.0));
   windows.push_back(window(1, 3, 80.0, 210.0));
-  return ContactPlan(std::move(windows), {}, 4, 86'400.0);
+  return ContactPlan(std::move(windows), {}, 4, 86'400.0, sim::LinkPolicy{});
 }
 
 TEST(SessionScheduler, BridgeIntervalsAndTimeline) {
@@ -128,7 +126,8 @@ TEST(SessionScheduler, StaticLinksBridgePermanently) {
   const net::NodeId hap = model.add_hap(
       "HAP", geo::Geodetic::from_degrees(35.5, -87.0, 30'000.0), terminal);
   std::vector<sim::LinkRecord> static_links = {{0, hap, 0.9}, {1, hap, 0.9}};
-  const ContactPlan plan({}, std::move(static_links), 3, 86'400.0);
+  const ContactPlan plan({}, std::move(static_links), 3, 86'400.0,
+                         sim::LinkPolicy{});
   const SessionScheduler scheduler(plan, model);
   const SessionSchedule schedule = scheduler.schedule({{0, 1, 50'000.0, 3'600.0}});
   ASSERT_EQ(schedule.sessions.size(), 1u);
@@ -139,7 +138,7 @@ TEST(SessionScheduler, StaticLinksBridgePermanently) {
 
 TEST(SessionScheduler, RejectsInvalidRequests) {
   const sim::NetworkModel model = two_lan_model(1);
-  const ContactPlan plan({}, {}, 3, 86'400.0);
+  const ContactPlan plan({}, {}, 3, 86'400.0, sim::LinkPolicy{});
   const SessionScheduler scheduler(plan, model);
   EXPECT_THROW((void)scheduler.schedule({{0, 0, 0.0, 10.0}}),
                PreconditionError);

@@ -145,7 +145,7 @@ std::string render_repro() {
   golden.value("fig5.eta_for_f90_uhlmann",
                core::transmissivity_threshold_for(uhlmann, 0.90));
 
-  golden.section("Contact-plan topology (records the Fig. 8 gap to rebuild)");
+  golden.section("Contact-plan topology (equals the rebuild sweep)");
   core::QntnConfig plan_config = config;
   plan_config.topology_mode = core::TopologyMode::ContactPlan;
   core::RunContext plan_ctx{plan_config};
@@ -271,6 +271,28 @@ TEST(Repro, GoldenNumbersUnchanged) {
                 << " (regenerate with QNTN_GOLDEN_UPDATE=1 only when a "
                    "number moves on purpose):\n"
                 << diff.str();
+}
+
+// The plan decides only which links exist and evaluates each link's eta at
+// the query time through the rebuild's own calls, so every plan.nN value in
+// the golden equals its sweep.nN counterpart, Fig. 8 fidelity included.
+TEST(Repro, PlanLinesEqualTheRebuildSweep) {
+  std::ifstream in(QNTN_REPRO_GOLDEN, std::ios::binary);
+  ASSERT_TRUE(in) << "missing " << QNTN_REPRO_GOLDEN;
+  std::vector<std::pair<std::string, std::string>> plan_lines;
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("plan.", 0) == 0) {
+      plan_lines.emplace_back(line.substr(5), line);
+    }
+    lines.push_back(line);
+  }
+  ASSERT_EQ(plan_lines.size(), 30u);
+  for (const auto& [rest, line] : plan_lines) {
+    const std::string sweep = "sweep." + rest;
+    EXPECT_NE(std::find(lines.begin(), lines.end(), sweep), lines.end())
+        << line << " has no equal sweep line";
+  }
 }
 
 }  // namespace

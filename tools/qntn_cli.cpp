@@ -140,7 +140,6 @@ int cmd_contacts(std::size_t n, const core::QntnConfig& config) {
   std::printf("  windows        %zu\n", stats.window_count);
   std::printf("  total contact  %.0f s (mean window %.1f s)\n",
               stats.total_contact, stats.mean_window_duration);
-  std::printf("  eta samples    %zu\n", stats.sample_count);
   std::printf("  static links   %zu\n", contact_plan.static_links().size());
   return 0;
 }
