@@ -4,13 +4,15 @@
 // wall-clock ts/dur values are normalised, and (c) emit a document Perfetto
 // can load (metadata-named threads, parent spans containing their children).
 //
-// To regenerate after intentionally adding/removing instrumentation, run
-// this test and copy the "computed span names" block from the failure
-// message into profile_schema.golden.
+// To regenerate after intentionally adding/removing instrumentation:
+//
+//   QNTN_GOLDEN_UPDATE=1 ./build/tests/test_obs --gtest_filter=ProfileSchema.*
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
@@ -89,19 +91,30 @@ TEST(ProfileSchema, SpanNamesMatchGoldenFile) {
 
   const std::set<std::string> names = span_names_of(trace);
 
+  std::string computed;
+  for (const std::string& name : names) computed += name + "\n";
   const std::string golden_path =
       std::string(QNTN_OBS_TEST_DATA_DIR) + "/profile_schema.golden";
+  const char* update = std::getenv("QNTN_GOLDEN_UPDATE");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream out(golden_path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << golden_path;
+    out << computed;
+    std::printf("regenerated %s\n", golden_path.c_str());
+    return;
+  }
   std::ifstream golden_file(golden_path);
-  ASSERT_TRUE(golden_file.is_open()) << "missing " << golden_path;
+  ASSERT_TRUE(golden_file.is_open())
+      << "missing " << golden_path << "; regenerate with QNTN_GOLDEN_UPDATE=1";
   std::set<std::string> golden;
   std::string line;
   while (std::getline(golden_file, line)) {
     if (!line.empty()) golden.insert(line);
   }
-
-  std::string computed;
-  for (const std::string& name : names) computed += name + "\n";
-  EXPECT_EQ(names, golden) << "computed span names:\n" << computed;
+  EXPECT_EQ(names, golden) << "computed span names (regenerate with "
+                              "QNTN_GOLDEN_UPDATE=1 only when the "
+                              "instrumentation changes on purpose):\n"
+                           << computed;
 }
 
 TEST(ProfileSchema, ByteDeterministicAcrossRunsModuloTimestamps) {
