@@ -48,20 +48,20 @@ int main() {
                                   std::size_t{32}, std::size_t{64}}) {
     for (const double t2 : {0.1, 0.5, 5.0}) {
       const sim::ScenarioResult r = run_em_scenario(slots, t2, pool);
-      const auto issued = static_cast<double>(r.requests_issued);
+      const auto issued = static_cast<double>(r.totals.issued);
       const double served_pct = 100.0 * r.served_fraction;
       const double congested_pct =
           issued > 0.0
-              ? 100.0 * static_cast<double>(r.requests_congested) / issued
+              ? 100.0 * static_cast<double>(r.totals.congested) / issued
               : 0.0;
       const double slo_pct =
-          r.requests_served > 0
+          r.totals.served > 0
               ? 100.0 * static_cast<double>(r.em.slo_met) /
-                    static_cast<double>(r.requests_served)
+                    static_cast<double>(r.totals.served)
               : 0.0;
       table.add_row({std::to_string(slots), Table::num(t2, 1),
                      Table::num(served_pct, 2), Table::num(congested_pct, 2),
-                     r.fidelity.count() > 0 ? Table::num(r.fidelity.mean(), 4)
+                     r.totals.fidelity.count() > 0 ? Table::num(r.totals.fidelity.mean(), 4)
                                             : "-",
                      Table::num(slo_pct, 1),
                      Table::num(r.em.memory_occupancy.mean(), 3)});

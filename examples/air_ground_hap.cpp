@@ -46,9 +46,9 @@ int main() {
   std::printf("served     = %.2f%%   (paper: 100%%)\n",
               100.0 * result.served_fraction);
   std::printf("fidelity   = %.4f mean, %.4f min, %.4f max (paper: 0.98)\n",
-              result.fidelity.mean(), result.fidelity.min(),
-              result.fidelity.max());
+              result.totals.fidelity.mean(), result.totals.fidelity.min(),
+              result.totals.fidelity.max());
   std::printf("every request relays ground -> HAP -> ground: %.1f hops mean\n",
-              result.hops.mean());
+              result.totals.hops.mean());
   return 0;
 }

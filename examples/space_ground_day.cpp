@@ -50,12 +50,12 @@ int main(int argc, char** argv) {
               result.coverage.percent);
   std::printf("served requests       = %.2f%% (paper: 57.75%% @108)\n",
               100.0 * result.served_fraction);
-  if (result.fidelity.count() > 0) {
+  if (result.totals.fidelity.count() > 0) {
     std::printf("entanglement fidelity = %.4f mean (min %.4f / max %.4f; "
                 "paper: 0.96)\n",
-                result.fidelity.mean(), result.fidelity.min(),
-                result.fidelity.max());
-    std::printf("path length           = %.2f hops mean\n", result.hops.mean());
+                result.totals.fidelity.mean(), result.totals.fidelity.min(),
+                result.totals.fidelity.max());
+    std::printf("path length           = %.2f hops mean\n", result.totals.hops.mean());
   }
   return 0;
 }

@@ -29,9 +29,9 @@ int main() {
     std::printf("%-18s %-9.2f %-9.2f %-9.4f %-9.4f\n",
                 std::string(weather.name).c_str(), result.coverage.percent,
                 100.0 * result.served_fraction,
-                result.fidelity.count() > 0 ? result.fidelity.mean() : 0.0,
-                result.transmissivity.count() > 0
-                    ? result.transmissivity.min()
+                result.totals.fidelity.count() > 0 ? result.totals.fidelity.mean() : 0.0,
+                result.totals.transmissivity.count() > 0
+                    ? result.totals.transmissivity.min()
                     : 0.0);
   }
   std::printf(

@@ -70,16 +70,16 @@ ArchitectureMetrics summarize(std::string architecture,
   m.satellites = n_satellites;
   m.coverage_percent = r.coverage.percent;
   m.served_percent = 100.0 * r.served_fraction;
-  m.mean_fidelity = r.fidelity.mean();
-  m.mean_transmissivity = r.transmissivity.mean();
-  m.mean_hops = r.hops.mean();
-  m.requests_issued = r.requests_issued;
-  m.requests_served = r.requests_served;
-  m.requests_no_path = r.requests_no_path;
-  m.requests_isolated = r.requests_isolated;
-  m.requests_congested = r.requests_congested;
-  m.requests_rejected_capacity = r.requests_rejected_capacity;
-  m.requests_dropped_deadline = r.requests_dropped_deadline;
+  m.mean_fidelity = r.totals.fidelity.mean();
+  m.mean_transmissivity = r.totals.transmissivity.mean();
+  m.mean_hops = r.totals.hops.mean();
+  m.requests_issued = r.totals.issued;
+  m.requests_served = r.totals.served;
+  m.requests_no_path = r.totals.no_path;
+  m.requests_isolated = r.totals.isolated;
+  m.requests_congested = r.totals.congested;
+  m.requests_rejected_capacity = r.totals.rejected_capacity;
+  m.requests_dropped_deadline = r.totals.dropped_deadline;
   m.handovers = r.handovers;
   if (mode == ServingMode::Entanglement) {
     m.em.enabled = true;

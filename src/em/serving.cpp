@@ -9,20 +9,6 @@
 
 namespace qntn::em {
 
-std::string_view em_status_name(EmStatus status) {
-  switch (status) {
-    case EmStatus::Served:
-      return "served";
-    case EmStatus::NoPath:
-      return "no_path";
-    case EmStatus::Isolated:
-      return "isolated";
-    case EmStatus::Congested:
-      return "congested";
-  }
-  return "unknown";
-}
-
 void EmOptions::validate() const {
   pool.validate();
   swap.validate();

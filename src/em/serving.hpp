@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -46,8 +45,6 @@ enum class EmStatus : std::uint8_t {
   Congested,  ///< routes exist, but no candidate's relays/buffers can pay
 };
 
-[[nodiscard]] std::string_view em_status_name(EmStatus status);
-
 /// Per-request serving detail.
 struct EmOutcome {
   EmStatus status = EmStatus::NoPath;
@@ -64,7 +61,7 @@ struct EmOutcome {
   bool slo_met = true;   ///< delivered fidelity met the SLO (true if off)
   double latency = 0.0;  ///< classical heralding latency paid [s]
   /// First intermediate node of the committed route; nullopt for direct
-  /// paths (mirrors sim::RequestOutcome::relay).
+  /// paths (mirrors sim::RequestRecord::relay).
   std::optional<net::NodeId> relay;
 };
 
@@ -120,9 +117,9 @@ struct EmOptions {
   void validate() const;
 };
 
-/// Serves batches snapshot by snapshot. Not thread-safe: the parallel
-/// scenario engine gives each worker its own manager (mirroring
-/// sim::SnapshotServer), which is all the route cache needs.
+/// Serves batches snapshot by snapshot. Not thread-safe: each worker of the
+/// parallel scenario engine owns one serving engine, and with it one
+/// manager, which is all the route cache needs.
 class EntanglementManager {
  public:
   static constexpr std::size_t kNoEpoch = static_cast<std::size_t>(-1);

@@ -30,18 +30,6 @@ std::vector<Request> generate_requests(const NetworkModel& model,
   return out;
 }
 
-std::string_view serve_status_name(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::Served:
-      return "served";
-    case ServeStatus::NoPath:
-      return "no_path";
-    case ServeStatus::Isolated:
-      return "isolated";
-  }
-  return "unknown";
-}
-
 RequestBatch make_request_batch(std::vector<Request> requests) {
   RequestBatch batch;
   batch.requests = std::move(requests);
@@ -56,11 +44,12 @@ RequestBatch make_request_batch(std::vector<Request> requests) {
   return batch;
 }
 
-ServeResult serve_snapshot(const net::Graph& graph, const RequestBatch& batch,
-                           net::CostMetric metric,
-                           quantum::FidelityConvention convention,
-                           ServeScratch& scratch, bool record_outcomes,
-                           bool reuse_trees) {
+ServeStepResult serve_snapshot(const net::Graph& graph,
+                               const RequestBatch& batch,
+                               net::CostMetric metric,
+                               quantum::FidelityConvention convention,
+                               ServeScratch& scratch, bool record_outcomes,
+                               bool reuse_trees) {
   if (!reuse_trees || scratch.tree_valid.size() != batch.sources.size() ||
       scratch.edge_costs.size() != graph.edge_count()) {
     scratch.trees.resize(batch.sources.size());
@@ -68,22 +57,23 @@ ServeResult serve_snapshot(const net::Graph& graph, const RequestBatch& batch,
     net::compute_edge_costs(graph, metric, scratch.edge_costs);
   }
 
-  ServeResult result;
-  result.total = batch.requests.size();
-  if (record_outcomes) result.outcomes.resize(batch.requests.size());
+  ServeStepResult result;
+  ServeOutcome& outcome = result.outcome;
+  outcome.issued = batch.requests.size();
+  if (record_outcomes) result.requests.resize(batch.requests.size());
 
   // One shortest-path tree per distinct source, built on demand and kept in
   // the scratch's flat slot table.
   for (std::size_t i = 0; i < batch.requests.size(); ++i) {
     const Request& req = batch.requests[i];
-    RequestOutcome outcome;
     // Isolated endpoints cannot be served regardless of routing; classify
     // them before paying for a shortest-path tree.
     if (graph.neighbors(req.source).empty() ||
         graph.neighbors(req.destination).empty()) {
-      outcome.status = ServeStatus::Isolated;
-      ++result.unserved_isolated;
-      if (record_outcomes) result.outcomes[i] = outcome;
+      ++outcome.isolated;
+      if (record_outcomes) {
+        result.requests[i].disposition = ServeDisposition::Isolated;
+      }
       continue;
     }
     const std::size_t slot = batch.source_slot[i];
@@ -95,34 +85,32 @@ ServeResult serve_snapshot(const net::Graph& graph, const RequestBatch& batch,
     const auto route = net::route_from_tree(graph, scratch.trees[slot],
                                             req.source, req.destination);
     if (!route.has_value()) {
-      outcome.status = ServeStatus::NoPath;
-      ++result.unserved_no_path;
-      if (record_outcomes) result.outcomes[i] = outcome;
+      ++outcome.no_path;  // records default to NoPath
       continue;
     }
-    ++result.served;
+    ++outcome.served;
     const double fidelity =
         quantum::bell_fidelity_after_damping(route->transmissivity, convention);
-    result.transmissivity.add(route->transmissivity);
-    result.hops.add(static_cast<double>(route->path.size() - 1));
-    result.fidelity.add(fidelity);
+    outcome.transmissivity.add(route->transmissivity);
+    outcome.hops.add(static_cast<double>(route->path.size() - 1));
+    outcome.fidelity.add(fidelity);
     if (record_outcomes) {
-      outcome.status = ServeStatus::Served;
-      outcome.transmissivity = route->transmissivity;
-      outcome.fidelity = fidelity;
-      outcome.hops = route->path.size() - 1;
-      if (route->path.size() > 2) outcome.relay = route->path[1];
-      result.outcomes[i] = outcome;
+      RequestRecord& rec = result.requests[i];
+      rec.disposition = ServeDisposition::Served;
+      rec.transmissivity = route->transmissivity;
+      rec.fidelity = fidelity;
+      rec.hops = route->path.size() - 1;
+      if (route->path.size() > 2) rec.relay = route->path[1];
     }
   }
   return result;
 }
 
-ServeResult serve_requests(const net::Graph& graph,
-                           const std::vector<Request>& requests,
-                           net::CostMetric metric,
-                           quantum::FidelityConvention convention,
-                           bool record_outcomes) {
+ServeStepResult serve_requests(const net::Graph& graph,
+                               const std::vector<Request>& requests,
+                               net::CostMetric metric,
+                               quantum::FidelityConvention convention,
+                               bool record_outcomes) {
   const RequestBatch batch = make_request_batch(requests);
   ServeScratch scratch;
   return serve_snapshot(graph, batch, metric, convention, scratch,

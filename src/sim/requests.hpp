@@ -1,15 +1,12 @@
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/stats.hpp"
 #include "net/routing.hpp"
 #include "quantum/fidelity.hpp"
 #include "sim/network_model.hpp"
+#include "sim/serving_engine.hpp"
 
 /// \file requests.hpp
 /// Entanglement distribution requests and the serving loop. The paper's
@@ -61,51 +58,12 @@ struct ServeScratch {
   std::vector<char> tree_valid;
 };
 
-/// Why a request was or wasn't served on a snapshot — the per-request
-/// telemetry the obs trace records.
-enum class ServeStatus : std::uint8_t {
-  Served,
-  NoPath,    ///< endpoints have links, but no path connects them
-  Isolated,  ///< source or destination has no links at all this snapshot
-};
-
-[[nodiscard]] std::string_view serve_status_name(ServeStatus status);
-
-/// Per-request serving detail (parallel to the request batch).
-struct RequestOutcome {
-  ServeStatus status = ServeStatus::NoPath;
-  double transmissivity = 0.0;  ///< end-to-end eta product (served only)
-  double fidelity = 0.0;        ///< closed-form pair fidelity (served only)
-  std::size_t hops = 0;         ///< path edge count (served only)
-  /// First intermediate node of the route — the satellite/HAP relay the
-  /// request rode; nullopt for direct (single-edge) paths.
-  std::optional<net::NodeId> relay;
-};
-
-/// Outcome of serving one batch of requests against one topology snapshot.
-struct ServeResult {
-  std::size_t total = 0;
-  std::size_t served = 0;
-  std::size_t unserved_no_path = 0;
-  std::size_t unserved_isolated = 0;
-  RunningStats fidelity;        ///< over served requests
-  RunningStats transmissivity;  ///< end-to-end product, over served requests
-  RunningStats hops;            ///< path edge count, over served requests
-  /// Filled only when serve_requests is called with record_outcomes = true.
-  std::vector<RequestOutcome> outcomes;
-
-  [[nodiscard]] double served_fraction() const {
-    return total > 0 ? static_cast<double>(served) / static_cast<double>(total)
-                     : 0.0;
-  }
-};
-
 /// Route and serve all requests on the given snapshot. One Bellman-Ford
 /// tree per distinct source amortises the routing cost. With
-/// record_outcomes, `ServeResult::outcomes` carries the per-request detail
-/// (status, relay, eta/hops) the scenario trace and handover accounting
-/// consume.
-[[nodiscard]] ServeResult serve_requests(
+/// record_outcomes, `ServeStepResult::requests` carries one record per
+/// request, in request order (disposition, relay, eta/hops), which the
+/// scenario trace and handover accounting consume.
+[[nodiscard]] ServeStepResult serve_requests(
     const net::Graph& graph, const std::vector<Request>& requests,
     net::CostMetric metric = net::CostMetric::InverseEta,
     quantum::FidelityConvention convention =
@@ -119,7 +77,7 @@ struct ServeResult {
 /// refreshed transmissivities (route structure is then unchanged; served
 /// transmissivity/fidelity still read the current etas through the graph).
 /// Bitwise-identical to serve_requests on the same inputs.
-[[nodiscard]] ServeResult serve_snapshot(
+[[nodiscard]] ServeStepResult serve_snapshot(
     const net::Graph& graph, const RequestBatch& batch, net::CostMetric metric,
     quantum::FidelityConvention convention, ServeScratch& scratch,
     bool record_outcomes, bool reuse_trees = false);

@@ -128,7 +128,6 @@ ScenarioResult run_scenario(const NetworkModel& model,
             }
           }
           last_relay[i] = rec.relay;
-          if (rec.has_em) result.em.latency_samples.push_back(rec.latency);
         } else {
           last_relay[i].reset();
         }
@@ -150,7 +149,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
               .field("hops", static_cast<std::uint64_t>(rec.hops))
               .field("relay",
                      static_cast<std::uint64_t>(rec.relay.value_or(dst)));
-          if (rec.has_em) {
+          if (em_mode) {
             event.field("swaps", static_cast<std::uint64_t>(rec.em.swaps))
                 .field("depth", static_cast<std::uint64_t>(rec.em.swap_depth))
                 .field("purify", static_cast<std::uint64_t>(
@@ -170,41 +169,10 @@ ScenarioResult run_scenario(const NetworkModel& model,
     }
 
     result.served_per_step.add(oc.served_fraction());
-    result.fidelity.merge(oc.fidelity);
-    result.transmissivity.merge(oc.transmissivity);
-    result.hops.merge(oc.hops);
-    result.requests_issued += oc.issued;
-    result.requests_served += oc.served;
-    result.requests_no_path += oc.no_path;
-    result.requests_isolated += oc.isolated;
-    result.requests_congested += oc.congested;
-    result.requests_rejected_capacity += oc.rejected_capacity;
-    result.requests_dropped_deadline += oc.dropped_deadline;
+    result.totals.merge(oc);
+    result.em.merge(sr.em);
+    result.traffic.merge(sr.traffic);
     result.handovers += step_handovers;
-
-    if (em_mode) {
-      result.em.swaps += sr.em.swaps;
-      result.em.purification_rounds += sr.em.purification_rounds;
-      result.em.pairs_consumed += sr.em.pairs_consumed;
-      result.em.slo_met += sr.em.slo_met;
-      result.em.spilled += sr.em.spilled;
-      result.em.memory_occupancy.add(sr.em.memory_occupancy);
-      result.em.swap_depth.merge(sr.em.swap_depth);
-      result.em.latency.merge(sr.em.latency);
-    }
-    if (traffic_mode) {
-      result.traffic.latency.merge(sr.traffic.latency);
-      result.traffic.waiting.merge(sr.traffic.waiting);
-      result.traffic.latency_samples.insert(
-          result.traffic.latency_samples.end(),
-          sr.traffic.latency_samples.begin(), sr.traffic.latency_samples.end());
-      result.traffic.waiting_samples.insert(
-          result.traffic.waiting_samples.end(),
-          sr.traffic.waiting_samples.begin(), sr.traffic.waiting_samples.end());
-      result.traffic.peak_utilisation.add(sr.traffic.peak_utilisation);
-      result.traffic.peak_queue_depth = std::max(
-          result.traffic.peak_queue_depth, sr.traffic.peak_queue_depth);
-    }
 
     obs::count("scenario.snapshots");
     obs::count("scenario.requests_issued", oc.issued);
@@ -232,7 +200,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
           .field("isolated", static_cast<std::uint64_t>(oc.isolated));
       if (em_mode) {
         event.field("congested", static_cast<std::uint64_t>(oc.congested))
-            .field("occupancy", sr.em.memory_occupancy);
+            .field("occupancy", sr.em.memory_occupancy.mean());
       }
       if (traffic_mode) {
         event
@@ -242,7 +210,7 @@ ScenarioResult run_scenario(const NetworkModel& model,
                    static_cast<std::uint64_t>(oc.dropped_deadline))
             .field("queue_peak",
                    static_cast<std::uint64_t>(sr.traffic.peak_queue_depth))
-            .field("utilisation", sr.traffic.peak_utilisation);
+            .field("utilisation", sr.traffic.peak_utilisation.mean());
       }
       if (fixed_batch) {
         event.field("handovers", static_cast<std::uint64_t>(step_handovers));
@@ -312,13 +280,13 @@ ScenarioResult run_scenario(const NetworkModel& model,
     trace->emit(
         obs::TraceEvent("run_end")
             .field("served_fraction", result.served_fraction)
-            .field("fidelity_mean", result.fidelity.mean())
-            .field("eta_mean", result.transmissivity.mean())
-            .field("hops_mean", result.hops.mean())
+            .field("fidelity_mean", result.totals.fidelity.mean())
+            .field("eta_mean", result.totals.transmissivity.mean())
+            .field("hops_mean", result.totals.hops.mean())
             .field("requests_issued",
-                   static_cast<std::uint64_t>(result.requests_issued))
+                   static_cast<std::uint64_t>(result.totals.issued))
             .field("requests_served",
-                   static_cast<std::uint64_t>(result.requests_served))
+                   static_cast<std::uint64_t>(result.totals.served))
             .field("handovers", static_cast<std::uint64_t>(result.handovers)));
     trace->flush();
   }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "em/serving.hpp"
 #include "sim/coverage.hpp"
@@ -79,34 +78,6 @@ struct ScenarioConfig {
   TrafficConfig traffic{};
 };
 
-/// Entanglement-management serving statistics, filled only in
-/// ServingMode::Entanglement.
-struct EmScenarioStats {
-  std::size_t swaps = 0;                ///< BSMs across all served requests
-  std::size_t purification_rounds = 0;  ///< BBPSSW rounds spent
-  std::size_t pairs_consumed = 0;       ///< buffered pairs spent
-  std::size_t slo_met = 0;              ///< served requests meeting the SLO
-  std::size_t spilled = 0;              ///< served on an alternate route
-  RunningStats memory_occupancy;        ///< per snapshot, in [0, 1]
-  RunningStats swap_depth;              ///< per served request
-  RunningStats latency;                 ///< heralding latency per served [s]
-  /// Every served request's heralding latency, in deterministic merge
-  /// order, for percentile reporting.
-  std::vector<double> latency_samples;
-};
-
-/// Open-arrival traffic statistics, filled only in ServingMode::Traffic.
-struct TrafficScenarioStats {
-  RunningStats latency;           ///< arrival -> delivered, served [s]
-  RunningStats waiting;           ///< queueing component [s]
-  RunningStats peak_utilisation;  ///< per window busiest-node load, [0, 1]
-  std::size_t peak_queue_depth = 0;  ///< max backlog across all windows
-  /// Per-served samples in deterministic merge order, for percentile
-  /// reporting (p50/p95/p99 latency and queue delay).
-  std::vector<double> latency_samples;
-  std::vector<double> waiting_samples;
-};
-
 struct ScenarioResult {
   CoverageResult coverage;
   /// Mean served fraction across snapshots (the paper's "percentage of
@@ -114,37 +85,20 @@ struct ScenarioResult {
   double served_fraction = 0.0;
   /// Distribution of per-snapshot served fractions.
   RunningStats served_per_step;
-  /// Fidelity over every served request in every snapshot.
-  RunningStats fidelity;
-  /// End-to-end transmissivity over served requests.
-  RunningStats transmissivity;
-  /// Path length (edges) over served requests.
-  RunningStats hops;
-
-  /// Request accounting totals across all snapshots; the ServeOutcome
-  /// identity holds mode-independently: issued = served + no_path +
-  /// isolated + congested + rejected_capacity + dropped_deadline.
-  std::size_t requests_issued = 0;
-  std::size_t requests_served = 0;
-  std::size_t requests_no_path = 0;
-  std::size_t requests_isolated = 0;
-  /// Requests with routes whose relays/buffers could not pay (em mode only;
-  /// the other modes leave this 0).
-  std::size_t requests_congested = 0;
-  /// Traffic backpressure: arrivals refused at admission because the queue
-  /// was full (traffic mode only).
-  std::size_t requests_rejected_capacity = 0;
-  /// Traffic deadline drops: requests queued past max_queue_delay (traffic
-  /// mode only).
-  std::size_t requests_dropped_deadline = 0;
+  /// Every snapshot's ServeOutcome folded into one: request accounting
+  /// totals, whose identity holds mode-independently (issued = served +
+  /// no_path + isolated + congested + rejected_capacity +
+  /// dropped_deadline), and fidelity, end-to-end transmissivity and path
+  /// length (edges) over every served request.
+  ServeOutcome totals;
   /// Relay changes between consecutively served snapshots of one request
   /// (fixed-batch modes only; open arrivals have no cross-step identity).
   std::size_t handovers = 0;
 
   /// Entanglement-management statistics (Entanglement mode only).
-  EmScenarioStats em;
+  EmStats em;
   /// Open-arrival traffic statistics (Traffic mode only).
-  TrafficScenarioStats traffic;
+  TrafficStats traffic;
 };
 
 /// Run coverage + request serving for one architecture.

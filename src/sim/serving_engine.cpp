@@ -1,10 +1,11 @@
 #include "sim/serving_engine.hpp"
 
-#include <utility>
+#include <algorithm>
 
-#include "sim/em_snapshot.hpp"
+#include "em/serving.hpp"
+#include "sim/requests.hpp"
 #include "sim/scenario.hpp"
-#include "sim/snapshot.hpp"
+#include "sim/topology.hpp"
 #include "sim/traffic.hpp"
 
 namespace qntn::sim {
@@ -27,19 +28,44 @@ std::string_view serve_disposition_name(ServeDisposition disposition) {
   return "unknown";
 }
 
-namespace {
-
-ServeDisposition to_disposition(ServeStatus status) {
-  switch (status) {
-    case ServeStatus::Served:
-      return ServeDisposition::Served;
-    case ServeStatus::NoPath:
-      return ServeDisposition::NoPath;
-    case ServeStatus::Isolated:
-      return ServeDisposition::Isolated;
-  }
-  return ServeDisposition::NoPath;
+void ServeOutcome::merge(const ServeOutcome& other) {
+  issued += other.issued;
+  served += other.served;
+  no_path += other.no_path;
+  isolated += other.isolated;
+  congested += other.congested;
+  rejected_capacity += other.rejected_capacity;
+  dropped_deadline += other.dropped_deadline;
+  fidelity.merge(other.fidelity);
+  transmissivity.merge(other.transmissivity);
+  hops.merge(other.hops);
 }
+
+void EmStats::merge(const EmStats& other) {
+  swaps += other.swaps;
+  purification_rounds += other.purification_rounds;
+  pairs_consumed += other.pairs_consumed;
+  slo_met += other.slo_met;
+  spilled += other.spilled;
+  memory_occupancy.merge(other.memory_occupancy);
+  swap_depth.merge(other.swap_depth);
+  latency.merge(other.latency);
+  latency_samples.insert(latency_samples.end(), other.latency_samples.begin(),
+                         other.latency_samples.end());
+}
+
+void TrafficStats::merge(const TrafficStats& other) {
+  latency.merge(other.latency);
+  waiting.merge(other.waiting);
+  peak_utilisation.merge(other.peak_utilisation);
+  peak_queue_depth = std::max(peak_queue_depth, other.peak_queue_depth);
+  latency_samples.insert(latency_samples.end(), other.latency_samples.begin(),
+                         other.latency_samples.end());
+  waiting_samples.insert(waiting_samples.end(), other.waiting_samples.begin(),
+                         other.waiting_samples.end());
+}
+
+namespace {
 
 ServeDisposition to_disposition(em::EmStatus status) {
   switch (status) {
@@ -55,55 +81,59 @@ ServeDisposition to_disposition(em::EmStatus status) {
   return ServeDisposition::NoPath;
 }
 
-/// The paper's instantaneous single-shot links behind the unified API.
+/// The paper's instantaneous single-shot links. Its snapshot slot and
+/// serving scratch persist across steps: on an epoch-partitioned provider,
+/// consecutive steps inside one epoch refresh the graph in place and, for
+/// eta-independent metrics, reuse the per-source trees outright, bitwise
+/// identical to serving a freshly built graph at every step.
 class SingleShotEngine final : public ServingEngine {
  public:
   SingleShotEngine(const TopologyProvider& topology, const RequestBatch& batch,
                    net::CostMetric metric,
                    quantum::FidelityConvention convention)
-      : server_(topology, batch, metric, convention) {}
+      : topology_(topology),
+        batch_(batch),
+        metric_(metric),
+        convention_(convention) {}
 
-  [[nodiscard]] ServeStepResult serve_step(std::size_t step,
+  [[nodiscard]] ServeStepResult serve_step(std::size_t /*step*/,
                                            double t) override {
-    (void)step;
-    const ServeResult sr = server_.serve_at(t);
-    ServeStepResult out;
-    out.outcome.issued = sr.total;
-    out.outcome.served = sr.served;
-    out.outcome.no_path = sr.unserved_no_path;
-    out.outcome.isolated = sr.unserved_isolated;
-    out.outcome.fidelity = sr.fidelity;
-    out.outcome.transmissivity = sr.transmissivity;
-    out.outcome.hops = sr.hops;
-    out.requests.reserve(sr.outcomes.size());
-    for (const RequestOutcome& o : sr.outcomes) {
-      RequestRecord rec;
-      rec.disposition = to_disposition(o.status);
-      rec.transmissivity = o.transmissivity;
-      rec.fidelity = o.fidelity;
-      rec.hops = o.hops;
-      rec.relay = o.relay;
-      out.requests.push_back(rec);
-    }
-    return out;
+    const bool reuse_trees = refresh_snapshot(topology_, t, metric_, snap_);
+    return serve_snapshot(snap_.graph, batch_, metric_, convention_, scratch_,
+                          /*record_outcomes=*/true, reuse_trees);
   }
 
  private:
-  SnapshotServer server_;
+  const TopologyProvider& topology_;
+  const RequestBatch& batch_;
+  net::CostMetric metric_;
+  quantum::FidelityConvention convention_;
+  TopologySnapshot snap_;
+  ServeScratch scratch_;
 };
 
-/// The entanglement-management layer (src/em) behind the unified API.
+/// The entanglement-management layer (src/em), adapted to the unified
+/// result: em ranks below sim, so em::EmServeResult is translated here.
+/// The manager's per-epoch k-disjoint route cache plays the role the
+/// per-source tree cache plays in single-shot serving.
 class EmEngine final : public ServingEngine {
  public:
   EmEngine(const TopologyProvider& topology, const RequestBatch& batch,
            const em::EmOptions& options,
            quantum::FidelityConvention convention)
-      : server_(topology, batch, options, convention) {}
+      : topology_(topology), convention_(convention), manager_(options) {
+    requests_.reserve(batch.requests.size());
+    for (const Request& request : batch.requests) {
+      requests_.push_back(em::EmRequest{request.source, request.destination});
+    }
+  }
 
-  [[nodiscard]] ServeStepResult serve_step(std::size_t step,
+  [[nodiscard]] ServeStepResult serve_step(std::size_t /*step*/,
                                            double t) override {
-    (void)step;
-    const em::EmServeResult sr = server_.serve_at(t);
+    topology_.snapshot_at(t, snap_);
+    const em::EmServeResult sr =
+        manager_.serve(snap_.graph, requests_, snap_.epoch, convention_,
+                       /*record_outcomes=*/true);
     ServeStepResult out;
     out.outcome.issued = sr.total;
     out.outcome.served = sr.served;
@@ -118,9 +148,10 @@ class EmEngine final : public ServingEngine {
     out.em.pairs_consumed = sr.pairs_consumed;
     out.em.slo_met = sr.slo_met;
     out.em.spilled = sr.spilled;
-    out.em.memory_occupancy = sr.memory_occupancy;
+    out.em.memory_occupancy.add(sr.memory_occupancy);
     out.em.swap_depth = sr.swap_depth;
     out.em.latency = sr.latency;
+    out.em.latency_samples.reserve(sr.served);
     out.requests.reserve(sr.outcomes.size());
     for (const em::EmOutcome& o : sr.outcomes) {
       RequestRecord rec;
@@ -130,19 +161,25 @@ class EmEngine final : public ServingEngine {
       rec.hops = o.hops;
       rec.relay = o.relay;
       rec.latency = o.latency;
-      rec.has_em = true;
       rec.em.swaps = o.swaps;
       rec.em.swap_depth = o.swap_depth;
       rec.em.purification_rounds = o.purification_rounds;
       rec.em.pairs_consumed = o.pairs_consumed;
       rec.em.route_index = o.route_index;
+      if (rec.disposition == ServeDisposition::Served) {
+        out.em.latency_samples.push_back(o.latency);
+      }
       out.requests.push_back(rec);
     }
     return out;
   }
 
  private:
-  EmSnapshotServer server_;
+  const TopologyProvider& topology_;
+  quantum::FidelityConvention convention_;
+  std::vector<em::EmRequest> requests_;
+  TopologySnapshot snap_;
+  em::EntanglementManager manager_;
 };
 
 }  // namespace

@@ -22,10 +22,13 @@
 ///   issued = served + no_path + isolated + congested
 ///            + rejected_capacity + dropped_deadline
 ///
-/// Engines are per-worker objects (mirroring sim::SnapshotServer): the
-/// parallel scenario loop constructs one engine per chunk worker, and every
-/// serve_step must be a pure function of (step, snapshot, config) so the
-/// parallel and serial paths merge byte-identical results.
+/// Engines are per-worker objects that own their snapshot slot and serving
+/// scratch: the parallel scenario loop constructs one engine per chunk
+/// worker, and every serve_step must be a pure function of (step, snapshot,
+/// config) so the parallel and serial paths merge byte-identical results.
+/// The step result and the scenario totals share one shape: the scenario
+/// folds each step's ServeOutcome, EmStats and TrafficStats into its own
+/// with their merge().
 
 namespace qntn::sim {
 
@@ -74,6 +77,9 @@ struct ServeOutcome {
   RunningStats transmissivity;        ///< over served requests
   RunningStats hops;                  ///< over served requests
 
+  /// Fold another step's accounting into this one: counts add, stats merge.
+  void merge(const ServeOutcome& other);
+
   [[nodiscard]] bool reconciles() const {
     return issued == served + no_path + isolated + congested +
                          rejected_capacity + dropped_deadline;
@@ -85,7 +91,7 @@ struct ServeOutcome {
   }
 };
 
-/// Em-specific per-request detail (meaningful when RequestRecord::has_em).
+/// Em-specific per-request detail (filled in ServingMode::Entanglement).
 struct EmRecordDetail {
   std::size_t swaps = 0;
   std::size_t swap_depth = 0;
@@ -113,42 +119,53 @@ struct RequestRecord {
   net::NodeId destination = 0;
   double latency = 0.0;  ///< em heralding / traffic end-to-end [s]
   double waiting = 0.0;  ///< traffic queueing component [s]
-  bool has_em = false;
   EmRecordDetail em;
 };
 
-/// Em per-step aggregates (mirrors em::EmServeResult).
-struct EmStepStats {
-  std::size_t swaps = 0;
-  std::size_t purification_rounds = 0;
-  std::size_t pairs_consumed = 0;
-  std::size_t slo_met = 0;
-  std::size_t spilled = 0;
-  double memory_occupancy = 0.0;
-  RunningStats swap_depth;
-  RunningStats latency;
+/// Entanglement-management statistics, filled only in
+/// ServingMode::Entanglement: for one snapshot by the em engine, across
+/// all snapshots by merge().
+struct EmStats {
+  std::size_t swaps = 0;                ///< BSMs across all served requests
+  std::size_t purification_rounds = 0;  ///< BBPSSW rounds spent
+  std::size_t pairs_consumed = 0;       ///< buffered pairs spent
+  std::size_t slo_met = 0;              ///< served requests meeting the SLO
+  std::size_t spilled = 0;              ///< served on an alternate route
+  RunningStats memory_occupancy;        ///< one sample per snapshot, [0, 1]
+  RunningStats swap_depth;              ///< per served request
+  RunningStats latency;                 ///< heralding latency per served [s]
+  /// Every served request's heralding latency, in batch order per snapshot
+  /// and step order across them, for percentile reporting.
+  std::vector<double> latency_samples;
+
+  void merge(const EmStats& other);
 };
 
-/// Traffic per-step aggregates: the latency/queue telemetry of one serving
-/// window.
-struct TrafficStepStats {
+/// Open-arrival traffic statistics, filled only in ServingMode::Traffic:
+/// for one serving window by the traffic engine, across all windows by
+/// merge().
+struct TrafficStats {
   RunningStats latency;  ///< arrival -> pair delivered, served requests [s]
   RunningStats waiting;  ///< queueing component [s]
-  /// Per-served samples in service-start order, for percentile reporting.
+  /// Busiest node / capacity, one sample per window, in [0, 1].
+  RunningStats peak_utilisation;
+  std::size_t peak_queue_depth = 0;  ///< max backlog length over windows
+  /// Per-served samples in service-start order per window and step order
+  /// across them, for percentile reporting (p50/p95/p99).
   std::vector<double> latency_samples;
   std::vector<double> waiting_samples;
-  std::size_t peak_queue_depth = 0;  ///< max backlog length in the window
-  double peak_utilisation = 0.0;     ///< busiest node / capacity, in [0, 1]
+
+  void merge(const TrafficStats& other);
 };
 
 /// Everything one engine step produces: the common accounting plus the
-/// mode-specific extras the scenario folds into its result and trace (only
-/// the selected mode's extras are filled).
+/// mode-specific stats the scenario folds into its result and trace (only
+/// the selected mode's stats are filled).
 struct ServeStepResult {
   ServeOutcome outcome;
   std::vector<RequestRecord> requests;
-  EmStepStats em;
-  TrafficStepStats traffic;
+  EmStats em;
+  TrafficStats traffic;
 };
 
 /// Per-worker serving engine: topology snapshot in, step outcome out. Not

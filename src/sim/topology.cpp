@@ -102,6 +102,16 @@ bool TopologyProvider::lans_connected_at(const NetworkModel& model,
   return all_lans_connected(model, graph_at(t));
 }
 
+bool refresh_snapshot(const TopologyProvider& topology, double t,
+                      net::CostMetric metric, TopologySnapshot& snap) {
+  const std::size_t prev_epoch = snap.epoch;
+  const void* prev_owner = snap.owner;
+  topology.snapshot_at(t, snap);
+  return net::metric_is_eta_independent(metric) &&
+         snap.epoch != TopologyProvider::kNoEpoch &&
+         snap.epoch == prev_epoch && snap.owner == prev_owner;
+}
+
 TopologyBuilder::TopologyBuilder(const NetworkModel& model,
                                  const LinkPolicy& policy)
     : model_(model), policy_(policy) {

@@ -8,6 +8,7 @@
 #include "common/constants.hpp"
 #include "geo/frames.hpp"
 #include "net/graph.hpp"
+#include "net/routing.hpp"
 #include "sim/network_model.hpp"
 
 /// \file topology.hpp
@@ -145,6 +146,16 @@ class TopologyProvider {
   [[nodiscard]] virtual bool lans_connected_at(const NetworkModel& model,
                                                double t) const;
 };
+
+/// Snapshot `topology` at time t into `snap` and report whether
+/// shortest-path trees built under `metric` on the slot's previous graph
+/// still route the new one. A refresh inside one known epoch of the same
+/// provider only re-weights edges, so the trees survive it exactly when
+/// the metric cannot see the weights (eta-independent). The single-shot
+/// and traffic engines key their per-source tree caches on this.
+[[nodiscard]] bool refresh_snapshot(const TopologyProvider& topology, double t,
+                                    net::CostMetric metric,
+                                    TopologySnapshot& snap);
 
 class TopologyBuilder final : public TopologyProvider {
  public:

@@ -138,20 +138,12 @@ void TrafficEngine::draw_arrivals(std::size_t step, double t0) {
 }
 
 ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
-  const std::size_t prev_epoch = snap_.epoch;
-  const void* prev_owner = snap_.owner;
-  topology_.snapshot_at(t, snap_);
-  const net::Graph& graph = snap_.graph;
-
   // Per-window lazy route cache: one shortest-path tree per arrival source,
   // stamped by window (the snapshot is frozen for the whole window). The
-  // trees outlive the window under SnapshotServer::serve_at's rule: a
-  // same-epoch refresh of the same provider only re-weights edges, which
-  // an eta-independent metric cannot see.
-  const bool reuse_trees = net::metric_is_eta_independent(config_.metric) &&
-                           snap_.epoch != TopologyProvider::kNoEpoch &&
-                           snap_.epoch == prev_epoch &&
-                           snap_.owner == prev_owner;
+  // trees outlive the window when refresh_snapshot says they still route.
+  const bool reuse_trees =
+      refresh_snapshot(topology_, t, config_.metric, snap_);
+  const net::Graph& graph = snap_.graph;
   if (!reuse_trees) {
     ++stamp_;
     trees_.resize(graph.node_count());
@@ -172,6 +164,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
   out.outcome.issued = arrivals_.size();
   if (record_requests_) out.requests.resize(arrivals_.size());
 
+  double peak_utilisation = 0.0;  // busiest node / capacity this window
   std::fill(busy_.begin(), busy_.end(), 0);
   std::vector<InFlight> in_flight;
   // Whether try_start succeeds for a queued arrival depends only on its
@@ -295,8 +288,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     for (const net::NodeId id : route->path) {
       const double utilisation = static_cast<double>(busy_[id]) /
                                  static_cast<double>(config_.node_capacity);
-      out.traffic.peak_utilisation =
-          std::max(out.traffic.peak_utilisation, utilisation);
+      peak_utilisation = std::max(peak_utilisation, utilisation);
     }
 
     // Heralding: light makes one round trip over the physical path. Node
@@ -382,6 +374,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     finish(pending.arrival_index, ServeDisposition::DroppedDeadline, nullptr,
            0.0, 0.0);
   }
+  out.traffic.peak_utilisation.add(peak_utilisation);
   obs::count("sim.reroute_gated", reroute_.gated - gated_before);
   obs::count("sim.reroute_trees", reroute_.trees - trees_before);
   return out;

@@ -80,9 +80,10 @@ TEST(Integration, ServedRequestsNeverExceedCoverageConnectivity) {
   const auto requests = sim::generate_requests(model, 50, rng);
   for (double t = 0.0; t <= 21'600.0; t += 1'800.0) {
     const net::Graph graph = topology.graph_at(t);
-    const sim::ServeResult served = sim::serve_requests(graph, requests);
+    const sim::ServeOutcome served =
+        sim::serve_requests(graph, requests).outcome;
     if (sim::all_lans_connected(model, graph)) {
-      EXPECT_EQ(served.served, served.total) << "t=" << t;
+      EXPECT_EQ(served.served, served.issued) << "t=" << t;
     }
     if (graph.edge_count() == 170u) {  // fiber only, no space links
       EXPECT_EQ(served.served, 0u) << "t=" << t;

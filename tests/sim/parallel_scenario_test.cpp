@@ -169,19 +169,19 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.result.coverage.step_connected, b.result.coverage.step_connected);
   EXPECT_EQ(a.result.served_fraction, b.result.served_fraction);
   expect_same_stats(a.result.served_per_step, b.result.served_per_step);
-  expect_same_stats(a.result.fidelity, b.result.fidelity);
-  expect_same_stats(a.result.transmissivity, b.result.transmissivity);
-  expect_same_stats(a.result.hops, b.result.hops);
-  EXPECT_EQ(a.result.requests_issued, b.result.requests_issued);
-  EXPECT_EQ(a.result.requests_served, b.result.requests_served);
-  EXPECT_EQ(a.result.requests_no_path, b.result.requests_no_path);
-  EXPECT_EQ(a.result.requests_isolated, b.result.requests_isolated);
+  expect_same_stats(a.result.totals.fidelity, b.result.totals.fidelity);
+  expect_same_stats(a.result.totals.transmissivity, b.result.totals.transmissivity);
+  expect_same_stats(a.result.totals.hops, b.result.totals.hops);
+  EXPECT_EQ(a.result.totals.issued, b.result.totals.issued);
+  EXPECT_EQ(a.result.totals.served, b.result.totals.served);
+  EXPECT_EQ(a.result.totals.no_path, b.result.totals.no_path);
+  EXPECT_EQ(a.result.totals.isolated, b.result.totals.isolated);
   EXPECT_EQ(a.result.handovers, b.result.handovers);
-  EXPECT_EQ(a.result.requests_congested, b.result.requests_congested);
-  EXPECT_EQ(a.result.requests_rejected_capacity,
-            b.result.requests_rejected_capacity);
-  EXPECT_EQ(a.result.requests_dropped_deadline,
-            b.result.requests_dropped_deadline);
+  EXPECT_EQ(a.result.totals.congested, b.result.totals.congested);
+  EXPECT_EQ(a.result.totals.rejected_capacity,
+            b.result.totals.rejected_capacity);
+  EXPECT_EQ(a.result.totals.dropped_deadline,
+            b.result.totals.dropped_deadline);
   // The mode-specific stats are empty outside their mode, so comparing
   // both sets unconditionally is exact for every mode.
   EXPECT_EQ(a.result.em.swaps, b.result.em.swaps);
@@ -284,8 +284,8 @@ TEST(ParallelScenario, EmCandidateSetsShareSearchTrees) {
   obs::Registry registry;
   const RunOutput run =
       run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
-  const std::uint64_t sets_built = run.result.requests_issued -
-                                   run.result.requests_isolated -
+  const std::uint64_t sets_built = run.result.totals.issued -
+                                   run.result.totals.isolated -
                                    registry.counter("em.route_cache_hits");
   EXPECT_GT(registry.counter("net.masked_searches"), 0u);
   EXPECT_LT(registry.counter("net.masked_searches"), sets_built);
@@ -302,7 +302,7 @@ TEST(ParallelScenario, TrafficModeBitIdenticalAcrossThreadCounts) {
       run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
   EXPECT_EQ(serial.result.traffic.peak_utilisation.count(),
             sc.request_steps);  // the traffic fold ran once per window
-  EXPECT_GT(serial.result.requests_served, 0u);
+  EXPECT_GT(serial.result.totals.served, 0u);
   // Any ground node can originate an arrival. Without same-epoch reuse
   // every window would build a tree per source it saw; with it, the
   // windows of one epoch share them.
@@ -330,7 +330,7 @@ TEST(ParallelScenario, HopCountSingleShotBitIdenticalAcrossThreadCounts) {
   obs::Registry registry;
   const RunOutput serial =
       run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
-  EXPECT_GT(serial.result.requests_served, 0u);
+  EXPECT_GT(serial.result.totals.served, 0u);
   // The reuse must actually have run: fewer trees than one per distinct
   // source per snapshot.
   Rng rng(sc.request_seed);
@@ -402,7 +402,7 @@ TEST(ParallelScenario, RoundBoundariesMatchSerial) {
     mode(sc);
     SCOPED_TRACE(mode_name(sc));
     const RunOutput serial = run_on(day.model, plan, sc, nullptr);
-    EXPECT_GT(serial.result.requests_served, 0u);
+    EXPECT_GT(serial.result.totals.served, 0u);
     if (sc.serving_mode != ServingMode::Traffic) {
       EXPECT_GT(serial.result.handovers, 0u);
     }

@@ -73,11 +73,11 @@ TEST(Serve, DisconnectedGraphServesNothing) {
   const TopologyBuilder topology(model, config.link_policy());
   Rng rng(3);
   const auto requests = generate_requests(model, 40, rng);
-  const ServeResult result = serve_requests(topology.graph_at(0.0), requests);
-  EXPECT_EQ(result.total, 40u);
-  EXPECT_EQ(result.served, 0u);
-  EXPECT_DOUBLE_EQ(result.served_fraction(), 0.0);
-  EXPECT_EQ(result.fidelity.count(), 0u);
+  const ServeStepResult result = serve_requests(topology.graph_at(0.0), requests);
+  EXPECT_EQ(result.outcome.issued, 40u);
+  EXPECT_EQ(result.outcome.served, 0u);
+  EXPECT_DOUBLE_EQ(result.outcome.served_fraction(), 0.0);
+  EXPECT_EQ(result.outcome.fidelity.count(), 0u);
 }
 
 TEST(Serve, AirGroundServesEverythingWithHighFidelity) {
@@ -86,17 +86,17 @@ TEST(Serve, AirGroundServesEverythingWithHighFidelity) {
   const TopologyBuilder topology(model, config.link_policy());
   Rng rng(5);
   const auto requests = generate_requests(model, 60, rng);
-  const ServeResult result = serve_requests(topology.graph_at(0.0), requests);
-  EXPECT_EQ(result.served, 60u);
-  EXPECT_DOUBLE_EQ(result.served_fraction(), 1.0);
+  const ServeStepResult result = serve_requests(topology.graph_at(0.0), requests);
+  EXPECT_EQ(result.outcome.served, 60u);
+  EXPECT_DOUBLE_EQ(result.outcome.served_fraction(), 1.0);
   // All QNTN air-ground routes relay through the HAP: >= 2 FSO hops.
-  EXPECT_GE(result.hops.min(), 2.0);
-  EXPECT_GT(result.fidelity.mean(), 0.9);
-  EXPECT_LE(result.fidelity.max(), 1.0);
+  EXPECT_GE(result.outcome.hops.min(), 2.0);
+  EXPECT_GT(result.outcome.fidelity.mean(), 0.9);
+  EXPECT_LE(result.outcome.fidelity.max(), 1.0);
   // Fidelity follows the closed form of the recorded transmissivity.
-  EXPECT_NEAR(result.fidelity.max(),
+  EXPECT_NEAR(result.outcome.fidelity.max(),
               quantum::bell_fidelity_after_damping(
-                  result.transmissivity.max(),
+                  result.outcome.transmissivity.max(),
                   quantum::FidelityConvention::Uhlmann),
               1e-12);
 }
@@ -105,9 +105,9 @@ TEST(Serve, EmptyRequestListIsHarmless) {
   const QntnConfig config;
   const NetworkModel model = core::build_ground_model(config);
   const TopologyBuilder topology(model, config.link_policy());
-  const ServeResult result = serve_requests(topology.graph_at(0.0), {});
-  EXPECT_EQ(result.total, 0u);
-  EXPECT_DOUBLE_EQ(result.served_fraction(), 0.0);
+  const ServeStepResult result = serve_requests(topology.graph_at(0.0), {});
+  EXPECT_EQ(result.outcome.issued, 0u);
+  EXPECT_DOUBLE_EQ(result.outcome.served_fraction(), 0.0);
 }
 
 TEST(Serve, JozsaConventionLowersReportedFidelity) {
@@ -117,15 +117,15 @@ TEST(Serve, JozsaConventionLowersReportedFidelity) {
   Rng rng(5);
   const auto requests = generate_requests(model, 30, rng);
   const net::Graph graph = topology.graph_at(0.0);
-  const ServeResult uhlmann = serve_requests(
+  const ServeStepResult uhlmann = serve_requests(
       graph, requests, net::CostMetric::InverseEta,
       quantum::FidelityConvention::Uhlmann);
-  const ServeResult jozsa = serve_requests(
+  const ServeStepResult jozsa = serve_requests(
       graph, requests, net::CostMetric::InverseEta,
       quantum::FidelityConvention::Jozsa);
-  EXPECT_LT(jozsa.fidelity.mean(), uhlmann.fidelity.mean());
-  EXPECT_NEAR(jozsa.fidelity.mean(),
-              uhlmann.fidelity.mean() * uhlmann.fidelity.mean(), 0.01);
+  EXPECT_LT(jozsa.outcome.fidelity.mean(), uhlmann.outcome.fidelity.mean());
+  EXPECT_NEAR(jozsa.outcome.fidelity.mean(),
+              uhlmann.outcome.fidelity.mean() * uhlmann.outcome.fidelity.mean(), 0.01);
 }
 
 }  // namespace

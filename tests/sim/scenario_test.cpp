@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
 #include "obs/registry.hpp"
@@ -29,8 +31,8 @@ TEST(Scenario, AirGroundFullService) {
       run_scenario(model, topology, quick_config(config));
   EXPECT_DOUBLE_EQ(result.coverage.percent, 100.0);
   EXPECT_DOUBLE_EQ(result.served_fraction, 1.0);
-  EXPECT_GT(result.fidelity.mean(), 0.9);
-  EXPECT_EQ(result.fidelity.count(), 300u);  // 30 requests x 10 steps
+  EXPECT_GT(result.totals.fidelity.mean(), 0.9);
+  EXPECT_EQ(result.totals.fidelity.count(), 300u);  // 30 requests x 10 steps
   // A static topology serves identically at every step.
   EXPECT_DOUBLE_EQ(result.served_per_step.min(), result.served_per_step.max());
 }
@@ -45,10 +47,10 @@ TEST(Scenario, SpaceGroundPartialService) {
   EXPECT_LT(result.served_fraction, 1.0);
   // Every served request meets the fidelity the threshold guarantees for a
   // two-hop FSO relay: eta_path >= threshold^2.
-  if (result.fidelity.count() > 0) {
+  if (result.totals.fidelity.count() > 0) {
     const double floor = quantum::bell_fidelity_after_damping(
         0.7 * 0.7, quantum::FidelityConvention::Uhlmann);
-    EXPECT_GE(result.fidelity.min(), floor - 1e-9);
+    EXPECT_GE(result.totals.fidelity.min(), floor - 1e-9);
   }
 }
 
@@ -60,8 +62,8 @@ TEST(Scenario, StatsAggregateAcrossSteps) {
   sc.request_steps = 4;
   const ScenarioResult result = run_scenario(model, topology, sc);
   EXPECT_EQ(result.served_per_step.count(), 4u);
-  EXPECT_EQ(result.fidelity.count(), 30u * 4u);
-  EXPECT_EQ(result.hops.count(), result.fidelity.count());
+  EXPECT_EQ(result.totals.fidelity.count(), 30u * 4u);
+  EXPECT_EQ(result.totals.hops.count(), result.totals.fidelity.count());
 }
 
 TEST(Scenario, OversizedStepIntervalIsClampedToTheDay) {
@@ -85,8 +87,8 @@ TEST(Scenario, OversizedStepIntervalIsClampedToTheDay) {
 
   EXPECT_EQ(registry.counter("scenario.interval_clamped"), 1u);
   EXPECT_DOUBLE_EQ(clamped.served_fraction, reference.served_fraction);
-  EXPECT_DOUBLE_EQ(clamped.fidelity.mean(), reference.fidelity.mean());
-  EXPECT_EQ(clamped.requests_served, reference.requests_served);
+  EXPECT_DOUBLE_EQ(clamped.totals.fidelity.mean(), reference.totals.fidelity.mean());
+  EXPECT_EQ(clamped.totals.served, reference.totals.served);
 
   // An interval that fits the day stays untouched.
   ScenarioConfig fitting = quick_config(config);
@@ -102,14 +104,14 @@ TEST(Scenario, RequestAccountingReconciles) {
   const TopologyBuilder topology(model, config.link_policy());
   const ScenarioResult result =
       run_scenario(model, topology, quick_config(config));
-  EXPECT_EQ(result.requests_issued, 30u * 10u);
-  EXPECT_EQ(result.requests_served + result.requests_no_path +
-                result.requests_isolated,
-            result.requests_issued);
-  EXPECT_NEAR(static_cast<double>(result.requests_served) /
-                  static_cast<double>(result.requests_issued),
+  EXPECT_EQ(result.totals.issued, 30u * 10u);
+  EXPECT_EQ(result.totals.served + result.totals.no_path +
+                result.totals.isolated,
+            result.totals.issued);
+  EXPECT_NEAR(static_cast<double>(result.totals.served) /
+                  static_cast<double>(result.totals.issued),
               result.served_fraction, 1e-12);
-  EXPECT_EQ(result.fidelity.count(), result.requests_served);
+  EXPECT_EQ(result.totals.fidelity.count(), result.totals.served);
 }
 
 TEST(Scenario, DeterministicAcrossRuns) {
@@ -121,7 +123,65 @@ TEST(Scenario, DeterministicAcrossRuns) {
   const ScenarioResult b = run_scenario(model, topology, sc);
   EXPECT_DOUBLE_EQ(a.coverage.percent, b.coverage.percent);
   EXPECT_DOUBLE_EQ(a.served_fraction, b.served_fraction);
-  EXPECT_DOUBLE_EQ(a.fidelity.mean(), b.fidelity.mean());
+  EXPECT_DOUBLE_EQ(a.totals.fidelity.mean(), b.totals.fidelity.mean());
+}
+
+TEST(ServeStats, MergeAddsCountsAndAppendsSamplesInOrder) {
+  ServeStepResult a;
+  a.outcome.issued = 3;
+  a.outcome.served = 1;
+  a.outcome.no_path = 1;
+  a.outcome.congested = 1;
+  a.outcome.fidelity.add(0.9);
+  a.em.swaps = 2;
+  a.em.memory_occupancy.add(0.25);
+  a.em.latency_samples = {0.5};
+  a.traffic.peak_queue_depth = 4;
+  a.traffic.peak_utilisation.add(0.5);
+  a.traffic.latency_samples = {1.0, 2.0};
+  a.traffic.waiting_samples = {0.0, 1.0};
+  ServeStepResult b;
+  b.outcome.issued = 2;
+  b.outcome.served = 1;
+  b.outcome.dropped_deadline = 1;
+  b.outcome.fidelity.add(0.7);
+  b.em.swaps = 1;
+  b.em.memory_occupancy.add(0.75);
+  b.em.latency_samples = {0.25};
+  b.traffic.peak_queue_depth = 2;
+  b.traffic.peak_utilisation.add(1.0);
+  b.traffic.latency_samples = {3.0};
+  b.traffic.waiting_samples = {2.0};
+
+  ServeOutcome totals;
+  EmStats em;
+  TrafficStats traffic;
+  for (const ServeStepResult* step : {&a, &b}) {
+    totals.merge(step->outcome);
+    em.merge(step->em);
+    traffic.merge(step->traffic);
+  }
+  EXPECT_EQ(totals.issued, 5u);
+  EXPECT_EQ(totals.served, 2u);
+  EXPECT_TRUE(totals.reconciles());
+  EXPECT_EQ(totals.fidelity.count(), 2u);
+  EXPECT_DOUBLE_EQ(totals.fidelity.mean(), 0.8);
+  EXPECT_EQ(em.swaps, 3u);
+  EXPECT_EQ(em.memory_occupancy.count(), 2u);  // one sample per snapshot
+  EXPECT_DOUBLE_EQ(em.memory_occupancy.mean(), 0.5);
+  EXPECT_EQ(em.latency_samples, (std::vector<double>{0.5, 0.25}));
+  EXPECT_EQ(traffic.peak_queue_depth, 4u);  // max, not sum
+  EXPECT_EQ(traffic.peak_utilisation.count(), 2u);
+  EXPECT_EQ(traffic.latency_samples, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(traffic.waiting_samples, (std::vector<double>{0.0, 1.0, 2.0}));
+
+  // Folding an empty step (another mode's stats) changes nothing.
+  const ServeStepResult empty;
+  em.merge(empty.em);
+  traffic.merge(empty.traffic);
+  EXPECT_EQ(em.memory_occupancy.count(), 2u);
+  EXPECT_EQ(traffic.peak_utilisation.count(), 2u);
+  EXPECT_EQ(traffic.latency_samples.size(), 3u);
 }
 
 }  // namespace

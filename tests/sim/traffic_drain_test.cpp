@@ -146,6 +146,7 @@ ServeStepResult reference_serve(const NetworkModel& model,
   ServeStepResult out;
   out.outcome.issued = arrivals.size();
   out.requests.resize(arrivals.size());
+  double peak_utilisation = 0.0;
   std::vector<std::size_t> busy(model.node_count(), 0);
   net::RerouteScratch reroute;
   std::vector<std::vector<net::NodeId>> in_flight;
@@ -231,10 +232,9 @@ ServeStepResult reference_serve(const NetworkModel& model,
     if (!route.has_value()) return false;
     for (const net::NodeId id : route->path) ++busy[id];
     for (const net::NodeId id : route->path) {
-      out.traffic.peak_utilisation = std::max(
-          out.traffic.peak_utilisation,
-          static_cast<double>(busy[id]) /
-              static_cast<double>(config.node_capacity));
+      peak_utilisation = std::max(
+          peak_utilisation, static_cast<double>(busy[id]) /
+                                static_cast<double>(config.node_capacity));
     }
     double path_length = 0.0;
     for (std::size_t i = 0; i + 1 < route->path.size(); ++i) {
@@ -303,6 +303,7 @@ ServeStepResult reference_serve(const NetworkModel& model,
            nullptr, 0.0, 0.0);
     backlog.pop_front();
   }
+  out.traffic.peak_utilisation.add(peak_utilisation);
   return out;
 }
 
@@ -335,7 +336,8 @@ void expect_identical(const ServeStepResult& got, const ServeStepResult& want,
   EXPECT_EQ(got.traffic.latency_samples, want.traffic.latency_samples);
   EXPECT_EQ(got.traffic.waiting_samples, want.traffic.waiting_samples);
   EXPECT_EQ(got.traffic.peak_queue_depth, want.traffic.peak_queue_depth);
-  EXPECT_EQ(got.traffic.peak_utilisation, want.traffic.peak_utilisation);
+  expect_same_stats(got.traffic.peak_utilisation,
+                    want.traffic.peak_utilisation, "peak_utilisation");
   ASSERT_EQ(got.requests.size(), want.requests.size());
   for (std::size_t i = 0; i < want.requests.size(); ++i) {
     const RequestRecord& g = got.requests[i];

@@ -81,17 +81,17 @@ void expect_same_stats(const RunningStats& a, const RunningStats& b) {
 
 void expect_identical(const RunOutput& a, const RunOutput& b) {
   EXPECT_EQ(a.result.served_fraction, b.result.served_fraction);
-  expect_same_stats(a.result.fidelity, b.result.fidelity);
-  expect_same_stats(a.result.transmissivity, b.result.transmissivity);
-  expect_same_stats(a.result.hops, b.result.hops);
-  EXPECT_EQ(a.result.requests_issued, b.result.requests_issued);
-  EXPECT_EQ(a.result.requests_served, b.result.requests_served);
-  EXPECT_EQ(a.result.requests_no_path, b.result.requests_no_path);
-  EXPECT_EQ(a.result.requests_isolated, b.result.requests_isolated);
-  EXPECT_EQ(a.result.requests_rejected_capacity,
-            b.result.requests_rejected_capacity);
-  EXPECT_EQ(a.result.requests_dropped_deadline,
-            b.result.requests_dropped_deadline);
+  expect_same_stats(a.result.totals.fidelity, b.result.totals.fidelity);
+  expect_same_stats(a.result.totals.transmissivity, b.result.totals.transmissivity);
+  expect_same_stats(a.result.totals.hops, b.result.totals.hops);
+  EXPECT_EQ(a.result.totals.issued, b.result.totals.issued);
+  EXPECT_EQ(a.result.totals.served, b.result.totals.served);
+  EXPECT_EQ(a.result.totals.no_path, b.result.totals.no_path);
+  EXPECT_EQ(a.result.totals.isolated, b.result.totals.isolated);
+  EXPECT_EQ(a.result.totals.rejected_capacity,
+            b.result.totals.rejected_capacity);
+  EXPECT_EQ(a.result.totals.dropped_deadline,
+            b.result.totals.dropped_deadline);
   expect_same_stats(a.result.traffic.latency, b.result.traffic.latency);
   expect_same_stats(a.result.traffic.waiting, b.result.traffic.waiting);
   expect_same_stats(a.result.traffic.peak_utilisation,
@@ -108,7 +108,7 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
 TEST(TrafficScenario, BitIdenticalAcrossThreadCountsContactPlan) {
   const RunOutput serial = run_traffic_with(TopologyMode::ContactPlan, nullptr);
   EXPECT_FALSE(serial.trace.empty());
-  EXPECT_GT(serial.result.requests_issued, 100u);
+  EXPECT_GT(serial.result.totals.issued, 100u);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -137,24 +137,24 @@ TEST(TrafficScenario, AccountingReconcilesAndCountersMatch) {
   const RunOutput out = run_traffic_with(TopologyMode::ContactPlan, nullptr,
                                          &registry);
   const ScenarioResult& r = out.result;
-  ASSERT_GT(r.requests_issued, 0u);
-  EXPECT_EQ(r.requests_served + r.requests_no_path + r.requests_isolated +
-                r.requests_congested + r.requests_rejected_capacity +
-                r.requests_dropped_deadline,
-            r.requests_issued);
+  ASSERT_GT(r.totals.issued, 0u);
+  EXPECT_EQ(r.totals.served + r.totals.no_path + r.totals.isolated +
+                r.totals.congested + r.totals.rejected_capacity +
+                r.totals.dropped_deadline,
+            r.totals.issued);
   // Open arrivals have no cross-step identity: no handovers, no em stats.
   EXPECT_EQ(r.handovers, 0u);
-  EXPECT_EQ(r.requests_congested, 0u);
+  EXPECT_EQ(r.totals.congested, 0u);
   EXPECT_EQ(r.em.memory_occupancy.count(), 0u);
   EXPECT_EQ(r.traffic.peak_utilisation.count(), 10u);  // one per window
-  EXPECT_EQ(r.traffic.latency_samples.size(), r.requests_served);
-  EXPECT_EQ(r.traffic.waiting_samples.size(), r.requests_served);
-  EXPECT_EQ(registry.counter("scenario.requests_issued"), r.requests_issued);
-  EXPECT_EQ(registry.counter("scenario.requests_served"), r.requests_served);
+  EXPECT_EQ(r.traffic.latency_samples.size(), r.totals.served);
+  EXPECT_EQ(r.traffic.waiting_samples.size(), r.totals.served);
+  EXPECT_EQ(registry.counter("scenario.requests_issued"), r.totals.issued);
+  EXPECT_EQ(registry.counter("scenario.requests_served"), r.totals.served);
   EXPECT_EQ(registry.counter("scenario.requests_rejected_capacity"),
-            r.requests_rejected_capacity);
+            r.totals.rejected_capacity);
   EXPECT_EQ(registry.counter("scenario.requests_dropped_deadline"),
-            r.requests_dropped_deadline);
+            r.totals.dropped_deadline);
   EXPECT_EQ(registry.counter("scenario.snapshots"), 10u);
 }
 
@@ -173,16 +173,16 @@ TEST(TrafficScenario, SaturationTriggersBackpressureAndDeadlines) {
   ScenarioConfig sc = quick_traffic_config(config);
   sc.traffic.arrival_rate = 0.2;
   const ScenarioResult r = run_scenario(model, topology.provider(), sc);
-  ASSERT_GT(r.requests_issued, 0u);
-  ASSERT_GT(r.requests_served, 0u);
-  EXPECT_GT(r.requests_dropped_deadline, 0u);
-  EXPECT_GT(r.requests_rejected_capacity, 0u);
-  EXPECT_LT(r.requests_served, r.requests_issued);
+  ASSERT_GT(r.totals.issued, 0u);
+  ASSERT_GT(r.totals.served, 0u);
+  EXPECT_GT(r.totals.dropped_deadline, 0u);
+  EXPECT_GT(r.totals.rejected_capacity, 0u);
+  EXPECT_LT(r.totals.served, r.totals.issued);
   EXPECT_GT(r.traffic.peak_queue_depth, 0u);
-  EXPECT_EQ(r.requests_served + r.requests_no_path + r.requests_isolated +
-                r.requests_congested + r.requests_rejected_capacity +
-                r.requests_dropped_deadline,
-            r.requests_issued);
+  EXPECT_EQ(r.totals.served + r.totals.no_path + r.totals.isolated +
+                r.totals.congested + r.totals.rejected_capacity +
+                r.totals.dropped_deadline,
+            r.totals.issued);
 }
 
 TEST(TrafficScenario, SingleShotModeCarriesNoTrafficState) {
@@ -199,10 +199,10 @@ TEST(TrafficScenario, SingleShotModeCarriesNoTrafficState) {
   sc.request_step_interval = 1440.0;
   const ScenarioResult r = run_scenario(model, topology.provider(), sc);
   EXPECT_EQ(r.traffic.peak_utilisation.count(), 0u);
-  EXPECT_EQ(r.requests_rejected_capacity, 0u);
-  EXPECT_EQ(r.requests_dropped_deadline, 0u);
+  EXPECT_EQ(r.totals.rejected_capacity, 0u);
+  EXPECT_EQ(r.totals.dropped_deadline, 0u);
   EXPECT_EQ(r.traffic.latency_samples.size(), 0u);
-  EXPECT_EQ(r.requests_issued, 300u);  // 30 requests x 10 snapshots
+  EXPECT_EQ(r.totals.issued, 300u);  // 30 requests x 10 snapshots
 }
 
 /// The air-ground network on the rebuild provider: every inter-LAN route is
@@ -244,7 +244,7 @@ TEST(Traffic, NoArrivalsNoActivity) {
   EXPECT_TRUE(out.outcome.reconciles());
   EXPECT_TRUE(out.requests.empty());
   EXPECT_EQ(out.traffic.latency.count(), 0u);
-  EXPECT_EQ(out.traffic.peak_utilisation, 0.0);
+  EXPECT_EQ(out.traffic.peak_utilisation.max(), 0.0);
 }
 
 TEST(Traffic, DeterministicForFixedSeed) {
@@ -289,9 +289,9 @@ TEST(Traffic, PercentilesBackedByOneSamplePerServedRequest) {
   const core::Topology topology = core::make_topology(config, model);
   const ScenarioResult r =
       run_scenario(model, topology.provider(), config.scenario_config());
-  ASSERT_GT(r.requests_served, 0u);
-  EXPECT_EQ(r.traffic.latency_samples.size(), r.requests_served);
-  EXPECT_EQ(r.traffic.waiting_samples.size(), r.requests_served);
+  ASSERT_GT(r.totals.served, 0u);
+  EXPECT_EQ(r.traffic.latency_samples.size(), r.totals.served);
+  EXPECT_EQ(r.traffic.waiting_samples.size(), r.totals.served);
   // Tails are ordered and bracketed by the running stats' extremes.
   const double p50 = percentile(r.traffic.latency_samples, 0.50);
   const double p95 = percentile(r.traffic.latency_samples, 0.95);
@@ -577,10 +577,10 @@ TEST(Capacity, UnlimitedEnoughCapacityMatchesBaseline) {
     sc.traffic.max_queue_delay = std::numeric_limits<double>::infinity();
     sc.traffic.max_backlog = 1'000'000;
     const ScenarioResult r = run_scenario(model, topology.provider(), sc);
-    ASSERT_GT(r.requests_served, 0u);
-    EXPECT_LT(r.requests_issued / sc.request_steps, sc.traffic.node_capacity);
-    EXPECT_EQ(r.requests_rejected_capacity, 0u);
-    EXPECT_EQ(r.requests_dropped_deadline, 0u);
+    ASSERT_GT(r.totals.served, 0u);
+    EXPECT_LT(r.totals.issued / sc.request_steps, sc.traffic.node_capacity);
+    EXPECT_EQ(r.totals.rejected_capacity, 0u);
+    EXPECT_EQ(r.totals.dropped_deadline, 0u);
     EXPECT_EQ(r.traffic.waiting.max(), 0.0);
 
     TrafficEngine engine(model, topology.provider(), sc.traffic,
@@ -601,12 +601,12 @@ TEST(Capacity, UnlimitedEnoughCapacityMatchesBaseline) {
         EXPECT_EQ(rec.hops + 1, route->path.size());
       }
     }
-    EXPECT_EQ(served, r.requests_served);
+    EXPECT_EQ(served, r.totals.served);
 
     sc.traffic.node_capacity = 1;
     sc.traffic.max_queue_delay = 0.5;
     const ScenarioResult tight = run_scenario(model, topology.provider(), sc);
-    EXPECT_LT(tight.requests_served, r.requests_served);
+    EXPECT_LT(tight.totals.served, r.totals.served);
   }
 }
 
@@ -621,7 +621,7 @@ TEST(Capacity, HapSaturationCapsService) {
   EXPECT_EQ(out.outcome.no_path, 0u);
   EXPECT_EQ(out.outcome.rejected_capacity + out.outcome.dropped_deadline,
             out.outcome.issued - 10);
-  EXPECT_EQ(out.traffic.peak_utilisation, 1.0);
+  EXPECT_EQ(out.traffic.peak_utilisation.max(), 1.0);
 }
 
 TEST(Capacity, OutcomeReconciles) {
@@ -662,14 +662,14 @@ TEST(Capacity, PeakUtilisationZeroWithoutServedWork) {
   // an all-unreachable window both leave peak utilisation at 0.
   const AirGround ag;
   EXPECT_EQ(serve_window(ag.model, ag.topology, steady(0.0), 300.0)
-                .traffic.peak_utilisation,
+                .traffic.peak_utilisation.max(),
             0.0);
   const NetworkModel ground = core::build_ground_model(ag.config);
   const TopologyBuilder topology(ground, ag.config.link_policy());
   const ServeStepResult blocked =
       serve_window(ground, topology, held_for_window(1), 300.0);
   ASSERT_GT(blocked.outcome.no_path, 0u);
-  EXPECT_EQ(blocked.traffic.peak_utilisation, 0.0);
+  EXPECT_EQ(blocked.traffic.peak_utilisation.max(), 0.0);
 }
 
 /// Records of a two-relay window at capacity 1 with services that outlast
@@ -716,8 +716,9 @@ TEST(Capacity, SaturationReroutingIsDeterministic) {
   const TwoRelayTopology topology(model);
   const ServeStepResult first = two_relay_window(model, topology);
   const ServeStepResult second = two_relay_window(model, topology);
-  EXPECT_EQ(first.traffic.peak_utilisation, 1.0);
-  EXPECT_EQ(second.traffic.peak_utilisation, first.traffic.peak_utilisation);
+  EXPECT_EQ(first.traffic.peak_utilisation.max(), 1.0);
+  EXPECT_EQ(second.traffic.peak_utilisation.max(),
+            first.traffic.peak_utilisation.max());
   EXPECT_EQ(second.outcome.served, first.outcome.served);
   EXPECT_EQ(second.outcome.transmissivity.mean(),
             first.outcome.transmissivity.mean());
