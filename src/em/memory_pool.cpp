@@ -71,6 +71,11 @@ void MemoryPool::rebuild(const net::Graph& graph) {
   }
 }
 
+void MemoryPool::reset_consumption() {
+  std::fill(consumed_.begin(), consumed_.end(), 0);
+  consumed_total_ = 0;
+}
+
 std::size_t MemoryPool::available(std::size_t edge_index) const {
   QNTN_REQUIRE(edge_index < capacity_.size(), "edge index out of range");
   return capacity_[edge_index] - consumed_[edge_index];

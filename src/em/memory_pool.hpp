@@ -44,18 +44,22 @@ struct MemoryPoolOptions {
 };
 
 /// Per-snapshot view of the buffered pairs. rebuild() derives the buffer
-/// ladder for every edge of the snapshot graph; try_consume() then spends
-/// pairs youngest-first as the scheduler commits requests. All state is
-/// reset by the next rebuild().
+/// ladder for every edge of a graph; try_consume() then spends pairs
+/// youngest-first as the scheduler commits requests. reset_consumption()
+/// returns every spent pair, so one rebuild serves every snapshot of a
+/// topology epoch.
 class MemoryPool {
  public:
   explicit MemoryPool(const MemoryPoolOptions& options);
 
-  /// Recompute the per-edge buffers for a snapshot graph. Buffer sizes
-  /// depend only on the edge *set* (fair-share slot allocation and the
-  /// storage-lifetime cap), so within one topology epoch every snapshot
-  /// sees identical buffers.
+  /// Recompute the per-edge buffers for a graph, with nothing consumed.
+  /// Buffer sizes depend only on the edge endpoints in edge order
+  /// (fair-share slot allocation and the storage-lifetime cap), so within
+  /// one topology epoch every snapshot sees identical buffers.
   void rebuild(const net::Graph& graph);
+
+  /// Return every consumed pair: the buffers of the last rebuild(), full.
+  void reset_consumption();
 
   /// Pairs still available on edge `edge_index` (buffered minus consumed).
   [[nodiscard]] std::size_t available(std::size_t edge_index) const;
@@ -70,7 +74,7 @@ class MemoryPool {
 
   /// Total pairs buffered across all edges at rebuild time.
   [[nodiscard]] std::size_t buffered() const { return buffered_; }
-  /// Pairs consumed since the last rebuild.
+  /// Pairs consumed since the last rebuild() or reset_consumption().
   [[nodiscard]] std::size_t consumed() const { return consumed_total_; }
 
   /// Fraction of memory slots (over nodes with at least one link) holding a

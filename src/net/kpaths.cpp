@@ -179,6 +179,16 @@ void DisjointPathFinder::reset(const Graph& graph, CostMetric metric) {
   banned_.assign(node_count_, 0);
 }
 
+void DisjointPathFinder::rebind(const Graph& graph) {
+  QNTN_REQUIRE(graph_ != nullptr, "DisjointPathFinder rebound before reset()");
+  QNTN_REQUIRE(metric_is_eta_independent(metric_),
+               "DisjointPathFinder trees survive a rebind only under an "
+               "eta-independent metric");
+  QNTN_REQUIRE(graph.node_count() == node_count_,
+               "DisjointPathFinder rebound to a graph of another size");
+  graph_ = &graph;
+}
+
 void DisjointPathFinder::find(NodeId src, NodeId dst, std::size_t k,
                               std::vector<Route>& out) {
   QNTN_REQUIRE(graph_ != nullptr, "DisjointPathFinder used before reset()");
@@ -247,17 +257,33 @@ std::size_t DisjointPathFinder::tree_for(NodeId source) {
   tree.labels.assign(node_count_,
                      Label{std::numeric_limits<double>::infinity(), 0, false});
   tree.labels[source].cost = 0.0;
-  tree.heap.assign(1, HeapItem{0.0, source});
+  if (metric_ == CostMetric::HopCount) {
+    tree.queue.assign(1, source);
+    tree.head = 0;
+    tree.level_end = 1;
+  } else {
+    tree.heap.assign(1, HeapItem{0.0, source});
+  }
   return slot;
 }
 
 bool DisjointPathFinder::grow(std::size_t slot, NodeId dst) {
   Tree& tree = trees_[slot];
-  std::vector<Label>& labels = tree.labels;
-  if (labels[dst].settled) return true;
+  if (tree.labels[dst].settled) return true;
   const NodeId* mask_first = masks_.data() + tree.mask_begin;
   const NodeId* mask_last = masks_.data() + tree.mask_end;
   for (const NodeId* it = mask_first; it != mask_last; ++it) banned_[*it] = 1;
+  if (metric_ == CostMetric::HopCount) {
+    grow_levels(tree, dst);
+  } else {
+    grow_heap(tree, dst);
+  }
+  for (const NodeId* it = mask_first; it != mask_last; ++it) banned_[*it] = 0;
+  return tree.labels[dst].settled;
+}
+
+void DisjointPathFinder::grow_heap(Tree& tree, NodeId dst) {
+  std::vector<Label>& labels = tree.labels;
   // The per-pair search's loop, resumable: the same pops in the same order,
   // run until dst is settled instead of stopping there for good.
   std::vector<HeapItem>& heap = tree.heap;
@@ -279,8 +305,38 @@ bool DisjointPathFinder::grow(std::size_t slot, NodeId dst) {
       }
     }
   }
-  for (const NodeId* it = mask_first; it != mask_last; ++it) banned_[*it] = 0;
-  return labels[dst].settled;
+}
+
+void DisjointPathFinder::grow_levels(Tree& tree, NodeId dst) {
+  // With every edge costing 1 the heap pops all nodes of cost L, in id
+  // order, before any of cost L + 1, and pushes each node once: a node is
+  // first reached from level L at cost L + 1, and no later pop offers less.
+  // So popping each level in id order, sorted once the level before it is
+  // spent, is the heap's pop sequence, with the same labels and the same
+  // relaxation arithmetic (c + 1.0).
+  std::vector<Label>& labels = tree.labels;
+  std::vector<NodeId>& queue = tree.queue;
+  while (!labels[dst].settled) {
+    if (tree.head == tree.level_end) {
+      if (tree.head == queue.size()) break;  // the frontier ran dry
+      std::sort(queue.begin() + static_cast<std::ptrdiff_t>(tree.head),
+                queue.end());
+      tree.level_end = queue.size();
+    }
+    const NodeId u = queue[tree.head++];
+    const double c = labels[u].cost;
+    labels[u].settled = true;
+    for (const Adjacency& adj : graph_->neighbors(u)) {
+      if (banned_[adj.to] != 0) continue;
+      const double nc = c + 1.0;
+      Label& next = labels[adj.to];
+      if (nc < next.cost) {
+        next.cost = nc;
+        next.previous = static_cast<std::uint32_t>(u);
+        queue.push_back(adj.to);
+      }
+    }
+  }
 }
 
 double path_diversity(const std::vector<Route>& routes) {

@@ -51,12 +51,23 @@ namespace qntn::net {
 /// edge itself is banned, which depends on dst; only that case falls back
 /// to a per-pair masked search.
 ///
-/// Trees belong to the graph passed to reset(); the graph must stay alive
-/// and unmodified until the next reset(). Storage is kept across resets.
+/// Under HopCount the trees grow breadth-first: a FIFO whose every level is
+/// sorted by node id on entry pops exactly the heap's (cost, id) sequence,
+/// so labels and pause points are the Dijkstra tree's.
+///
+/// Trees belong to the graph passed to reset() or rebind(); the graph must
+/// stay alive, and its edges unchanged, until the next reset() or rebind().
+/// Storage is kept across resets.
 class DisjointPathFinder {
  public:
   /// Bind to `graph` under `metric` and drop every tree.
   void reset(const Graph& graph, CostMetric metric);
+
+  /// Bind to `graph` and keep every tree. `graph` must hold the bound
+  /// graph's edges in the same order (only etas may differ) and the metric
+  /// must be eta-independent, so every tree is still exact; transmissivities
+  /// of later routes are read from `graph`.
+  void rebind(const Graph& graph);
 
   /// k_disjoint_paths(graph, src, dst, k, metric), written into `out`
   /// (cleared first).
@@ -64,13 +75,18 @@ class DisjointPathFinder {
 
  private:
   using HeapItem = std::pair<double, NodeId>;
+  struct Tree;
 
   /// Slot of the tree rooted at `source` with `mask_` banned, created
   /// (empty, seeded with the source) when absent.
   std::size_t tree_for(NodeId source);
-  /// Pop the slot's heap until `dst` is settled or the heap runs dry;
-  /// true when dst is reachable.
+  /// Pop the slot's frontier until `dst` is settled or the frontier runs
+  /// dry; true when dst is reachable.
   bool grow(std::size_t slot, NodeId dst);
+  /// grow()'s loop for positive edge costs (binary heap) and for HopCount
+  /// (id-sorted levels); the slot's mask is already marked in banned_.
+  void grow_heap(Tree& tree, NodeId dst);
+  void grow_levels(Tree& tree, NodeId dst);
 
   const Graph* graph_ = nullptr;
   CostMetric metric_ = CostMetric::InverseEta;
@@ -90,6 +106,12 @@ class DisjointPathFinder {
     std::size_t next = 0;        ///< next slot with the same source
     std::vector<Label> labels;   ///< per node
     std::vector<HeapItem> heap;  ///< the paused search's frontier
+    /// HopCount frontier instead of the heap: nodes in pop order, popped up
+    /// to `head`; [head, level_end) is the rest of the current level, id
+    /// sorted, and [level_end, end) the next level as discovered.
+    std::vector<NodeId> queue;
+    std::size_t head = 0;
+    std::size_t level_end = 0;
   };
   std::vector<Tree> trees_;
   std::size_t tree_count_ = 0;

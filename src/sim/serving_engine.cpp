@@ -114,7 +114,7 @@ class SingleShotEngine final : public ServingEngine {
 
 /// The entanglement-management layer (src/em), adapted to the unified
 /// result: em ranks below sim, so em::EmServeResult is translated here.
-/// The manager's per-epoch k-disjoint route cache plays the role the
+/// The manager's per-epoch k-disjoint route table plays the role the
 /// per-source tree cache plays in single-shot serving.
 class EmEngine final : public ServingEngine {
  public:

@@ -200,7 +200,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
 
   const auto finish = [&](std::size_t index, ServeDisposition disposition,
                           const net::Route* route, double waiting,
-                          double service) {
+                          double service, double fidelity = 0.0) {
     if (record_requests_) {
       RequestRecord& rec = out.requests[index];
       rec.disposition = disposition;
@@ -208,6 +208,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
       rec.destination = arrivals_[index].destination;
       if (disposition == ServeDisposition::Served) {
         rec.transmissivity = route->transmissivity;
+        rec.fidelity = fidelity;
         rec.hops = route->path.size() - 1;
         rec.latency = waiting + service;
         rec.waiting = waiting;
@@ -309,13 +310,15 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
 
     out.outcome.transmissivity.add(route->transmissivity);
     out.outcome.hops.add(static_cast<double>(route->path.size() - 1));
-    out.outcome.fidelity.add(config_.memory.stored_pair_fidelity(
-        route->transmissivity, waiting + service));
+    const double fidelity = config_.memory.stored_pair_fidelity(
+        route->transmissivity, waiting + service);
+    out.outcome.fidelity.add(fidelity);
     out.traffic.latency.add(waiting + service);
     out.traffic.waiting.add(waiting);
     out.traffic.latency_samples.push_back(waiting + service);
     out.traffic.waiting_samples.push_back(waiting);
-    finish(index, ServeDisposition::Served, &*route, waiting, service);
+    finish(index, ServeDisposition::Served, &*route, waiting, service,
+           fidelity);
     return true;
   };
 

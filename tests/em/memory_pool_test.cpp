@@ -97,6 +97,26 @@ TEST(MemoryPool, RebuildResetsConsumption) {
   EXPECT_DOUBLE_EQ(pool.next_age(0), 0.0);
 }
 
+TEST(MemoryPool, ResetConsumptionRefillsTheSameBuffers) {
+  // The next snapshot of an epoch starts from the rebuilt buffers, full.
+  MemoryPoolOptions options;
+  MemoryPool pool(options);
+  const net::Graph g = triangle();
+  pool.rebuild(g);
+  const std::size_t buffered = pool.buffered();
+  const double occupancy = pool.occupancy();
+  EXPECT_TRUE(pool.try_consume(0, 2));
+  EXPECT_TRUE(pool.try_consume(2, 1));
+  pool.reset_consumption();
+  EXPECT_EQ(pool.consumed(), 0u);
+  EXPECT_EQ(pool.buffered(), buffered);
+  EXPECT_EQ(pool.occupancy(), occupancy);
+  for (std::size_t edge = 0; edge < 3; ++edge) {
+    EXPECT_EQ(pool.available(edge), 4u);
+    EXPECT_DOUBLE_EQ(pool.next_age(edge), 0.0);
+  }
+}
+
 TEST(MemoryPool, OccupancyIgnoresIsolatedNodes) {
   net::Graph g;
   const auto a = g.add_node();

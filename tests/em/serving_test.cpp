@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -10,6 +12,7 @@
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
 #include "net/graph.hpp"
+#include "obs/registry.hpp"
 #include "quantum/fidelity.hpp"
 #include "sim/requests.hpp"
 #include "sim/topology.hpp"
@@ -210,13 +213,34 @@ void expect_same_outcome(const EmOutcome& a, const EmOutcome& b) {
   EXPECT_EQ(a.relay, b.relay);
 }
 
+/// Serve `batch` on `graph` with a manager that has served nothing before.
+EmServeResult serve_fresh(const EmOptions& options, const net::Graph& graph,
+                          const std::vector<EmRequest>& batch,
+                          std::size_t epoch) {
+  EntanglementManager manager(options);
+  return manager.serve(graph, batch, epoch, FidelityConvention::Uhlmann,
+                       true);
+}
+
+void expect_same_outcomes(const EmServeResult& got,
+                          const EmServeResult& want) {
+  ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
+  for (std::size_t r = 0; r < got.outcomes.size(); ++r) {
+    SCOPED_TRACE("request " + std::to_string(r));
+    expect_same_outcome(got.outcomes[r], want.outcomes[r]);
+  }
+  EXPECT_EQ(got.memory_occupancy, want.memory_occupancy);
+}
+
 TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
-  // The manager's shared search trees belong to one serve() call. Serving
-  // snapshots of the 108-satellite contact-plan day from several epochs
-  // (pairs 30 s apart share an epoch, so the HopCount route cache is hit
-  // too) with one long-lived manager must match a fresh manager per
-  // snapshot outcome for outcome: a tree that outlived its graph would
-  // answer a later snapshot with stale routes.
+  // A long-lived manager keeps its pool buffers, edge index, search trees
+  // and route table across the snapshots of one epoch. Serving the
+  // 108-satellite contact-plan day with one manager must match a fresh
+  // manager per snapshot outcome for outcome, in the engine's access
+  // pattern: one snapshot slot refreshed in place (same-epoch steps only
+  // re-weight its edges), with a second batch served on the same manager
+  // between some steps. A second long-lived manager serves every graph
+  // under kNoEpoch, which turns all reuse off.
   core::QntnConfig config;
   config.topology_mode = core::TopologyMode::ContactPlan;
   const sim::NetworkModel model = core::build_space_ground_model(config, 108);
@@ -227,14 +251,15 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
        sim::generate_requests(model, 300, rng)) {
     batch.push_back(EmRequest{request.source, request.destination});
   }
-  std::vector<sim::TopologySnapshot> snapshots;
-  std::set<std::size_t> epochs;
-  for (const double t : {0.0, 30.0, 21'600.0, 21'630.0, 43'200.0, 64'800.0,
-                         64'830.0}) {
-    topology.provider().snapshot_at(t, snapshots.emplace_back());
-    epochs.insert(snapshots.back().epoch);
+  // The second batch shares some pairs with the first and adds others.
+  std::vector<EmRequest> other(batch.rbegin(), batch.rbegin() + 100);
+  for (const sim::Request& request : sim::generate_requests(model, 50, rng)) {
+    other.push_back(EmRequest{request.source, request.destination});
   }
-  ASSERT_GE(epochs.size(), 4u);
+  std::vector<double> times;
+  for (const double base : {0.0, 21'600.0, 43'200.0, 64'800.0}) {
+    for (int j = 0; j < 6; ++j) times.push_back(base + 30.0 * j);
+  }
 
   for (const net::CostMetric metric :
        {net::CostMetric::HopCount, net::CostMetric::InverseEta}) {
@@ -244,26 +269,132 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
     options.metric = metric;
     options.pool.slots_per_node = 64;
     options.purify.fidelity_slo = 0.9;
-    EntanglementManager long_lived(options);
+    EntanglementManager lived(options);
+    EntanglementManager blind(options);
+    obs::Registry registry;
+    const obs::ScopedRegistry scope(&registry);
+    sim::TopologySnapshot snap;
     std::size_t served = 0;
-    for (const sim::TopologySnapshot& snap : snapshots) {
-      const EmServeResult lived =
-          long_lived.serve(snap.graph, batch, snap.epoch,
-                           FidelityConvention::Uhlmann, true);
-      EntanglementManager fresh_manager(options);
-      const EmServeResult fresh =
-          fresh_manager.serve(snap.graph, batch, snap.epoch,
-                              FidelityConvention::Uhlmann, true);
-      ASSERT_EQ(lived.outcomes.size(), fresh.outcomes.size());
-      for (std::size_t r = 0; r < lived.outcomes.size(); ++r) {
-        SCOPED_TRACE("epoch " + std::to_string(snap.epoch) + " request " +
-                     std::to_string(r));
-        expect_same_outcome(lived.outcomes[r], fresh.outcomes[r]);
+    std::size_t previous_epoch = EntanglementManager::kNoEpoch;
+    std::size_t run = 0;
+    std::size_t longest_run = 0;
+    std::set<std::size_t> epochs;
+    for (std::size_t step = 0; step < times.size(); ++step) {
+      topology.provider().snapshot_at(times[step], snap);
+      SCOPED_TRACE("step " + std::to_string(step) + " epoch " +
+                   std::to_string(snap.epoch));
+      epochs.insert(snap.epoch);
+      run = snap.epoch == previous_epoch ? run + 1 : 1;
+      longest_run = std::max(longest_run, run);
+      previous_epoch = snap.epoch;
+
+      const EmServeResult want =
+          serve_fresh(options, snap.graph, batch, snap.epoch);
+      const EmServeResult got = lived.serve(
+          snap.graph, batch, snap.epoch, FidelityConvention::Uhlmann, true);
+      expect_same_outcomes(got, want);
+      if (step % 3 == 1) {
+        expect_same_outcomes(
+            lived.serve(snap.graph, other, snap.epoch,
+                        FidelityConvention::Uhlmann, true),
+            serve_fresh(options, snap.graph, other, snap.epoch));
       }
-      served += lived.served;
+      expect_same_outcomes(
+          blind.serve(snap.graph, batch, EntanglementManager::kNoEpoch,
+                      FidelityConvention::Uhlmann, true),
+          want);
+      served += got.served;
     }
-    // Outcomes must have something to compare.
+    // The day crossed epochs and held one for at least three steps, and
+    // outcomes had something to compare.
+    EXPECT_GE(epochs.size(), 4u);
+    EXPECT_GE(longest_run, 3u);
     EXPECT_GT(served, 0u);
+    if (metric == net::CostMetric::HopCount) {
+      EXPECT_GT(registry.counter("em.route_cache_hits"), 0u);
+    } else {
+      EXPECT_EQ(registry.counter("em.route_cache_hits"), 0u);
+    }
+  }
+}
+
+TEST(EmServing, ParallelEdgesRepickTheirBestEtaPerSnapshot) {
+  // Two parallel s-a links swap which one has the better eta between two
+  // snapshots of one epoch. The manager keeps its sorted edge index for
+  // the epoch but must re-pick the best parallel edge per snapshot, both
+  // for the eta it prices and for the buffer it consumes.
+  net::Graph g;
+  const auto s = g.add_node();
+  const auto a = g.add_node();
+  const auto d = g.add_node();
+  g.add_edge(s, a, 0.9);
+  g.add_edge(a, d, 0.8);
+  g.add_edge(a, s, 0.5);  // parallel to edge 0, listed in reverse
+  EmOptions options;
+  options.pool.slots_per_node = 4;
+  options.node_capacity = 100;
+  const std::vector<EmRequest> batch(3, EmRequest{s, d});
+  EntanglementManager lived(options);
+  for (const double swap : {0.0, 1.0, 0.0}) {
+    SCOPED_TRACE("swap " + std::to_string(swap));
+    g.set_edge_transmissivity(0, swap > 0.0 ? 0.5 : 0.9);
+    g.set_edge_transmissivity(2, swap > 0.0 ? 0.9 : 0.5);
+    const EmServeResult got =
+        lived.serve(g, batch, /*epoch=*/7, FidelityConvention::Uhlmann, true);
+    expect_same_outcomes(got, serve_fresh(options, g, batch, 7));
+    ASSERT_GT(got.served, 0u);
+    EXPECT_DOUBLE_EQ(got.outcomes[0].transmissivity, 0.9 * 0.8);
+  }
+}
+
+TEST(EmServing, EtaDependentRoutesFollowTheSnapshotsEtas) {
+  // Under InverseEta the cheapest route depends on the etas, which move
+  // within an epoch: the two diamond relays swap places between snapshots
+  // of one epoch, and the served relay must follow.
+  Diamond fixture;
+  EmOptions options;
+  options.metric = net::CostMetric::InverseEta;
+  options.k_paths = 1;
+  const std::vector<EmRequest> batch{EmRequest{fixture.s, fixture.d}};
+  EntanglementManager lived(options);
+  for (const bool swapped : {false, true, false}) {
+    SCOPED_TRACE(swapped ? "swapped" : "unswapped");
+    for (std::size_t edge = 0; edge < 4; ++edge) {
+      const bool via_a = edge < 2;
+      fixture.graph.set_edge_transmissivity(edge,
+                                            via_a != swapped ? 0.9 : 0.8);
+    }
+    const EmServeResult got = lived.serve(fixture.graph, batch, /*epoch=*/3,
+                                          FidelityConvention::Uhlmann, true);
+    expect_same_outcomes(got, serve_fresh(options, fixture.graph, batch, 3));
+    ASSERT_EQ(got.served, 1u);
+    EXPECT_EQ(got.outcomes[0].relay, swapped ? fixture.b : fixture.a);
+  }
+}
+
+TEST(EmServing, EpochStateIsReusedOnlyForTheSameEdges) {
+  // An epoch id alone does not let the manager reuse its state: the same
+  // diamond with its edges listed in another order, served under the same
+  // epoch id, must be served as a fresh manager serves it.
+  Diamond fixture;
+  net::Graph reordered;
+  for (int i = 0; i < 4; ++i) reordered.add_node();
+  reordered.add_edge(fixture.s, fixture.b, 0.8);
+  reordered.add_edge(fixture.b, fixture.d, 0.8);
+  reordered.add_edge(fixture.s, fixture.a, 0.9);
+  reordered.add_edge(fixture.a, fixture.d, 0.9);
+  EmOptions options;
+  options.k_paths = 2;
+  options.node_capacity = 1;
+  const std::vector<EmRequest> batch(3, EmRequest{fixture.s, fixture.d});
+  EntanglementManager lived(options);
+  for (const net::Graph* graph :
+       {&fixture.graph, &reordered, &fixture.graph}) {
+    const EmServeResult got =
+        lived.serve(*graph, batch, /*epoch=*/5, FidelityConvention::Uhlmann,
+                    true);
+    expect_same_outcomes(got, serve_fresh(options, *graph, batch, 5));
+    EXPECT_EQ(got.served, 2u);
   }
 }
 

@@ -9,11 +9,15 @@
 #include <queue>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/qntn_config.hpp"
+#include "core/scenario_factory.hpp"
+#include "sim/topology.hpp"
 
 namespace qntn::net {
 namespace {
@@ -386,6 +390,163 @@ TEST(DisjointPathFinder, MatchesPerPairOracleOnEveryOrderedPair) {
   // Both the masked trees and the per-pair fallback were exercised.
   EXPECT_GT(masked_candidates, 0u);
   EXPECT_GT(fallbacks, 0u);
+}
+
+/// w x h grid of 4-neighbour links with shuffled node ids, links added in a
+/// shuffled order and some doubled by a parallel link: most nodes have two
+/// equally short predecessors, and BFS discovery order is not id order.
+Graph lattice(Rng& rng, std::size_t w, std::size_t h) {
+  const std::size_t n = w * h;
+  std::vector<NodeId> id(n);
+  for (std::size_t i = 0; i < n; ++i) id[i] = i;
+  const auto shuffle = [&rng](auto& items) {
+    for (std::size_t i = items.size(); i > 1; --i) {
+      std::swap(items[i - 1], items[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(i - 1)))]);
+    }
+  };
+  shuffle(id);
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (std::size_t y = 0; y < h; ++y) {
+    for (std::size_t x = 0; x < w; ++x) {
+      if (x + 1 < w) links.emplace_back(id[y * w + x], id[y * w + x + 1]);
+      if (y + 1 < h) links.emplace_back(id[y * w + x], id[(y + 1) * w + x]);
+    }
+  }
+  shuffle(links);
+  Graph g;
+  for (std::size_t i = 0; i < n; ++i) g.add_node();
+  for (const auto& [a, b] : links) {
+    g.add_edge(a, b, rng.uniform(0.2, 1.0));
+    if (rng.uniform(0.0, 1.0) < 0.1) g.add_edge(b, a, rng.uniform(0.2, 1.0));
+  }
+  return g;
+}
+
+/// How often hop-count ties matter, over every source in `sources`: nodes
+/// with at least two neighbours one hop closer to the source (`tied`), and
+/// among them those whose smallest-id such neighbour (the heap's and the
+/// id-sorted levels' predecessor) is not the one a plain FIFO BFS would
+/// record (`fifo_differs`).
+struct HopTies {
+  std::size_t tied = 0;
+  std::size_t fifo_differs = 0;
+};
+
+HopTies hop_ties(const Graph& g, const std::vector<NodeId>& sources) {
+  constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
+  HopTies ties;
+  for (const NodeId src : sources) {
+    std::vector<std::size_t> level(g.node_count(), kUnreached);
+    std::vector<NodeId> fifo_parent(g.node_count(), src);
+    std::vector<NodeId> queue{src};
+    level[src] = 0;
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const NodeId u = queue[head];
+      for (const Adjacency& adj : g.neighbors(u)) {
+        if (level[adj.to] != kUnreached) continue;
+        level[adj.to] = level[u] + 1;
+        fifo_parent[adj.to] = u;
+        queue.push_back(adj.to);
+      }
+    }
+    for (const NodeId v : queue) {
+      if (v == src) continue;
+      std::set<NodeId> closer;
+      for (const Adjacency& adj : g.neighbors(v)) {
+        if (level[adj.to] + 1 == level[v]) closer.insert(adj.to);
+      }
+      if (closer.size() < 2) continue;
+      ++ties.tied;
+      if (*closer.begin() != fifo_parent[v]) ++ties.fifo_differs;
+    }
+  }
+  return ties;
+}
+
+/// Every (src, dst) of `pairs` through one finder under HopCount, against
+/// the per-pair oracle: paths equal, costs and transmissivities to the bit.
+void expect_hop_count_matches_oracle(
+    const Graph& g, const std::vector<std::pair<NodeId, NodeId>>& pairs,
+    std::size_t k) {
+  DisjointPathFinder finder;
+  finder.reset(g, CostMetric::HopCount);
+  std::vector<Route> got;
+  for (const auto& [s, d] : pairs) {
+    SCOPED_TRACE("k " + std::to_string(k) + " pair " + std::to_string(s) +
+                 "->" + std::to_string(d));
+    std::vector<Route> want =
+        per_pair_oracle::k_disjoint_paths(g, s, d, k, CostMetric::HopCount);
+    if (s == d) want.resize(1);
+    finder.find(s, d, k, got);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].path, want[i].path) << "candidate " << i;
+      EXPECT_EQ(got[i].cost, want[i].cost) << "candidate " << i;
+      EXPECT_EQ(got[i].transmissivity, want[i].transmissivity)
+          << "candidate " << i;
+    }
+  }
+}
+
+TEST(DisjointPathFinder, HopCountLevelsMatchPerPairOracleOnLattices) {
+  // Lattices are all ties: the id-sorted levels must pick the heap's
+  // predecessor wherever two are equally short, and a FIFO without the
+  // sort would pick another one somewhere.
+  HopTies ties;
+  for (const auto& [seed, w, h] :
+       {std::tuple{1u, 6u, 7u}, std::tuple{2u, 8u, 8u},
+        std::tuple{3u, 5u, 12u}}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const Graph g = lattice(rng, w, h);
+    std::vector<NodeId> nodes(g.node_count());
+    for (NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
+    const HopTies found = hop_ties(g, nodes);
+    ties.tied += found.tied;
+    ties.fifo_differs += found.fifo_differs;
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (const NodeId s : nodes) {
+      for (const NodeId d : nodes) pairs.emplace_back(s, d);
+    }
+    for (std::size_t i = pairs.size(); i > 1; --i) {
+      std::swap(pairs[i - 1], pairs[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(i - 1)))]);
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{3}}) {
+      expect_hop_count_matches_oracle(g, pairs, k);
+    }
+  }
+  EXPECT_GT(ties.tied, 0u);
+  EXPECT_GT(ties.fifo_differs, 0u);
+}
+
+TEST(DisjointPathFinder, HopCountLevelsMatchPerPairOracleOnContactPlanDay) {
+  // The em serving workload's graphs: every LAN-node pair of four
+  // 108-satellite contact-plan snapshots, at the em default k = 3.
+  core::QntnConfig config;
+  config.topology_mode = core::TopologyMode::ContactPlan;
+  const sim::NetworkModel model = core::build_space_ground_model(config, 108);
+  const core::Topology topology = core::make_topology(config, model);
+  std::vector<NodeId> lan_nodes;
+  for (std::size_t lan = 0; lan < model.lan_count(); ++lan) {
+    for (const NodeId v : model.lan_nodes(lan)) lan_nodes.push_back(v);
+  }
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (const NodeId s : lan_nodes) {
+    for (const NodeId d : lan_nodes) {
+      if (s != d) pairs.emplace_back(s, d);
+    }
+  }
+  std::size_t tied = 0;
+  for (const double t : {0.0, 21'600.0, 43'200.0, 64'800.0}) {
+    SCOPED_TRACE("t " + std::to_string(t));
+    sim::TopologySnapshot snap;
+    topology.provider().snapshot_at(t, snap);
+    tied += hop_ties(snap.graph, lan_nodes).tied;
+    expect_hop_count_matches_oracle(snap.graph, pairs, 3);
+  }
+  EXPECT_GT(tied, 0u);
 }
 
 TEST(PathDiversity, DisjointAndOverlappingSets) {

@@ -274,8 +274,8 @@ TEST(ParallelScenario, EmModeBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelScenario, EmCandidateSetsShareSearchTrees) {
   // Every em request that gets past the isolation check and misses the
-  // epoch route cache builds a k-disjoint candidate set. Those sets share
-  // one search tree per (snapshot, source, banned relays), so the searches
+  // epoch route table builds a k-disjoint candidate set. Those sets share
+  // one search tree per (epoch, source, banned relays), so the searches
   // must number fewer than the sets once a batch repeats sources (the
   // em_day benchmark's 300 requests per snapshot).
   const BusyDay& day = busy_day();
@@ -284,9 +284,10 @@ TEST(ParallelScenario, EmCandidateSetsShareSearchTrees) {
   obs::Registry registry;
   const RunOutput run =
       run_on(day.model, day.topology.provider(), sc, nullptr, &registry);
-  const std::uint64_t sets_built = run.result.totals.issued -
-                                   run.result.totals.isolated -
-                                   registry.counter("em.route_cache_hits");
+  const std::uint64_t sets_built = registry.counter("em.route_builds");
+  // Every lookup is a route-table hit or a candidate set built.
+  EXPECT_EQ(sets_built + registry.counter("em.route_cache_hits"),
+            run.result.totals.issued - run.result.totals.isolated);
   EXPECT_GT(registry.counter("net.masked_searches"), 0u);
   EXPECT_LT(registry.counter("net.masked_searches"), sets_built);
 }
