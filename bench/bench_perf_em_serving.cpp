@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
                        [&] {
                          em::EntanglementManager manager(options);
                          for (std::uint64_t i = 0; i < iters; ++i) {
-                           bench::do_not_optimize(manager.serve(
-                               g, requests, 0, convention, false));
+                           bench::do_not_optimize(
+                               manager.serve(g, requests, 0, convention));
                          }
                        });
 
@@ -91,8 +91,8 @@ int main(int argc, char** argv) {
                        [&] {
                          em::EntanglementManager manager(options);
                          for (std::uint64_t i = 0; i < iters; ++i) {
-                           bench::do_not_optimize(manager.serve(
-                               g, requests, i, convention, false));
+                           bench::do_not_optimize(
+                               manager.serve(g, requests, i, convention));
                          }
                        });
     }

@@ -114,8 +114,7 @@ const std::vector<net::Route>& EntanglementManager::candidates(
 
 EmServeResult EntanglementManager::serve(
     const net::Graph& graph, const std::vector<EmRequest>& requests,
-    std::size_t epoch, quantum::FidelityConvention convention,
-    bool record_outcomes) {
+    std::size_t epoch, quantum::FidelityConvention convention) {
   obs::Span span("em.serve", requests.size());
 
   const bool eta_independent =
@@ -139,7 +138,7 @@ EmServeResult EntanglementManager::serve(
   EmServeResult result;
   result.total = requests.size();
   result.memory_occupancy = pool_.occupancy();
-  if (record_outcomes) result.outcomes.resize(requests.size());
+  outcomes_.resize(requests.size());
 
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const EmRequest& request = requests[r];
@@ -150,7 +149,7 @@ EmServeResult EntanglementManager::serve(
       outcome.status = EmStatus::Isolated;
       ++result.unserved_isolated;
       obs::count("em.requests_isolated");
-      if (record_outcomes) result.outcomes[r] = outcome;
+      outcomes_[r] = outcome;
       continue;
     }
 
@@ -159,7 +158,7 @@ EmServeResult EntanglementManager::serve(
       outcome.status = EmStatus::NoPath;
       ++result.unserved_no_path;
       obs::count("em.requests_no_path");
-      if (record_outcomes) result.outcomes[r] = outcome;
+      outcomes_[r] = outcome;
       continue;
     }
 
@@ -282,7 +281,7 @@ EmServeResult EntanglementManager::serve(
       ++result.unserved_congested;
       obs::count("em.requests_congested");
     }
-    if (record_outcomes) result.outcomes[r] = outcome;
+    outcomes_[r] = outcome;
   }
 
   obs::observe("em.memory_occupancy", result.memory_occupancy);

@@ -89,9 +89,6 @@ struct EmServeResult {
   /// Memory occupancy of the rebuilt pool at this snapshot, in [0, 1].
   double memory_occupancy = 0.0;
 
-  /// Filled only when serve() is called with record_outcomes = true.
-  std::vector<EmOutcome> outcomes;
-
   [[nodiscard]] double served_fraction() const {
     return total > 0 ? static_cast<double>(served) / static_cast<double>(total)
                      : 0.0;
@@ -136,12 +133,17 @@ class EntanglementManager {
   /// trees and the k-disjoint candidate routes per (source, destination),
   /// which are only re-priced per snapshot. Deterministic greedy serving
   /// in request order: the result does not depend on what the manager
-  /// served before.
+  /// served before. The per-request outcomes land in outcomes().
   [[nodiscard]] EmServeResult serve(const net::Graph& graph,
                                     const std::vector<EmRequest>& requests,
                                     std::size_t epoch,
-                                    quantum::FidelityConvention convention,
-                                    bool record_outcomes);
+                                    quantum::FidelityConvention convention);
+
+  /// One outcome per request of the last serve(), in request order. The
+  /// buffer is reused by the next serve().
+  [[nodiscard]] const std::vector<EmOutcome>& outcomes() const {
+    return outcomes_;
+  }
 
   [[nodiscard]] const EmOptions& options() const { return options_; }
 
@@ -195,6 +197,7 @@ class EntanglementManager {
   std::vector<RouteSlot> route_slots_;
 
   /// Per-snapshot scratch, cleared in serve().
+  std::vector<EmOutcome> outcomes_;      ///< per request, read via outcomes()
   std::vector<std::size_t> node_load_;   ///< BSMs committed per node
   std::vector<std::size_t> hop_edges_;   ///< per-hop edge index of a route
   std::vector<double> hop_etas_;

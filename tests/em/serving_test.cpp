@@ -22,6 +22,18 @@ namespace {
 
 using quantum::FidelityConvention;
 
+/// One serve() call: its result with a copy of the manager's outcomes, so
+/// calls can be compared after the manager has served again.
+struct Served : EmServeResult {
+  std::vector<EmOutcome> outcomes;
+};
+
+Served serve_recorded(EntanglementManager& manager, const net::Graph& graph,
+                      const std::vector<EmRequest>& batch, std::size_t epoch) {
+  return {manager.serve(graph, batch, epoch, FidelityConvention::Uhlmann),
+          manager.outcomes()};
+}
+
 /// Two interior-disjoint routes between s and d: s-a-d and s-b-d.
 struct Diamond {
   net::Graph graph;
@@ -39,7 +51,7 @@ struct Diamond {
   }
 };
 
-EmServeResult serve_diamond(std::size_t k_paths, std::size_t requests) {
+Served serve_diamond(std::size_t k_paths, std::size_t requests) {
   Diamond fixture;
   EmOptions options;
   options.k_paths = k_paths;
@@ -47,8 +59,7 @@ EmServeResult serve_diamond(std::size_t k_paths, std::size_t requests) {
   EntanglementManager manager(options);
   const std::vector<EmRequest> batch(requests,
                                      EmRequest{fixture.s, fixture.d});
-  return manager.serve(fixture.graph, batch, 0,
-                       FidelityConvention::Uhlmann, true);
+  return serve_recorded(manager, fixture.graph, batch, 0);
 }
 
 TEST(EmServing, DirectLinkDeliversStoredPairFidelity) {
@@ -58,8 +69,7 @@ TEST(EmServing, DirectLinkDeliversStoredPairFidelity) {
   g.add_edge(s, d, 0.9);
   EmOptions options;
   EntanglementManager manager(options);
-  const EmServeResult result = manager.serve(
-      g, {EmRequest{s, d}}, 0, FidelityConvention::Uhlmann, true);
+  const Served result = serve_recorded(manager, g, {EmRequest{s, d}}, 0);
   ASSERT_EQ(result.served, 1u);
   ASSERT_EQ(result.outcomes.size(), 1u);
   const EmOutcome& outcome = result.outcomes[0];
@@ -83,9 +93,8 @@ TEST(EmServing, IsolatedEndpointIsReported) {
   g.add_edge(s, d, 0.9);
   EmOptions options;
   EntanglementManager manager(options);
-  const EmServeResult result =
-      manager.serve(g, {EmRequest{s, net::NodeId{2}}}, 0,
-                    FidelityConvention::Uhlmann, true);
+  const Served result =
+      serve_recorded(manager, g, {EmRequest{s, net::NodeId{2}}}, 0);
   EXPECT_EQ(result.served, 0u);
   EXPECT_EQ(result.unserved_isolated, 1u);
   EXPECT_EQ(result.outcomes[0].status, EmStatus::Isolated);
@@ -101,8 +110,7 @@ TEST(EmServing, DisconnectedComponentsAreNoPath) {
   g.add_edge(c, d, 0.9);
   EmOptions options;
   EntanglementManager manager(options);
-  const EmServeResult result = manager.serve(
-      g, {EmRequest{a, c}}, 0, FidelityConvention::Uhlmann, true);
+  const Served result = serve_recorded(manager, g, {EmRequest{a, c}}, 0);
   EXPECT_EQ(result.unserved_no_path, 1u);
   EXPECT_EQ(result.outcomes[0].status, EmStatus::NoPath);
 }
@@ -113,13 +121,13 @@ TEST(EmServing, DisconnectedComponentsAreNoPath) {
 /// k = 1 drops the second request, k = 2 spills it onto the disjoint
 /// alternate.
 TEST(EmServing, MultipathStrictlyImprovesServedFractionUnderCongestion) {
-  const EmServeResult single = serve_diamond(/*k_paths=*/1, /*requests=*/2);
+  const Served single = serve_diamond(/*k_paths=*/1, /*requests=*/2);
   EXPECT_EQ(single.served, 1u);
   EXPECT_EQ(single.unserved_congested, 1u);
   EXPECT_EQ(single.outcomes[1].status, EmStatus::Congested);
   EXPECT_EQ(single.spilled, 0u);
 
-  const EmServeResult multi = serve_diamond(/*k_paths=*/2, /*requests=*/2);
+  const Served multi = serve_diamond(/*k_paths=*/2, /*requests=*/2);
   EXPECT_EQ(multi.served, 2u);
   EXPECT_EQ(multi.unserved_congested, 0u);
   EXPECT_EQ(multi.spilled, 1u);
@@ -140,8 +148,7 @@ TEST(EmServing, BufferExhaustionCongests) {
   options.node_capacity = 100;      // relays are not the bottleneck here
   EntanglementManager manager(options);
   const std::vector<EmRequest> batch(3, EmRequest{s, d});
-  const EmServeResult result =
-      manager.serve(g, batch, 0, FidelityConvention::Uhlmann, true);
+  const Served result = serve_recorded(manager, g, batch, 0);
   EXPECT_EQ(result.served, 2u);
   EXPECT_EQ(result.unserved_congested, 1u);
   EXPECT_EQ(result.outcomes[2].status, EmStatus::Congested);
@@ -160,10 +167,8 @@ TEST(EmServing, RepeatedServeIsByteIdentical) {
   const std::vector<EmRequest> batch{
       EmRequest{fixture.s, fixture.d}, EmRequest{fixture.s, fixture.d},
       EmRequest{fixture.a, fixture.b}};
-  const EmServeResult first = manager.serve(
-      fixture.graph, batch, 0, FidelityConvention::Uhlmann, true);
-  const EmServeResult second = manager.serve(
-      fixture.graph, batch, 0, FidelityConvention::Uhlmann, true);
+  const Served first = serve_recorded(manager, fixture.graph, batch, 0);
+  const Served second = serve_recorded(manager, fixture.graph, batch, 0);
   EXPECT_EQ(first.served, second.served);
   EXPECT_EQ(first.spilled, second.spilled);
   EXPECT_EQ(first.pairs_consumed, second.pairs_consumed);
@@ -186,9 +191,8 @@ TEST(EmServing, RelayRoutePaysHeraldingLatency) {
   EmOptions options;
   options.k_paths = 2;
   EntanglementManager manager(options);
-  const EmServeResult result =
-      manager.serve(fixture.graph, {EmRequest{fixture.s, fixture.d}}, 0,
-                    FidelityConvention::Uhlmann, true);
+  const Served result = serve_recorded(
+      manager, fixture.graph, {EmRequest{fixture.s, fixture.d}}, 0);
   ASSERT_EQ(result.served, 1u);
   const EmOutcome& outcome = result.outcomes[0];
   EXPECT_EQ(outcome.hops, 2u);
@@ -214,16 +218,14 @@ void expect_same_outcome(const EmOutcome& a, const EmOutcome& b) {
 }
 
 /// Serve `batch` on `graph` with a manager that has served nothing before.
-EmServeResult serve_fresh(const EmOptions& options, const net::Graph& graph,
+Served serve_fresh(const EmOptions& options, const net::Graph& graph,
                           const std::vector<EmRequest>& batch,
                           std::size_t epoch) {
   EntanglementManager manager(options);
-  return manager.serve(graph, batch, epoch, FidelityConvention::Uhlmann,
-                       true);
+  return serve_recorded(manager, graph, batch, epoch);
 }
 
-void expect_same_outcomes(const EmServeResult& got,
-                          const EmServeResult& want) {
+void expect_same_outcomes(const Served& got, const Served& want) {
   ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
   for (std::size_t r = 0; r < got.outcomes.size(); ++r) {
     SCOPED_TRACE("request " + std::to_string(r));
@@ -288,20 +290,18 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
       longest_run = std::max(longest_run, run);
       previous_epoch = snap.epoch;
 
-      const EmServeResult want =
+      const Served want =
           serve_fresh(options, snap.graph, batch, snap.epoch);
-      const EmServeResult got = lived.serve(
-          snap.graph, batch, snap.epoch, FidelityConvention::Uhlmann, true);
+      const Served got = serve_recorded(lived, snap.graph, batch, snap.epoch);
       expect_same_outcomes(got, want);
       if (step % 3 == 1) {
         expect_same_outcomes(
-            lived.serve(snap.graph, other, snap.epoch,
-                        FidelityConvention::Uhlmann, true),
+            serve_recorded(lived, snap.graph, other, snap.epoch),
             serve_fresh(options, snap.graph, other, snap.epoch));
       }
       expect_same_outcomes(
-          blind.serve(snap.graph, batch, EntanglementManager::kNoEpoch,
-                      FidelityConvention::Uhlmann, true),
+          serve_recorded(blind, snap.graph, batch,
+                         EntanglementManager::kNoEpoch),
           want);
       served += got.served;
     }
@@ -339,8 +339,7 @@ TEST(EmServing, ParallelEdgesRepickTheirBestEtaPerSnapshot) {
     SCOPED_TRACE("swap " + std::to_string(swap));
     g.set_edge_transmissivity(0, swap > 0.0 ? 0.5 : 0.9);
     g.set_edge_transmissivity(2, swap > 0.0 ? 0.9 : 0.5);
-    const EmServeResult got =
-        lived.serve(g, batch, /*epoch=*/7, FidelityConvention::Uhlmann, true);
+    const Served got = serve_recorded(lived, g, batch, /*epoch=*/7);
     expect_same_outcomes(got, serve_fresh(options, g, batch, 7));
     ASSERT_GT(got.served, 0u);
     EXPECT_DOUBLE_EQ(got.outcomes[0].transmissivity, 0.9 * 0.8);
@@ -364,8 +363,8 @@ TEST(EmServing, EtaDependentRoutesFollowTheSnapshotsEtas) {
       fixture.graph.set_edge_transmissivity(edge,
                                             via_a != swapped ? 0.9 : 0.8);
     }
-    const EmServeResult got = lived.serve(fixture.graph, batch, /*epoch=*/3,
-                                          FidelityConvention::Uhlmann, true);
+    const Served got =
+        serve_recorded(lived, fixture.graph, batch, /*epoch=*/3);
     expect_same_outcomes(got, serve_fresh(options, fixture.graph, batch, 3));
     ASSERT_EQ(got.served, 1u);
     EXPECT_EQ(got.outcomes[0].relay, swapped ? fixture.b : fixture.a);
@@ -390,9 +389,7 @@ TEST(EmServing, EpochStateIsReusedOnlyForTheSameEdges) {
   EntanglementManager lived(options);
   for (const net::Graph* graph :
        {&fixture.graph, &reordered, &fixture.graph}) {
-    const EmServeResult got =
-        lived.serve(*graph, batch, /*epoch=*/5, FidelityConvention::Uhlmann,
-                    true);
+    const Served got = serve_recorded(lived, *graph, batch, /*epoch=*/5);
     expect_same_outcomes(got, serve_fresh(options, *graph, batch, 5));
     EXPECT_EQ(got.served, 2u);
   }
