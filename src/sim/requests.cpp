@@ -1,8 +1,5 @@
 #include "sim/requests.hpp"
 
-#include <unordered_map>
-#include <utility>
-
 #include "common/error.hpp"
 
 namespace qntn::sim {
@@ -30,60 +27,28 @@ std::vector<Request> generate_requests(const NetworkModel& model,
   return out;
 }
 
-RequestBatch make_request_batch(std::vector<Request> requests) {
-  RequestBatch batch;
-  batch.requests = std::move(requests);
-  batch.source_slot.reserve(batch.requests.size());
-  std::unordered_map<net::NodeId, std::size_t> slot_of;
-  for (const Request& req : batch.requests) {
-    const auto [it, inserted] = slot_of.try_emplace(req.source,
-                                                    batch.sources.size());
-    if (inserted) batch.sources.push_back(req.source);
-    batch.source_slot.push_back(it->second);
-  }
-  return batch;
-}
-
 ServeStepResult serve_snapshot(const net::Graph& graph,
-                               const RequestBatch& batch,
-                               net::CostMetric metric,
+                               const std::vector<Request>& requests,
                                quantum::FidelityConvention convention,
-                               ServeScratch& scratch, bool record_outcomes,
-                               bool reuse_trees) {
-  if (!reuse_trees || scratch.tree_valid.size() != batch.sources.size() ||
-      scratch.edge_costs.size() != graph.edge_count()) {
-    scratch.trees.resize(batch.sources.size());
-    scratch.tree_valid.assign(batch.sources.size(), 0);
-    net::compute_edge_costs(graph, metric, scratch.edge_costs);
-  }
-
+                               SourceTreeTable& trees) {
   ServeStepResult result;
   ServeOutcome& outcome = result.outcome;
-  outcome.issued = batch.requests.size();
-  if (record_outcomes) result.requests.resize(batch.requests.size());
+  outcome.issued = requests.size();
+  result.requests.resize(requests.size());
 
-  // One shortest-path tree per distinct source, built on demand and kept in
-  // the scratch's flat slot table.
-  for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-    const Request& req = batch.requests[i];
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Request& req = requests[i];
+    RequestRecord& rec = result.requests[i];
     // Isolated endpoints cannot be served regardless of routing; classify
     // them before paying for a shortest-path tree.
     if (graph.neighbors(req.source).empty() ||
         graph.neighbors(req.destination).empty()) {
       ++outcome.isolated;
-      if (record_outcomes) {
-        result.requests[i].disposition = ServeDisposition::Isolated;
-      }
+      rec.disposition = ServeDisposition::Isolated;
       continue;
     }
-    const std::size_t slot = batch.source_slot[i];
-    if (scratch.tree_valid[slot] == 0) {
-      scratch.trees[slot] =
-          net::bellman_ford_tree(graph, req.source, scratch.edge_costs);
-      scratch.tree_valid[slot] = 1;
-    }
-    const auto route = net::route_from_tree(graph, scratch.trees[slot],
-                                            req.source, req.destination);
+    const auto route = net::route_from_tree(
+        graph, trees.tree(graph, req.source), req.source, req.destination);
     if (!route.has_value()) {
       ++outcome.no_path;  // records default to NoPath
       continue;
@@ -94,14 +59,11 @@ ServeStepResult serve_snapshot(const net::Graph& graph,
     outcome.transmissivity.add(route->transmissivity);
     outcome.hops.add(static_cast<double>(route->path.size() - 1));
     outcome.fidelity.add(fidelity);
-    if (record_outcomes) {
-      RequestRecord& rec = result.requests[i];
-      rec.disposition = ServeDisposition::Served;
-      rec.transmissivity = route->transmissivity;
-      rec.fidelity = fidelity;
-      rec.hops = route->path.size() - 1;
-      if (route->path.size() > 2) rec.relay = route->path[1];
-    }
+    rec.disposition = ServeDisposition::Served;
+    rec.transmissivity = route->transmissivity;
+    rec.fidelity = fidelity;
+    rec.hops = route->path.size() - 1;
+    if (route->path.size() > 2) rec.relay = route->path[1];
   }
   return result;
 }
@@ -109,12 +71,10 @@ ServeStepResult serve_snapshot(const net::Graph& graph,
 ServeStepResult serve_requests(const net::Graph& graph,
                                const std::vector<Request>& requests,
                                net::CostMetric metric,
-                               quantum::FidelityConvention convention,
-                               bool record_outcomes) {
-  const RequestBatch batch = make_request_batch(requests);
-  ServeScratch scratch;
-  return serve_snapshot(graph, batch, metric, convention, scratch,
-                        record_outcomes, /*reuse_trees=*/false);
+                               quantum::FidelityConvention convention) {
+  SourceTreeTable trees(metric);
+  trees.reset(graph);
+  return serve_snapshot(graph, requests, convention, trees);
 }
 
 }  // namespace qntn::sim

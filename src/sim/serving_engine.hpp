@@ -183,17 +183,19 @@ class ServingEngine {
 
 class NetworkModel;
 class TopologyProvider;
-struct RequestBatch;
+struct Request;
 struct ScenarioConfig;
 
-/// Build the engine config.serving_mode selects. `step_interval` is the scenario's snapshot spacing (the
-/// traffic engine's serving-window length); `record_requests` asks the
-/// traffic engine for per-arrival records (fixed-batch engines always
+/// Build the engine config.serving_mode selects. `requests` is the batch
+/// the fixed-batch engines serve at every step (the traffic engine draws
+/// its own arrivals); `step_interval` is the scenario's snapshot spacing
+/// (the traffic engine's serving-window length); `record_requests` asks
+/// the traffic engine for per-arrival records (fixed-batch engines always
 /// record — the handover accounting needs them). Each parallel worker
 /// calls this once; all referenced objects must outlive the engine.
 [[nodiscard]] std::unique_ptr<ServingEngine> make_serving_engine(
     const NetworkModel& model, const TopologyProvider& topology,
-    const RequestBatch& batch, const ScenarioConfig& config,
+    const std::vector<Request>& requests, const ScenarioConfig& config,
     double step_interval, bool record_requests);
 
 }  // namespace qntn::sim

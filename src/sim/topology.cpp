@@ -102,14 +102,32 @@ bool TopologyProvider::lans_connected_at(const NetworkModel& model,
   return all_lans_connected(model, graph_at(t));
 }
 
-bool refresh_snapshot(const TopologyProvider& topology, double t,
-                      net::CostMetric metric, TopologySnapshot& snap) {
+void SourceTreeTable::refresh(const TopologyProvider& topology, double t,
+                              TopologySnapshot& snap) {
   const std::size_t prev_epoch = snap.epoch;
   const void* prev_owner = snap.owner;
   topology.snapshot_at(t, snap);
-  return net::metric_is_eta_independent(metric) &&
-         snap.epoch != TopologyProvider::kNoEpoch &&
-         snap.epoch == prev_epoch && snap.owner == prev_owner;
+  const bool trees_route = net::metric_is_eta_independent(metric_) &&
+                           snap.epoch != TopologyProvider::kNoEpoch &&
+                           snap.epoch == prev_epoch &&
+                           snap.owner == prev_owner;
+  if (!trees_route) reset(snap.graph);
+}
+
+void SourceTreeTable::reset(const net::Graph& graph) {
+  ++generation_;
+  trees_.resize(graph.node_count());
+  stamps_.resize(graph.node_count(), 0);
+  net::compute_edge_costs(graph, metric_, edge_costs_);
+}
+
+const net::ShortestPathTree& SourceTreeTable::tree(const net::Graph& graph,
+                                                   net::NodeId source) {
+  if (stamps_[source] != generation_) {
+    trees_[source] = net::bellman_ford_tree(graph, source, edge_costs_);
+    stamps_[source] = generation_;
+  }
+  return trees_[source];
 }
 
 TopologyBuilder::TopologyBuilder(const NetworkModel& model,

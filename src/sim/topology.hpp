@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -147,15 +148,47 @@ class TopologyProvider {
                                                double t) const;
 };
 
-/// Snapshot `topology` at time t into `snap` and report whether
-/// shortest-path trees built under `metric` on the slot's previous graph
-/// still route the new one. A refresh inside one known epoch of the same
-/// provider only re-weights edges, so the trees survive it exactly when
-/// the metric cannot see the weights (eta-independent). The single-shot
-/// and traffic engines key their per-source tree caches on this.
-[[nodiscard]] bool refresh_snapshot(const TopologyProvider& topology, double t,
-                                    net::CostMetric metric,
-                                    TopologySnapshot& snap);
+/// The per-source shortest-path trees of one serving engine (single-shot
+/// and traffic) over the graph in the engine's snapshot slot: the edge
+/// costs priced once per graph, and one tree per source node, indexed by
+/// node id and built on first use with net::bellman_ford_tree. A tree is
+/// valid while its stamp equals the table's generation, so dropping them
+/// all is one increment. Not thread-safe: each engine owns one.
+class SourceTreeTable {
+ public:
+  explicit SourceTreeTable(net::CostMetric metric) : metric_(metric) {}
+
+  /// Snapshot `topology` at time t into `snap`, keeping the trees built on
+  /// the slot's previous graph exactly when they still route the new one.
+  /// A refresh inside one known epoch of the same provider only re-weights
+  /// edges, so the trees survive it when the metric cannot see the weights
+  /// (eta-independent); any other refresh resets the table to the new
+  /// graph. This is the one place the reuse rule is written.
+  void refresh(const TopologyProvider& topology, double t,
+               TopologySnapshot& snap);
+
+  /// Drop every tree and price `graph`'s edges: the table now serves
+  /// `graph`.
+  void reset(const net::Graph& graph);
+
+  /// The tree rooted at `source` over `graph`, which must be the graph of
+  /// the last refresh or reset; built on first use.
+  [[nodiscard]] const net::ShortestPathTree& tree(const net::Graph& graph,
+                                                  net::NodeId source);
+
+  /// Edge costs of the current graph under the metric, parallel to its
+  /// edges().
+  [[nodiscard]] const std::vector<double>& edge_costs() const {
+    return edge_costs_;
+  }
+
+ private:
+  net::CostMetric metric_;
+  std::vector<double> edge_costs_;
+  std::vector<net::ShortestPathTree> trees_;  ///< indexed by source node
+  std::vector<std::uint32_t> stamps_;         ///< tree valid iff == generation_
+  std::uint32_t generation_ = 0;
+};
 
 class TopologyBuilder final : public TopologyProvider {
  public:

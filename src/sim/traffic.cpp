@@ -66,7 +66,8 @@ TrafficEngine::TrafficEngine(const NetworkModel& model,
       topology_(topology),
       config_(config),
       window_(window),
-      record_requests_(record_requests) {
+      record_requests_(record_requests),
+      trees_(config.metric) {
   config_.validate();
   QNTN_REQUIRE(window_ > 0.0, "traffic serving window must be > 0");
 
@@ -138,25 +139,8 @@ void TrafficEngine::draw_arrivals(std::size_t step, double t0) {
 }
 
 ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
-  // Per-window lazy route cache: one shortest-path tree per arrival source,
-  // stamped by window (the snapshot is frozen for the whole window). The
-  // trees outlive the window when refresh_snapshot says they still route.
-  const bool reuse_trees =
-      refresh_snapshot(topology_, t, config_.metric, snap_);
+  trees_.refresh(topology_, t, snap_);
   const net::Graph& graph = snap_.graph;
-  if (!reuse_trees) {
-    ++stamp_;
-    trees_.resize(graph.node_count());
-    tree_stamp_.resize(graph.node_count(), 0);
-    net::compute_edge_costs(graph, config_.metric, edge_costs_);
-  }
-  const auto tree_for = [&](net::NodeId source) -> const net::ShortestPathTree& {
-    if (tree_stamp_[source] != stamp_) {
-      trees_[source] = net::bellman_ford_tree(graph, source, edge_costs_);
-      tree_stamp_[source] = stamp_;
-    }
-    return trees_[source];
-  };
 
   draw_arrivals(step, t);
 
@@ -252,7 +236,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     }
     // Decide from the tree before extracting a route: most attempts end in
     // no-path or a wait and never need the path.
-    const net::ShortestPathTree& tree = tree_for(arrival.source);
+    const net::ShortestPathTree& tree = trees_.tree(graph, arrival.source);
     if (tree.cost[arrival.destination] ==
         std::numeric_limits<double>::infinity()) {
       // The topology is frozen for the window, so no-path is terminal; it
@@ -280,7 +264,7 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
     auto route =
         saturated
             ? net::reroute_around_saturated(
-                  graph, edge_costs_, busy_, config_.node_capacity,
+                  graph, trees_.edge_costs(), busy_, config_.node_capacity,
                   arrival.source, arrival.destination, reroute_)
             : net::route_from_tree(graph, tree, arrival.source,
                                    arrival.destination);

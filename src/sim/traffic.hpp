@@ -62,7 +62,10 @@ struct TrafficConfig {
 /// Poisson arrivals are drawn from a seeded (step, LAN) substream with the
 /// diurnal rate factor at window start, then the event heap interleaves
 /// arrivals, capacity claims, deadline drops and completions against the
-/// step's topology snapshot. Capacity and backlog reset at every window
+/// step's topology snapshot. Routes come from the engine's
+/// SourceTreeTable (topology.hpp), the single-shot engine's tree table: one
+/// tree per arrival source, kept across the windows of one epoch under an
+/// eta-independent metric. Capacity and backlog reset at every window
 /// boundary (the same steady-state discipline as the em pool rebuilt per
 /// snapshot), which makes serve_step a pure function of (step, snapshot,
 /// config) — exactly what the parallel scenario loop needs for
@@ -99,13 +102,11 @@ class TrafficEngine final : public ServingEngine {
   std::vector<std::vector<net::NodeId>> peers_;
   std::vector<geo::Geodetic> lan_sites_;
 
-  /// Reusable per-step scratch.
+  /// Reusable per-step scratch. The snapshot is frozen for the whole
+  /// window.
   TopologySnapshot snap_;
+  SourceTreeTable trees_;
   std::vector<Arrival> arrivals_;
-  std::vector<double> edge_costs_;
-  std::vector<net::ShortestPathTree> trees_;   ///< indexed by source node
-  std::vector<std::uint32_t> tree_stamp_;      ///< tree valid iff == stamp_
-  std::uint32_t stamp_ = 0;
   std::vector<std::size_t> busy_;
   net::RerouteScratch reroute_;
   /// Node ECEF positions at the current window start, memoised per node.

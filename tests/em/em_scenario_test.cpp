@@ -170,8 +170,7 @@ void expect_em_matches_single_shot(TopologyMode mode) {
   const NetworkModel model = core::build_space_ground_model(config, 36);
   const core::Topology topology = core::make_topology(config, model);
   Rng rng(config.request_seed);
-  const RequestBatch batch =
-      make_request_batch(generate_requests(model, 30, rng));
+  const std::vector<Request> requests = generate_requests(model, 30, rng);
 
   ScenarioConfig single = config.scenario_config();
   single.serving_mode = ServingMode::SingleShot;
@@ -187,9 +186,9 @@ void expect_em_matches_single_shot(TopologyMode mode) {
 
   constexpr double kInterval = 1800.0;  // 48 steps span the day
   const auto single_engine = make_serving_engine(
-      model, topology.provider(), batch, single, kInterval, false);
+      model, topology.provider(), requests, single, kInterval, false);
   const auto em_engine = make_serving_engine(model, topology.provider(),
-                                             batch, em, kInterval, false);
+                                             requests, em, kInterval, false);
   ServeOutcome total;
   for (std::size_t step = 0; step < 48; ++step) {
     SCOPED_TRACE("step=" + std::to_string(step));
@@ -202,9 +201,9 @@ void expect_em_matches_single_shot(TopologyMode mode) {
     EXPECT_EQ(b.outcome.served, a.outcome.served);
     EXPECT_EQ(b.outcome.no_path, a.outcome.no_path);
     EXPECT_EQ(b.outcome.isolated, a.outcome.isolated);
-    ASSERT_EQ(a.requests.size(), batch.requests.size());
-    ASSERT_EQ(b.requests.size(), batch.requests.size());
-    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+    ASSERT_EQ(a.requests.size(), requests.size());
+    ASSERT_EQ(b.requests.size(), requests.size());
+    for (std::size_t i = 0; i < requests.size(); ++i) {
       EXPECT_EQ(b.requests[i].disposition, a.requests[i].disposition)
           << "request " << i;
       EXPECT_EQ(b.requests[i].hops, a.requests[i].hops) << "request " << i;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -335,10 +336,13 @@ TEST(ParallelScenario, HopCountSingleShotBitIdenticalAcrossThreadCounts) {
   // The reuse must actually have run: fewer trees than one per distinct
   // source per snapshot.
   Rng rng(sc.request_seed);
-  const std::size_t sources =
-      make_request_batch(generate_requests(day.model, sc.request_count, rng))
-          .sources.size();
-  EXPECT_LT(registry.counter("net.bf_trees"), sc.request_steps * sources);
+  std::set<net::NodeId> sources;
+  for (const Request& request :
+       generate_requests(day.model, sc.request_count, rng)) {
+    sources.insert(request.source);
+  }
+  EXPECT_LT(registry.counter("net.bf_trees"),
+            sc.request_steps * sources.size());
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));

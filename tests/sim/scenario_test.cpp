@@ -159,10 +159,10 @@ TEST(Scenario, ServedRecordsCarryTheAggregatesFidelityInEveryMode) {
     ASSERT_GT(result.totals.served, 0u);
 
     Rng rng(sc.request_seed);
-    const RequestBatch batch =
-        make_request_batch(generate_requests(model, sc.request_count, rng));
+    const std::vector<Request> requests =
+        generate_requests(model, sc.request_count, rng);
     const auto engine =
-        make_serving_engine(model, topology.provider(), batch, sc,
+        make_serving_engine(model, topology.provider(), requests, sc,
                             sc.request_step_interval, /*record_requests=*/true);
     std::size_t served = 0;
     double fidelity_sum = 0.0;
