@@ -80,10 +80,14 @@ struct ScenarioConfig {
 
 struct ScenarioResult {
   CoverageResult coverage;
-  /// Mean served fraction across snapshots (the paper's "percentage of
-  /// served requests"), in [0, 1].
+  /// Served requests over issued requests across the whole run (the
+  /// paper's "percentage of served requests"), in [0, 1]; 0 when nothing
+  /// was issued. Request-weighted, so a traffic window with no arrivals
+  /// does not count as a 0 % window. Fixed-batch modes issue the same
+  /// count at every snapshot, where this is the mean of served_per_step.
   double served_fraction = 0.0;
-  /// Distribution of per-snapshot served fractions.
+  /// Distribution of per-snapshot served fractions (a snapshot with no
+  /// requests contributes 0).
   RunningStats served_per_step;
   /// Every snapshot's ServeOutcome folded into one: request accounting
   /// totals, whose identity holds mode-independently (issued = served +

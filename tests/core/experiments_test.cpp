@@ -88,6 +88,24 @@ TEST(SpaceGround, SweepRunsInParallelDeterministically) {
   EXPECT_DOUBLE_EQ(parallel[0].served_percent, serial0.served_percent);
 }
 
+TEST(SpaceGround, TrafficServedPercentIsRequestWeighted) {
+  // A traffic day at 0.01 arrivals/s per LAN with diurnal amplitude 1:
+  // every LAN is silent at night, so many of the 96 windows issue nothing.
+  // served_percent counts requests, not windows, so those windows do not
+  // pull it down.
+  QntnConfig config;
+  config.serving_mode = ServingMode::Traffic;
+  config.traffic_arrival_rate = 0.01;
+  config.traffic_diurnal_amplitude = 1.0;
+  config.request_steps = 96;
+  const ArchitectureMetrics m = evaluate_space_ground(config, 36);
+  ASSERT_GT(m.requests_issued, 0u);
+  ASSERT_GT(m.requests_served, 0u);
+  EXPECT_DOUBLE_EQ(m.served_percent,
+                   100.0 * static_cast<double>(m.requests_served) /
+                       static_cast<double>(m.requests_issued));
+}
+
 TEST(AirGround, PaperHeadlineInvariants) {
   const QntnConfig config = quick();
   const ArchitectureMetrics air = evaluate_air_ground(config);
