@@ -47,12 +47,13 @@ ServeStepResult serve_snapshot(const net::Graph& graph,
       rec.disposition = ServeDisposition::Isolated;
       continue;
     }
-    const auto route = net::route_from_tree(
-        graph, trees.tree(graph, req.source), req.source, req.destination);
-    if (!route.has_value()) {
+    // Endpoints in different components have no path; they need no tree.
+    if (!trees.linked(req.source, req.destination)) {
       ++outcome.no_path;  // records default to NoPath
       continue;
     }
+    const auto route = net::route_from_tree(
+        graph, trees.tree(graph, req.source), req.source, req.destination);
     ++outcome.served;
     const double fidelity =
         quantum::bell_fidelity_after_damping(route->transmissivity, convention);

@@ -150,10 +150,12 @@ class TopologyProvider {
 
 /// The per-source shortest-path trees of one serving engine (single-shot
 /// and traffic) over the graph in the engine's snapshot slot: the edge
-/// costs priced once per graph, and one tree per source node, indexed by
-/// node id and built on first use with net::bellman_ford_tree. A tree is
-/// valid while its stamp equals the table's generation, so dropping them
-/// all is one increment. Not thread-safe: each engine owns one.
+/// costs priced once per graph, the graph's connected components, and one
+/// tree per source node, indexed by node id and built on first use into
+/// reused storage — net::hop_count_tree under HopCount, else
+/// net::bellman_ford_tree. A tree is valid while its stamp equals the
+/// table's generation, so dropping them all is one increment. Not
+/// thread-safe: each engine owns one.
 class SourceTreeTable {
  public:
   explicit SourceTreeTable(net::CostMetric metric) : metric_(metric) {}
@@ -167,9 +169,16 @@ class SourceTreeTable {
   void refresh(const TopologyProvider& topology, double t,
                TopologySnapshot& snap);
 
-  /// Drop every tree and price `graph`'s edges: the table now serves
-  /// `graph`.
+  /// Drop every tree, price `graph`'s edges and label its components: the
+  /// table now serves `graph`.
   void reset(const net::Graph& graph);
+
+  /// Are a and b in one connected component of the current graph? Every
+  /// metric prices every edge finitely, so this is exactly
+  /// `tree(graph, a).cost[b] < inf`, without building the tree.
+  [[nodiscard]] bool linked(net::NodeId a, net::NodeId b) const {
+    return component_[a] == component_[b];
+  }
 
   /// The tree rooted at `source` over `graph`, which must be the graph of
   /// the last refresh or reset; built on first use.
@@ -185,6 +194,8 @@ class SourceTreeTable {
  private:
   net::CostMetric metric_;
   std::vector<double> edge_costs_;
+  std::vector<std::size_t> component_;  ///< component label per node
+  net::HopTreeScratch hop_;             ///< half-edge index, HopCount only
   std::vector<net::ShortestPathTree> trees_;  ///< indexed by source node
   std::vector<std::uint32_t> stamps_;         ///< tree valid iff == generation_
   std::uint32_t generation_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <queue>
 
 #include "common/constants.hpp"
@@ -234,16 +233,16 @@ ServeStepResult TrafficEngine::serve_step(std::size_t step, double t) {
         return true;
       }
     }
-    // Decide from the tree before extracting a route: most attempts end in
-    // no-path or a wait and never need the path.
-    const net::ShortestPathTree& tree = trees_.tree(graph, arrival.source);
-    if (tree.cost[arrival.destination] ==
-        std::numeric_limits<double>::infinity()) {
-      // The topology is frozen for the window, so no-path is terminal; it
-      // can only trip on the first attempt (queued requests had a route).
+    // Endpoints in different components have no path and need no tree.
+    // The topology is frozen for the window, so no-path is terminal; it can
+    // only trip on the first attempt (queued requests had a route).
+    if (!trees_.linked(arrival.source, arrival.destination)) {
       finish(index, ServeDisposition::NoPath, nullptr, 0.0, 0.0);
       return true;
     }
+    // Decide from the tree before extracting a route: most linked attempts
+    // that fail end in a wait and never need the path.
+    const net::ShortestPathTree& tree = trees_.tree(graph, arrival.source);
     // Endpoints must have room themselves; a saturated endpoint can only be
     // waited out.
     if (busy_[arrival.source] >= config_.node_capacity ||

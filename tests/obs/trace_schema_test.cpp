@@ -23,6 +23,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiments.hpp"
@@ -167,6 +168,30 @@ std::size_t count_type(const std::string& trace, const std::string& type) {
   return count;
 }
 
+/// Unsigned value of `"key": ` in one flat JSONL line.
+std::uint64_t uint_field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\": ";
+  return std::stoull(line.substr(line.find(tag) + tag.size()));
+}
+
+/// Per-source trees the engine built: under the default inverse-eta metric
+/// no tree outlives its snapshot, so one per step for each source with a
+/// request that got past the isolation check and had a path.
+std::size_t source_trees(const std::string& trace) {
+  std::set<std::pair<std::uint64_t, std::uint64_t>> step_sources;
+  std::istringstream in(trace);
+  std::string line;
+  while (std::getline(in, line)) {
+    const ParsedLine parsed = parse_line(line);
+    if (parsed.type != "request" || parsed.status == "no_path" ||
+        parsed.status == "isolated") {
+      continue;
+    }
+    step_sources.emplace(uint_field(line, "step"), uint_field(line, "src"));
+  }
+  return step_sources.size();
+}
+
 TEST(TraceSchema, MatchesGoldenFile) {
   std::set<std::string> schema;
   for (const Mode& mode : kModes) {
@@ -277,7 +302,10 @@ TEST(TraceSchema, CountersReconcileWithMetrics) {
     if (mode.mode == core::ServingMode::Entanglement) {
       EXPECT_EQ(counter("em.requests_served"), m.requests_served);
     } else {
-      EXPECT_GT(counter("net.bf_trees"), 0u);
+      EXPECT_GT(source_trees(run.trace), 0u);
+      EXPECT_EQ(counter("net.bf_trees"),
+                source_trees(run.trace) + counter("sim.reroute_trees"));
+      EXPECT_EQ(counter("net.hop_trees"), 0u);
     }
   }
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -101,6 +103,25 @@ void expect_same_step(const ServeStepResult& got, const ServeStepResult& want) {
   }
 }
 
+/// Sources that needed a tree at one step: those of requests that got past
+/// the isolation check and had a path. Fixed-batch records leave their
+/// endpoints 0, so single-shot sources come from the batch.
+std::set<net::NodeId> tree_sources(const ServeStepResult& step,
+                                   const std::vector<Request>& requests,
+                                   ServingMode mode) {
+  std::set<net::NodeId> sources;
+  for (std::size_t i = 0; i < step.requests.size(); ++i) {
+    const RequestRecord& rec = step.requests[i];
+    if (rec.disposition == ServeDisposition::Isolated ||
+        rec.disposition == ServeDisposition::NoPath) {
+      continue;
+    }
+    sources.insert(mode == ServingMode::SingleShot ? requests[i].source
+                                                   : rec.source);
+  }
+  return sources;
+}
+
 /// Serve kSteps steps of TwoEpochTopology under HopCount with one
 /// long-lived engine and with a fresh engine per step; they must agree
 /// record for record, and the long-lived one must have reused trees.
@@ -126,6 +147,11 @@ void expect_long_lived_engine_matches_fresh(ServingMode mode) {
   std::vector<std::size_t> hops_before;
   std::size_t served = 0;
   std::size_t epoch_changes_with_new_hops = 0;
+  // A fresh engine builds one tree per source with a path at every step;
+  // the long-lived one, one per such source per run of same-epoch steps.
+  std::size_t fresh_trees = 0;
+  std::size_t lived_trees = 0;
+  std::set<net::NodeId> epoch_sources;
   for (std::size_t step = 0; step < kSteps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     const double t = static_cast<double>(step) * kInterval;
@@ -143,6 +169,13 @@ void expect_long_lived_engine_matches_fresh(ServingMode mode) {
     }
     expect_same_step(got, want);
     served += got.outcome.served;
+    const std::set<net::NodeId> sources = tree_sources(got, requests, mode);
+    fresh_trees += sources.size();
+    if (step > 0 && topology.epoch_of(t) != topology.epoch_of(t - kInterval)) {
+      lived_trees += epoch_sources.size();
+      epoch_sources.clear();
+    }
+    epoch_sources.insert(sources.begin(), sources.end());
 
     // The batch is routed differently in the two epochs, so trees carried
     // across the boundary would have shown.
@@ -157,10 +190,15 @@ void expect_long_lived_engine_matches_fresh(ServingMode mode) {
   if (mode == ServingMode::SingleShot) {
     EXPECT_EQ(epoch_changes_with_new_hops, 3u);
   }
-  // The long-lived engine did reuse trees inside each epoch.
-  EXPECT_GT(lived_registry.counter("net.bf_trees"), 0u);
-  EXPECT_LT(lived_registry.counter("net.bf_trees"),
-            fresh_registry.counter("net.bf_trees"));
+  lived_trees += epoch_sources.size();
+  // Hop-count trees come from the breadth-first builder, and the
+  // long-lived engine did reuse them inside each epoch.
+  EXPECT_EQ(lived_registry.counter("net.bf_trees"), 0u);
+  EXPECT_EQ(fresh_registry.counter("net.bf_trees"), 0u);
+  EXPECT_EQ(lived_registry.counter("net.hop_trees"), lived_trees);
+  EXPECT_EQ(fresh_registry.counter("net.hop_trees"), fresh_trees);
+  EXPECT_GT(lived_trees, 0u);
+  EXPECT_LT(lived_trees, fresh_trees);
 }
 
 TEST(SourceTreeTable, SingleShotEpochsWithEqualEdgeCountsDoNotShareTrees) {
@@ -169,6 +207,46 @@ TEST(SourceTreeTable, SingleShotEpochsWithEqualEdgeCountsDoNotShareTrees) {
 
 TEST(SourceTreeTable, TrafficEpochsWithEqualEdgeCountsDoNotShareTrees) {
   expect_long_lived_engine_matches_fresh(ServingMode::Traffic);
+}
+
+TEST(SourceTreeTable, LinkedIsExactlyAFiniteTreeCost) {
+  // 36 satellites on the contact plan: the graph at a step has relayed LAN
+  // pairs, isolated satellites and satellite islands. Consecutive 30 s
+  // steps often share an epoch, where refresh keeps the trees and the
+  // component labels of the step before.
+  core::QntnConfig config;
+  config.topology_mode = core::TopologyMode::ContactPlan;
+  const NetworkModel model = core::build_space_ground_model(config, 36);
+  const core::Topology topology = core::make_topology(config, model);
+  for (const net::CostMetric metric :
+       {net::CostMetric::HopCount, net::CostMetric::InverseEta}) {
+    SourceTreeTable trees(metric);
+    TopologySnapshot snap;
+    std::size_t same_epoch_refreshes = 0;
+    std::size_t linked_pairs = 0;
+    std::size_t unlinked_pairs = 0;
+    std::size_t previous_epoch = TopologyProvider::kNoEpoch;
+    for (std::size_t step = 0; step < 120; ++step) {
+      const double t = 10'800.0 + 30.0 * static_cast<double>(step);
+      trees.refresh(topology.provider(), t, snap);
+      if (snap.epoch == previous_epoch) ++same_epoch_refreshes;
+      previous_epoch = snap.epoch;
+      const net::Graph& graph = snap.graph;
+      for (net::NodeId a = 0; a < graph.node_count(); ++a) {
+        const net::ShortestPathTree& tree = trees.tree(graph, a);
+        for (net::NodeId b = 0; b < graph.node_count(); ++b) {
+          const bool finite =
+              tree.cost[b] < std::numeric_limits<double>::infinity();
+          ASSERT_EQ(trees.linked(a, b), finite)
+              << "t=" << t << " a=" << a << " b=" << b;
+          ++(finite ? linked_pairs : unlinked_pairs);
+        }
+      }
+    }
+    EXPECT_GT(same_epoch_refreshes, 0u);
+    EXPECT_GT(linked_pairs, 0u);
+    EXPECT_GT(unlinked_pairs, 0u);
+  }
 }
 
 }  // namespace

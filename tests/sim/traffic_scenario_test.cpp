@@ -511,9 +511,9 @@ TEST(TrafficEngine, SaturatedRelayDetoursThroughTheOther) {
 TEST(TrafficEngine, EveryTreeIsASourceTreeOrAMaskedReroute) {
   // traffic_congested's serving keys on a small constellation: capacity 1,
   // 250-ms services, inverse-eta routes rebuilt every window. Each window
-  // builds one tree per source that got past the isolation check; every
-  // other tree is a masked reroute, and saturated attempts the
-  // reachability gate settled build none.
+  // builds one tree per source with an arrival that got past the isolation
+  // check and had a path; every other tree is a masked reroute, and
+  // saturated attempts the reachability gate settled build none.
   QntnConfig config;
   config.serving_mode = core::ServingMode::Traffic;
   config.topology_mode = TopologyMode::ContactPlan;
@@ -532,7 +532,8 @@ TEST(TrafficEngine, EveryTreeIsASourceTreeOrAMaskedReroute) {
         engine.serve_step(step, static_cast<double>(step) * 3'600.0);
     std::vector<net::NodeId> sources;
     for (const RequestRecord& rec : out.requests) {
-      if (rec.disposition != ServeDisposition::Isolated) {
+      if (rec.disposition != ServeDisposition::Isolated &&
+          rec.disposition != ServeDisposition::NoPath) {
         sources.push_back(rec.source);
       }
     }
