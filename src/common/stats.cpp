@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -44,14 +45,24 @@ void RunningStats::merge(const RunningStats& other) {
 }
 
 double percentile(std::vector<double> values, double q) {
+  return percentiles(std::move(values), {q}).front();
+}
+
+std::vector<double> percentiles(std::vector<double> values,
+                                const std::vector<double>& qs) {
   QNTN_REQUIRE(!values.empty(), "percentile of empty set");
-  QNTN_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
   std::sort(values.begin(), values.end());
-  const double rank = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  std::vector<double> out;
+  out.reserve(qs.size());
+  for (const double q : qs) {
+    QNTN_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
+    const double rank = q * static_cast<double>(values.size() - 1);
+    const auto lo = static_cast<std::size_t>(rank);
+    const std::size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = rank - static_cast<double>(lo);
+    out.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
+  }
+  return out;
 }
 
 }  // namespace qntn

@@ -37,4 +37,8 @@ class RunningStats {
 /// q in [0, 1]. Precondition: values non-empty.
 [[nodiscard]] double percentile(std::vector<double> values, double q);
 
+/// percentile(values, q) for every q of `qs`, in order, from one sort.
+[[nodiscard]] std::vector<double> percentiles(std::vector<double> values,
+                                              const std::vector<double>& qs);
+
 }  // namespace qntn

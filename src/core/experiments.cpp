@@ -62,6 +62,17 @@ sim::ScenarioConfig RunContext::scenario_config() const {
 
 namespace {
 
+/// p50/p95/p99 of `samples` from one sort; left as they are when there
+/// are no samples.
+void tail_percentiles(const std::vector<double>& samples, double& p50,
+                      double& p95, double& p99) {
+  if (samples.empty()) return;
+  const std::vector<double> p = percentiles(samples, {0.50, 0.95, 0.99});
+  p50 = p[0];
+  p95 = p[1];
+  p99 = p[2];
+}
+
 ArchitectureMetrics summarize(std::string architecture,
                               std::size_t n_satellites, ServingMode mode,
                               const sim::ScenarioResult& r) {
@@ -90,26 +101,17 @@ ArchitectureMetrics summarize(std::string architecture,
     m.em.multipath_spills = r.em.spilled;
     m.em.mean_memory_occupancy = r.em.memory_occupancy.mean();
     m.em.mean_swap_depth = r.em.swap_depth.mean();
-    if (!r.em.latency_samples.empty()) {
-      m.latency_p50 = percentile(r.em.latency_samples, 0.50);
-      m.latency_p95 = percentile(r.em.latency_samples, 0.95);
-      m.latency_p99 = percentile(r.em.latency_samples, 0.99);
-    }
+    tail_percentiles(r.em.latency_samples, m.latency_p50, m.latency_p95,
+                     m.latency_p99);
   }
   if (mode == ServingMode::Traffic) {
     m.traffic.enabled = true;
     m.traffic.mean_peak_utilisation = r.traffic.peak_utilisation.mean();
     m.traffic.peak_queue_depth = r.traffic.peak_queue_depth;
-    if (!r.traffic.latency_samples.empty()) {
-      m.latency_p50 = percentile(r.traffic.latency_samples, 0.50);
-      m.latency_p95 = percentile(r.traffic.latency_samples, 0.95);
-      m.latency_p99 = percentile(r.traffic.latency_samples, 0.99);
-    }
-    if (!r.traffic.waiting_samples.empty()) {
-      m.waiting_p50 = percentile(r.traffic.waiting_samples, 0.50);
-      m.waiting_p95 = percentile(r.traffic.waiting_samples, 0.95);
-      m.waiting_p99 = percentile(r.traffic.waiting_samples, 0.99);
-    }
+    tail_percentiles(r.traffic.latency_samples, m.latency_p50,
+                     m.latency_p95, m.latency_p99);
+    tail_percentiles(r.traffic.waiting_samples, m.waiting_p50, m.waiting_p95,
+                     m.waiting_p99);
   }
   return m;
 }

@@ -123,6 +123,25 @@ TEST(Percentile, UnsortedInputHandled) {
 TEST(Percentile, RejectsBadInput) {
   EXPECT_THROW((void)percentile({}, 0.5), PreconditionError);
   EXPECT_THROW((void)percentile({1.0}, 1.5), PreconditionError);
+  EXPECT_THROW((void)percentiles({}, {0.5}), PreconditionError);
+  EXPECT_THROW((void)percentiles({1.0}, {0.5, -0.1}), PreconditionError);
+}
+
+TEST(Percentile, OneSortGivesEachPercentileBitForBit) {
+  Rng rng(5);
+  const std::vector<double> qs{0.0, 0.01, 0.5, 0.95, 0.99, 1.0};
+  for (const std::size_t size : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{7}, std::size_t{1000}}) {
+    std::vector<double> values;
+    for (std::size_t i = 0; i < size; ++i) {
+      values.push_back(rng.uniform(0.0, 50.0));
+    }
+    const std::vector<double> got = percentiles(values, qs);
+    ASSERT_EQ(got.size(), qs.size());
+    for (std::size_t i = 0; i < qs.size(); ++i) {
+      EXPECT_EQ(got[i], percentile(values, qs[i])) << "q=" << qs[i];
+    }
+  }
 }
 
 }  // namespace
