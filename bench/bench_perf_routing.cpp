@@ -1,6 +1,6 @@
 // Performance of the routing layer on QNTN-shaped graphs (31 ground nodes
 // + n satellites): the paper's distance-vector Algorithm 1 vs single-source
-// Bellman-Ford vs Dijkstra.
+// Bellman-Ford vs the breadth-first hop-count tree vs Dijkstra.
 
 #include <cstdio>
 
@@ -58,6 +58,18 @@ int main(int argc, char** argv) {
                                bellman_ford_tree(g, 0, CostMetric::InverseEta));
                          }
                        });
+      // The hop-count tree by breadth-first search, into reused storage
+      // over a half-edge index built once per graph, as the serving tree
+      // table builds it.
+      HopTreeScratch scratch;
+      index_half_edges(g, scratch);
+      ShortestPathTree hop_tree;
+      harness.run_case("hop_count_tree_n" + std::to_string(sats), iters, [&] {
+        for (std::uint64_t i = 0; i < iters; ++i) {
+          hop_count_tree(g, 0, scratch, hop_tree);
+          bench::do_not_optimize(hop_tree.cost.back());
+        }
+      });
       harness.run_case("dijkstra_n" + std::to_string(sats), iters, [&] {
         for (std::uint64_t i = 0; i < iters; ++i) {
           bench::do_not_optimize(
