@@ -33,8 +33,9 @@ struct Request {
                                                      std::size_t count,
                                                      Rng& rng);
 
-/// Route and serve all requests on one snapshot graph. One Bellman-Ford
-/// tree per distinct source amortises the routing cost.
+/// Route and serve all requests on one snapshot graph. One tree per
+/// distinct source with a reachable destination amortises the routing
+/// cost; a pair in different components is no-path without a tree.
 /// `ServeStepResult::requests` carries one record per request, in request
 /// order (disposition, relay, eta/hops), which the scenario trace and
 /// handover accounting consume.
