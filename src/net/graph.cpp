@@ -73,20 +73,19 @@ bool Graph::connected(NodeId u, NodeId v) const {
 
 std::vector<std::size_t> Graph::components() const {
   std::vector<std::size_t> label(node_count(), SIZE_MAX);
+  std::vector<NodeId> frontier;
+  frontier.reserve(node_count());
   std::size_t next = 0;
   for (NodeId start = 0; start < node_count(); ++start) {
     if (label[start] != SIZE_MAX) continue;
     const std::size_t comp = next++;
-    std::queue<NodeId> frontier;
-    frontier.push(start);
     label[start] = comp;
-    while (!frontier.empty()) {
-      const NodeId cur = frontier.front();
-      frontier.pop();
-      for (const Adjacency& adj : adjacency_[cur]) {
+    frontier.assign(1, start);
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+      for (const Adjacency& adj : adjacency_[frontier[head]]) {
         if (label[adj.to] == SIZE_MAX) {
           label[adj.to] = comp;
-          frontier.push(adj.to);
+          frontier.push_back(adj.to);
         }
       }
     }
