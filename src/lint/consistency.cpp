@@ -214,6 +214,33 @@ void check_golden_tables(const std::string& text, const std::string& golden,
   }
 }
 
+/// Every backticked token of `text` that is exactly a `bench_*` identifier,
+/// outside fenced code blocks (code spans are paired within a line).
+void extract_bench_tokens(const std::string& file, const std::string& text,
+                          std::vector<NamedSite>& out) {
+  static const std::regex kTarget(R"(bench_[a-z0-9_]+)");
+  std::istringstream in(text);
+  std::size_t line_number = 0;
+  bool fenced = false;
+  for (std::string line; std::getline(in, line);) {
+    ++line_number;
+    if (line.find("```") != std::string::npos) {
+      fenced = !fenced;
+      continue;
+    }
+    if (fenced) continue;
+    for (std::size_t open = line.find('`'); open != std::string::npos;) {
+      const std::size_t close = line.find('`', open + 1);
+      if (close == std::string::npos) break;
+      const std::string token = line.substr(open + 1, close - open - 1);
+      if (std::regex_match(token, kTarget)) {
+        out.push_back({token, file, line_number});
+      }
+      open = line.find('`', close + 1);
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> check_consistency(
@@ -262,6 +289,34 @@ std::vector<Finding> check_consistency(
     extract_doc_block(std::string(doc), text, "counters", doc_counters);
     extract_doc_block(std::string(doc), text, "spans", doc_spans);
     extract_doc_block(std::string(doc), text, "config-keys", doc_keys);
+  }
+
+  // bench/ targets named in the docs against the qntn_repro(...) lines of
+  // bench/CMakeLists.txt (CMake comments dropped).
+  std::vector<NamedSite> doc_bench_targets;
+  for (const std::string_view doc :
+       {"README.md", "DESIGN.md", "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md"}) {
+    std::string text;
+    if (read_file(fs::path(root) / doc, text)) {
+      extract_bench_tokens(std::string(doc), text, doc_bench_targets);
+    }
+  }
+  std::set<std::string> bench_targets;
+  {
+    static const std::regex kRepro(
+        R"(qntn_repro\(\s*(bench_[a-z0-9_]+)\s*\))");
+    std::string text;
+    if (read_file(fs::path(root) / "bench/CMakeLists.txt", text)) {
+      std::istringstream in(text);
+      for (std::string line; std::getline(in, line);) {
+        line = line.substr(0, line.find('#'));
+        std::smatch match;
+        if (std::regex_search(line, match, kRepro)) {
+          bench_targets.insert(match[1].str());
+        }
+      }
+    }
   }
 
   std::vector<NamedSite> golden_spans;
@@ -322,6 +377,12 @@ std::vector<Finding> check_consistency(
   report_missing(doc_keys, names_of(parse_keys), "config-key-stale-doc",
                  "documented config key",
                  "is not parsed by core::parse_config (stale doc row?)",
+                 findings);
+
+  report_missing(doc_bench_targets, bench_targets, "bench-target-stale-doc",
+                 "bench target",
+                 "is not a qntn_repro(...) target in bench/CMakeLists.txt "
+                 "(stale doc reference?)",
                  findings);
 
   report_missing(parse_keys, names_of(serialize_keys),

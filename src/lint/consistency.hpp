@@ -36,7 +36,11 @@
 ///     unchecked, `=word` a row guard, else a golden key with `{id}` for
 ///     the row's first cell) names a golden line (`golden-key-missing`)
 ///     and prints its tests/golden/repro.golden value at the cell's own
-///     precision (`experiments-stale-golden`).
+///     precision (`experiments-stale-golden`);
+///   * every backticked token that is exactly a `bench_*` identifier in
+///     README.md, DESIGN.md, EXPERIMENTS.md or the verify skill
+///     (.claude/skills/verify/SKILL.md) is a `qntn_repro(...)` target in
+///     bench/CMakeLists.txt (`bench-target-stale-doc`).
 ///
 /// Findings are raw — the tree pipeline applies `// lint: <token>`
 /// justifications to the code-side rules (doc- and golden-side findings

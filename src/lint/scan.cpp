@@ -91,6 +91,13 @@ const std::vector<PassRule>& pass_rules() {
           "documented config key is not parsed by core::parse_config",
       },
       {
+          "bench-target-stale-doc",
+          "",
+          "backticked bench_* name in README/DESIGN/EXPERIMENTS or the "
+          "verify skill is not a qntn_repro(...) target in "
+          "bench/CMakeLists.txt",
+      },
+      {
           "stale-suppression",
           "",
           "`// lint: <token>` justification whose rule no longer fires "

@@ -101,6 +101,33 @@ TEST(LintTree, StaleExperimentsCellFires) {
   EXPECT_EQ(findings.size(), hits.size()) << "unexpected extra findings";
 }
 
+// A backticked `bench_*` name in the docs must be a qntn_repro(...) target
+// of bench/CMakeLists.txt. The fixture names one target that exists, one
+// only in a commented-out qntn_repro line, one only in a CMake comment, one
+// nowhere (twice in one file, reported once), plus a glob, a path and a
+// fenced code block that the rule skips.
+TEST(LintTree, StaleBenchTargetFires) {
+  const auto findings = check_tree_fixture("bench_stale");
+  const auto hits = with_rule(findings, "bench-target-stale-doc");
+  ASSERT_EQ(hits.size(), 3u);
+  std::set<std::string> sites;
+  for (const Finding& f : hits) {
+    for (const std::string name :
+         {"bench_perf_commented", "bench_perf_header", "bench_perf_gone"}) {
+      if (f.message.find("'" + name + "'") != std::string::npos) {
+        sites.insert(f.file + ":" + std::to_string(f.line) + " " + name);
+      }
+    }
+  }
+  const std::set<std::string> expected = {
+      "EXPERIMENTS.md:1 bench_perf_commented",
+      "EXPERIMENTS.md:1 bench_perf_header",
+      "README.md:6 bench_perf_gone",
+  };
+  EXPECT_EQ(sites, expected);
+  EXPECT_EQ(findings.size(), hits.size()) << "unexpected extra findings";
+}
+
 TEST(LintTree, StaleSuppressionFires) {
   const auto findings = check_tree_fixture("stale_suppression");
   const auto hits = with_rule(findings, "stale-suppression");
