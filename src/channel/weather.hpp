@@ -21,6 +21,8 @@ struct WeatherProfile {
   double turbulence_factor = 1.0;
   /// Adds RMS pointing jitter [rad] on aerial platforms (HAP vibration).
   double platform_jitter = 0.0;
+
+  constexpr bool operator==(const WeatherProfile&) const = default;
 };
 
 /// Paper baseline: the "perfect setup and ideal conditions" of Section III-D.

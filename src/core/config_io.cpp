@@ -1,10 +1,11 @@
 #include "core/config_io.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
-#include <functional>
+#include <iterator>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -16,351 +17,314 @@ namespace qntn::core {
 
 namespace {
 
-std::string metric_name(net::CostMetric metric) {
-  switch (metric) {
-    case net::CostMetric::InverseEta:
-      return "inverse_eta";
-    case net::CostMetric::NegLogEta:
-      return "neg_log_eta";
-    case net::CostMetric::HopCount:
-      return "hop_count";
+template <class T>
+struct NameRow {
+  T value;
+  std::string_view name;
+};
+
+/// The config names of an enum's values; `noun` names the enum in errors.
+template <class T, std::size_t N>
+struct Names {
+  std::string_view noun;
+  std::array<NameRow<T>, N> rows;
+};
+
+/// Deduces the row count from the rows given.
+template <class T, std::size_t N>
+constexpr Names<T, N> names(std::string_view noun, NameRow<T> (&&rows)[N]) {
+  return {noun, std::to_array(rows)};
+}
+
+constexpr auto kMetrics =
+    names<net::CostMetric>("metric",
+                           {{net::CostMetric::InverseEta, "inverse_eta"},
+                            {net::CostMetric::NegLogEta, "neg_log_eta"},
+                            {net::CostMetric::HopCount, "hop_count"}});
+constexpr auto kConventions = names<quantum::FidelityConvention>(
+    "fidelity convention", {{quantum::FidelityConvention::Uhlmann, "uhlmann"},
+                            {quantum::FidelityConvention::Jozsa, "jozsa"}});
+constexpr auto kLanTopologies =
+    names<sim::LanTopology>("LAN topology",
+                            {{sim::LanTopology::FullMesh, "mesh"},
+                             {sim::LanTopology::Chain, "chain"},
+                             {sim::LanTopology::Star, "star"}});
+constexpr auto kWeathers = names<channel::WeatherProfile>(
+    "weather profile", {{channel::clear_sky(), "clear"},
+                        {channel::haze(), "haze"},
+                        {channel::strong_turbulence(), "strong_turbulence"},
+                        {channel::light_rain(), "light_rain"}});
+constexpr auto kTopologyModes =
+    names<TopologyMode>("topology mode",
+                        {{TopologyMode::Rebuild, "rebuild"},
+                         {TopologyMode::ContactPlan, "contact_plan"}});
+constexpr auto kServingModes =
+    names<ServingMode>("serving mode",
+                       {{ServingMode::SingleShot, "single_shot"},
+                        {ServingMode::Entanglement, "entanglement"},
+                        {ServingMode::Traffic, "traffic"}});
+
+/// A numeric key's single-field domain, checked on the value as written
+/// (degrees for angle keys) while its line is parsed.
+struct Domain {
+  bool (*holds)(double value);
+  std::string_view rule;
+};
+
+constexpr Domain kPositive{
+    [](double v) { return std::isfinite(v) && v > 0.0; },
+    "must be finite and > 0"};
+constexpr Domain kPositiveOrInf{[](double v) { return v > 0.0; },
+                                "must be > 0"};
+constexpr Domain kNonNegative{
+    [](double v) { return std::isfinite(v) && v >= 0.0; },
+    "must be finite and >= 0"};
+
+double parse_number(const std::string& text, const Domain* domain) {
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) throw Error("bad numeric value: " + text);
+  if (domain != nullptr && !domain->holds(value)) {
+    throw Error(std::string(domain->rule));
   }
-  throw Error("unknown metric");
+  return value;
 }
 
-net::CostMetric metric_from(const std::string& name) {
-  if (name == "inverse_eta") return net::CostMetric::InverseEta;
-  if (name == "neg_log_eta") return net::CostMetric::NegLogEta;
-  if (name == "hop_count") return net::CostMetric::HopCount;
-  throw Error("unknown metric: " + name);
-}
+// Codecs: a key's text <-> its field's value. `read` throws on malformed
+// or out-of-domain text.
 
-std::string convention_name(quantum::FidelityConvention convention) {
-  return convention == quantum::FidelityConvention::Uhlmann ? "uhlmann"
-                                                            : "jozsa";
-}
-
-quantum::FidelityConvention convention_from(const std::string& name) {
-  if (name == "uhlmann") return quantum::FidelityConvention::Uhlmann;
-  if (name == "jozsa") return quantum::FidelityConvention::Jozsa;
-  throw Error("unknown fidelity convention: " + name);
-}
-
-std::string topology_name(sim::LanTopology topology) {
-  switch (topology) {
-    case sim::LanTopology::FullMesh:
-      return "mesh";
-    case sim::LanTopology::Chain:
-      return "chain";
-    case sim::LanTopology::Star:
-      return "star";
+struct Real {
+  static constexpr ConfigValue kValue = ConfigValue::Real;
+  static double read(const std::string& text, const Domain* domain) {
+    return parse_number(text, domain);
   }
-  throw Error("unknown LAN topology");
-}
+  static void write(std::ostream& os, double value) { os << value; }
+};
 
-sim::LanTopology topology_from(const std::string& name) {
-  if (name == "mesh") return sim::LanTopology::FullMesh;
-  if (name == "chain") return sim::LanTopology::Chain;
-  if (name == "star") return sim::LanTopology::Star;
-  throw Error("unknown LAN topology: " + name);
-}
-
-std::string weather_name(const channel::WeatherProfile& weather) {
-  return std::string(weather.name);
-}
-
-channel::WeatherProfile weather_from(const std::string& name) {
-  if (name == "clear") return channel::clear_sky();
-  if (name == "haze") return channel::haze();
-  if (name == "strong_turbulence") return channel::strong_turbulence();
-  if (name == "light_rain") return channel::light_rain();
-  throw Error("unknown weather profile: " + name);
-}
-
-std::string topology_mode_name(TopologyMode mode) {
-  return mode == TopologyMode::ContactPlan ? "contact_plan" : "rebuild";
-}
-
-TopologyMode topology_mode_from(const std::string& name) {
-  if (name == "rebuild") return TopologyMode::Rebuild;
-  if (name == "contact_plan") return TopologyMode::ContactPlan;
-  throw Error("unknown topology mode: " + name);
-}
-
-std::string serving_mode_name(ServingMode mode) {
-  switch (mode) {
-    case ServingMode::SingleShot:
-      return "single_shot";
-    case ServingMode::Entanglement:
-      return "entanglement";
-    case ServingMode::Traffic:
-      return "traffic";
+/// Written in degrees, held in radians.
+struct Degrees {
+  static constexpr ConfigValue kValue = ConfigValue::Degrees;
+  static double read(const std::string& text, const Domain* domain) {
+    return deg_to_rad(parse_number(text, domain));
   }
-  throw Error("unknown serving mode");
+  static void write(std::ostream& os, double value) { os << rad_to_deg(value); }
+};
+
+struct Count {
+  static constexpr ConfigValue kValue = ConfigValue::Count;
+  static std::size_t read(const std::string& text, const Domain* domain) {
+    const double value = parse_number(text, domain);
+    // Range-check before the cast: converting nan, inf or anything at or
+    // past 2^64 to std::size_t is undefined behaviour.
+    constexpr auto kLimit =
+        static_cast<double>(std::numeric_limits<std::size_t>::max());
+    if (!(value >= 0.0 && value < kLimit) || value != std::floor(value)) {
+      throw Error("bad integer value: " + text);
+    }
+    return static_cast<std::size_t>(value);
+  }
+  static void write(std::ostream& os, std::size_t value) { os << value; }
+};
+
+struct Flag {
+  static constexpr ConfigValue kValue = ConfigValue::Flag;
+  static bool read(const std::string& text, const Domain* /*domain*/) {
+    if (text == "true") return true;
+    if (text == "false") return false;
+    throw Error("bad boolean value: " + text);
+  }
+  static void write(std::ostream& os, bool value) {
+    os << (value ? "true" : "false");
+  }
+};
+
+template <const auto& kNames>
+struct Named {
+  static constexpr ConfigValue kValue = ConfigValue::Name;
+  static auto read(const std::string& text, const Domain* /*domain*/) {
+    for (const auto& row : kNames.rows) {
+      if (row.name == text) return row.value;
+    }
+    throw Error("unknown " + std::string(kNames.noun) + ": " + text);
+  }
+  static void write(std::ostream& os, const auto& value) {
+    for (const auto& row : kNames.rows) {
+      if (row.value == value) {
+        os << row.name;
+        return;
+      }
+    }
+    throw Error("unknown " + std::string(kNames.noun));
+  }
+  static std::vector<std::string_view> names() {
+    std::vector<std::string_view> out;
+    for (const auto& row : kNames.rows) out.push_back(row.name);
+    return out;
+  }
+};
+
+/// A codec bound to one QntnConfig field; built by field<Codec, Path...>,
+/// where `Path` is the chain of member pointers that reaches the field.
+struct Field {
+  ConfigValue value;
+  void (*write)(std::ostream& os, const QntnConfig& config);
+  void (*read)(QntnConfig& config, const std::string& text,
+               const Domain* domain);
+  std::vector<std::string_view> (*names)() = nullptr;
+};
+
+template <class Codec, auto... Path>
+constexpr Field field() {
+  Field out{Codec::kValue,
+            [](std::ostream& os, const QntnConfig& config) {
+              Codec::write(os, (config .* ... .* Path));
+            },
+            [](QntnConfig& config, const std::string& text,
+               const Domain* domain) {
+              (config .* ... .* Path) = Codec::read(text, domain);
+            }};
+  if constexpr (Codec::kValue == ConfigValue::Name) out.names = Codec::names;
+  return out;
 }
 
-ServingMode serving_mode_from(const std::string& name) {
-  if (name == "single_shot") return ServingMode::SingleShot;
-  if (name == "entanglement") return ServingMode::Entanglement;
-  if (name == "traffic") return ServingMode::Traffic;
-  throw Error("unknown serving mode: " + name);
+struct Key {
+  std::string_view name;
+  Field field;
+  const Domain* domain = nullptr;
+};
+
+using C = QntnConfig;
+using G = geo::Geodetic;
+
+/// Every config key, in serialization order.
+constexpr Key kKeys[] = {
+    {"transmissivity_threshold", field<Real, &C::transmissivity_threshold>()},
+    {"elevation_mask_deg", field<Degrees, &C::elevation_mask>()},
+    {"fiber_attenuation_db_per_km",
+     field<Real, &C::fiber_attenuation_db_per_km>()},
+    {"ground_aperture_radius", field<Real, &C::ground_aperture_radius>()},
+    {"satellite_aperture_radius",
+     field<Real, &C::satellite_aperture_radius>()},
+    {"hap_aperture_radius", field<Real, &C::hap_aperture_radius>()},
+    {"hap_latitude_deg", field<Degrees, &C::hap_position, &G::latitude>()},
+    {"hap_longitude_deg", field<Degrees, &C::hap_position, &G::longitude>()},
+    {"hap_altitude_m", field<Real, &C::hap_position, &G::altitude>()},
+    {"satellite_altitude_m", field<Real, &C::satellite_altitude>()},
+    {"ephemeris_step_s", field<Real, &C::ephemeris_step>(), &kPositive},
+    {"day_duration_s", field<Real, &C::day_duration>(), &kPositive},
+    {"wavelength_m", field<Real, &C::wavelength>()},
+    {"receiver_efficiency", field<Real, &C::receiver_efficiency>()},
+    {"ao_gain", field<Real, &C::ao_gain>()},
+    {"zenith_transmittance", field<Real, &C::zenith_transmittance>()},
+    {"pointing_jitter_rad", field<Real, &C::pointing_jitter>()},
+    {"request_count", field<Count, &C::request_count>()},
+    {"request_steps", field<Count, &C::request_steps>()},
+    {"request_seed", field<Count, &C::request_seed>()},
+    {"include_j2", field<Flag, &C::include_j2>()},
+    {"enable_inter_satellite", field<Flag, &C::enable_inter_satellite>()},
+    {"enable_hap_satellite", field<Flag, &C::enable_hap_satellite>()},
+    {"metric", field<Named<kMetrics>, &C::metric>()},
+    {"fidelity_convention", field<Named<kConventions>, &C::convention>()},
+    {"lan_topology", field<Named<kLanTopologies>, &C::lan_topology>()},
+    {"weather", field<Named<kWeathers>, &C::weather>()},
+    {"topology_mode", field<Named<kTopologyModes>, &C::topology_mode>()},
+    {"parallel_snapshots", field<Flag, &C::parallel_snapshots>()},
+    {"serving_mode", field<Named<kServingModes>, &C::serving_mode>()},
+    {"em_memory_slots", field<Count, &C::em_memory_slots>()},
+    {"em_generation_period_s", field<Real, &C::em_generation_period>()},
+    {"em_max_storage_s", field<Real, &C::em_max_storage>()},
+    {"em_memory_t1_s", field<Real, &C::em_memory_t1>()},
+    {"em_memory_t2_s", field<Real, &C::em_memory_t2>()},
+    {"em_heralding_latency_s", field<Real, &C::em_heralding_latency>()},
+    {"em_k_paths", field<Count, &C::em_k_paths>()},
+    {"em_node_capacity", field<Count, &C::em_node_capacity>()},
+    {"em_fidelity_slo", field<Real, &C::em_fidelity_slo>()},
+    {"em_purify_max_rounds", field<Count, &C::em_purify_max_rounds>()},
+    {"traffic_arrival_rate", field<Real, &C::traffic_arrival_rate>(),
+     &kNonNegative},
+    {"traffic_diurnal_amplitude",
+     field<Real, &C::traffic_diurnal_amplitude>()},
+    {"traffic_service_overhead_s",
+     field<Real, &C::traffic_service_overhead>(), &kNonNegative},
+    {"traffic_max_queue_delay_s", field<Real, &C::traffic_max_queue_delay>(),
+     &kPositiveOrInf},
+    {"traffic_node_capacity", field<Count, &C::traffic_node_capacity>()},
+    {"traffic_max_backlog", field<Count, &C::traffic_max_backlog>()},
+    {"traffic_seed", field<Count, &C::traffic_seed>()},
+};
+
+std::string strip(const std::string& s) {
+  const auto begin = s.find_first_not_of(" \t\r");
+  if (begin == std::string::npos) return {};
+  const auto end = s.find_last_not_of(" \t\r");
+  return s.substr(begin, end - begin + 1);
 }
 
 }  // namespace
 
+std::vector<ConfigKeyInfo> config_keys() {
+  std::vector<ConfigKeyInfo> out;
+  for (const Key& key : kKeys) {
+    out.push_back({key.name, key.field.value,
+                   key.field.names ? key.field.names()
+                                   : std::vector<std::string_view>{},
+                   key.domain ? key.domain->holds : nullptr});
+  }
+  return out;
+}
+
 std::string serialize_config(const QntnConfig& config) {
   std::ostringstream os;
   os.precision(12);
-  os << "# QNTN experiment configuration\n"
-     << "transmissivity_threshold = " << config.transmissivity_threshold << '\n'
-     << "elevation_mask_deg = " << rad_to_deg(config.elevation_mask) << '\n'
-     << "fiber_attenuation_db_per_km = " << config.fiber_attenuation_db_per_km
-     << '\n'
-     << "ground_aperture_radius = " << config.ground_aperture_radius << '\n'
-     << "satellite_aperture_radius = " << config.satellite_aperture_radius
-     << '\n'
-     << "hap_aperture_radius = " << config.hap_aperture_radius << '\n'
-     << "hap_latitude_deg = " << rad_to_deg(config.hap_position.latitude) << '\n'
-     << "hap_longitude_deg = " << rad_to_deg(config.hap_position.longitude)
-     << '\n'
-     << "hap_altitude_m = " << config.hap_position.altitude << '\n'
-     << "satellite_altitude_m = " << config.satellite_altitude << '\n'
-     << "ephemeris_step_s = " << config.ephemeris_step << '\n'
-     << "day_duration_s = " << config.day_duration << '\n'
-     << "wavelength_m = " << config.wavelength << '\n'
-     << "receiver_efficiency = " << config.receiver_efficiency << '\n'
-     << "ao_gain = " << config.ao_gain << '\n'
-     << "zenith_transmittance = " << config.zenith_transmittance << '\n'
-     << "pointing_jitter_rad = " << config.pointing_jitter << '\n'
-     << "request_count = " << config.request_count << '\n'
-     << "request_steps = " << config.request_steps << '\n'
-     << "request_seed = " << config.request_seed << '\n'
-     << "include_j2 = " << (config.include_j2 ? "true" : "false") << '\n'
-     << "enable_inter_satellite = "
-     << (config.enable_inter_satellite ? "true" : "false") << '\n'
-     << "enable_hap_satellite = "
-     << (config.enable_hap_satellite ? "true" : "false") << '\n'
-     << "metric = " << metric_name(config.metric) << '\n'
-     << "fidelity_convention = " << convention_name(config.convention) << '\n'
-     << "lan_topology = " << topology_name(config.lan_topology) << '\n'
-     << "weather = " << weather_name(config.weather) << '\n'
-     << "topology_mode = " << topology_mode_name(config.topology_mode) << '\n'
-     << "parallel_snapshots = "
-     << (config.parallel_snapshots ? "true" : "false") << '\n'
-     << "serving_mode = " << serving_mode_name(config.serving_mode) << '\n'
-     << "em_memory_slots = " << config.em_memory_slots << '\n'
-     << "em_generation_period_s = " << config.em_generation_period << '\n'
-     << "em_max_storage_s = " << config.em_max_storage << '\n'
-     << "em_memory_t1_s = " << config.em_memory_t1 << '\n'
-     << "em_memory_t2_s = " << config.em_memory_t2 << '\n'
-     << "em_heralding_latency_s = " << config.em_heralding_latency << '\n'
-     << "em_k_paths = " << config.em_k_paths << '\n'
-     << "em_node_capacity = " << config.em_node_capacity << '\n'
-     << "em_fidelity_slo = " << config.em_fidelity_slo << '\n'
-     << "em_purify_max_rounds = " << config.em_purify_max_rounds << '\n'
-     << "traffic_arrival_rate = " << config.traffic_arrival_rate << '\n'
-     << "traffic_diurnal_amplitude = " << config.traffic_diurnal_amplitude
-     << '\n'
-     << "traffic_service_overhead_s = " << config.traffic_service_overhead
-     << '\n'
-     << "traffic_max_queue_delay_s = " << config.traffic_max_queue_delay
-     << '\n'
-     << "traffic_node_capacity = " << config.traffic_node_capacity << '\n'
-     << "traffic_max_backlog = " << config.traffic_max_backlog << '\n'
-     << "traffic_seed = " << config.traffic_seed << '\n';
+  os << "# QNTN experiment configuration\n";
+  for (const Key& key : kKeys) {
+    os << key.name << " = ";
+    key.field.write(os, config);
+    os << '\n';
+  }
   return os.str();
 }
 
 QntnConfig parse_config(const std::string& text) {
   QntnConfig config;
-
-  const auto as_double = [](const std::string& v) {
-    std::size_t used = 0;
-    const double out = std::stod(v, &used);
-    if (used != v.size()) throw Error("bad numeric value: " + v);
-    return out;
-  };
-  const auto as_size = [&as_double](const std::string& v) {
-    const double d = as_double(v);
-    // Range-check before the cast: converting nan, inf or anything at or
-    // past 2^64 to std::size_t is undefined behaviour.
-    constexpr auto kLimit =
-        static_cast<double>(std::numeric_limits<std::size_t>::max());
-    if (!(d >= 0.0 && d < kLimit) || d != std::floor(d)) {
-      throw Error("bad integer value: " + v);
-    }
-    return static_cast<std::size_t>(d);
-  };
-  const auto as_bool = [](const std::string& v) {
-    if (v == "true") return true;
-    if (v == "false") return false;
-    throw Error("bad boolean value: " + v);
-  };
-
-  const std::map<std::string, std::function<void(const std::string&)>>
-      setters = {
-          {"transmissivity_threshold",
-           [&](const std::string& v) { config.transmissivity_threshold = as_double(v); }},
-          {"elevation_mask_deg",
-           [&](const std::string& v) { config.elevation_mask = deg_to_rad(as_double(v)); }},
-          {"fiber_attenuation_db_per_km",
-           [&](const std::string& v) { config.fiber_attenuation_db_per_km = as_double(v); }},
-          {"ground_aperture_radius",
-           [&](const std::string& v) { config.ground_aperture_radius = as_double(v); }},
-          {"satellite_aperture_radius",
-           [&](const std::string& v) { config.satellite_aperture_radius = as_double(v); }},
-          {"hap_aperture_radius",
-           [&](const std::string& v) { config.hap_aperture_radius = as_double(v); }},
-          {"hap_latitude_deg",
-           [&](const std::string& v) { config.hap_position.latitude = deg_to_rad(as_double(v)); }},
-          {"hap_longitude_deg",
-           [&](const std::string& v) { config.hap_position.longitude = deg_to_rad(as_double(v)); }},
-          {"hap_altitude_m",
-           [&](const std::string& v) { config.hap_position.altitude = as_double(v); }},
-          {"satellite_altitude_m",
-           [&](const std::string& v) { config.satellite_altitude = as_double(v); }},
-          {"ephemeris_step_s",
-           [&](const std::string& v) { config.ephemeris_step = as_double(v); }},
-          {"day_duration_s",
-           [&](const std::string& v) { config.day_duration = as_double(v); }},
-          {"wavelength_m",
-           [&](const std::string& v) { config.wavelength = as_double(v); }},
-          {"receiver_efficiency",
-           [&](const std::string& v) { config.receiver_efficiency = as_double(v); }},
-          {"ao_gain", [&](const std::string& v) { config.ao_gain = as_double(v); }},
-          {"zenith_transmittance",
-           [&](const std::string& v) { config.zenith_transmittance = as_double(v); }},
-          {"pointing_jitter_rad",
-           [&](const std::string& v) { config.pointing_jitter = as_double(v); }},
-          {"request_count",
-           [&](const std::string& v) { config.request_count = as_size(v); }},
-          {"request_steps",
-           [&](const std::string& v) { config.request_steps = as_size(v); }},
-          {"request_seed",
-           [&](const std::string& v) { config.request_seed = as_size(v); }},
-          {"include_j2",
-           [&](const std::string& v) { config.include_j2 = as_bool(v); }},
-          {"enable_inter_satellite",
-           [&](const std::string& v) { config.enable_inter_satellite = as_bool(v); }},
-          {"enable_hap_satellite",
-           [&](const std::string& v) { config.enable_hap_satellite = as_bool(v); }},
-          {"metric",
-           [&](const std::string& v) { config.metric = metric_from(v); }},
-          {"fidelity_convention",
-           [&](const std::string& v) { config.convention = convention_from(v); }},
-          {"lan_topology",
-           [&](const std::string& v) { config.lan_topology = topology_from(v); }},
-          {"weather",
-           [&](const std::string& v) { config.weather = weather_from(v); }},
-          {"topology_mode",
-           [&](const std::string& v) { config.topology_mode = topology_mode_from(v); }},
-          {"parallel_snapshots",
-           [&](const std::string& v) { config.parallel_snapshots = as_bool(v); }},
-          {"serving_mode",
-           [&](const std::string& v) { config.serving_mode = serving_mode_from(v); }},
-          {"em_memory_slots",
-           [&](const std::string& v) { config.em_memory_slots = as_size(v); }},
-          {"em_generation_period_s",
-           [&](const std::string& v) { config.em_generation_period = as_double(v); }},
-          {"em_max_storage_s",
-           [&](const std::string& v) { config.em_max_storage = as_double(v); }},
-          {"em_memory_t1_s",
-           [&](const std::string& v) { config.em_memory_t1 = as_double(v); }},
-          {"em_memory_t2_s",
-           [&](const std::string& v) { config.em_memory_t2 = as_double(v); }},
-          {"em_heralding_latency_s",
-           [&](const std::string& v) { config.em_heralding_latency = as_double(v); }},
-          {"em_k_paths",
-           [&](const std::string& v) { config.em_k_paths = as_size(v); }},
-          {"em_node_capacity",
-           [&](const std::string& v) { config.em_node_capacity = as_size(v); }},
-          {"em_fidelity_slo",
-           [&](const std::string& v) { config.em_fidelity_slo = as_double(v); }},
-          {"em_purify_max_rounds",
-           [&](const std::string& v) { config.em_purify_max_rounds = as_size(v); }},
-          {"traffic_arrival_rate",
-           [&](const std::string& v) { config.traffic_arrival_rate = as_double(v); }},
-          {"traffic_diurnal_amplitude",
-           [&](const std::string& v) { config.traffic_diurnal_amplitude = as_double(v); }},
-          {"traffic_service_overhead_s",
-           [&](const std::string& v) { config.traffic_service_overhead = as_double(v); }},
-          {"traffic_max_queue_delay_s",
-           [&](const std::string& v) { config.traffic_max_queue_delay = as_double(v); }},
-          {"traffic_node_capacity",
-           [&](const std::string& v) { config.traffic_node_capacity = as_size(v); }},
-          {"traffic_max_backlog",
-           [&](const std::string& v) { config.traffic_max_backlog = as_size(v); }},
-          {"traffic_seed",
-           [&](const std::string& v) { config.traffic_seed = as_size(v); }},
-      };
-
   std::istringstream in(text);
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
     ++line_number;
-    const std::size_t comment = line.find('#');
-    if (comment != std::string::npos) line.erase(comment);
-    // Trim.
-    const auto strip = [](std::string s) {
-      const auto begin = s.find_first_not_of(" \t\r");
-      if (begin == std::string::npos) return std::string{};
-      const auto end = s.find_last_not_of(" \t\r");
-      return s.substr(begin, end - begin + 1);
-    };
-    line = strip(line);
+    line = strip(line.substr(0, line.find('#')));
     if (line.empty()) continue;
+    const std::string where = "config line " + std::to_string(line_number);
     const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw Error("config line " + std::to_string(line_number) +
-                  ": expected key = value");
-    }
-    const std::string key = strip(line.substr(0, eq));
-    const std::string value = strip(line.substr(eq + 1));
-    const auto it = setters.find(key);
-    if (it == setters.end()) {
-      throw Error("config line " + std::to_string(line_number) +
-                  ": unknown key '" + key + "'");
+    if (eq == std::string::npos) throw Error(where + ": expected key = value");
+    const std::string name = strip(line.substr(0, eq));
+    const Key* key = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                  [&](const Key& k) { return k.name == name; });
+    if (key == std::end(kKeys)) {
+      throw Error(where + ": unknown key '" + name + "'");
     }
     try {
-      it->second(value);
+      key->field.read(config, strip(line.substr(eq + 1)), key->domain);
     } catch (const std::exception& e) {
-      throw Error("config line " + std::to_string(line_number) + " (" + key +
-                  "): " + e.what());
+      throw Error(where + " (" + name + "): " + e.what());
     }
   }
-  // The horizon and the sampling step size every grid and ephemeris table.
-  if (!(std::isfinite(config.day_duration) && config.day_duration > 0.0)) {
-    throw Error("config (day_duration_s): must be finite and > 0");
-  }
-  if (!(std::isfinite(config.ephemeris_step) && config.ephemeris_step > 0.0)) {
-    throw Error("config (ephemeris_step_s): must be finite and > 0");
-  }
+  // Cross-field checks run after the whole file is read (the keys may come
+  // in any order), so they too fail at parse time with a clear message, not
+  // deep inside a scenario run: the horizon and the step size every grid
+  // and ephemeris table, the memory pair must be physical, and the traffic
+  // options must validate.
   try {
     (void)orbit::grid_sample_count(config.day_duration, config.ephemeris_step);
   } catch (const std::exception& e) {
     throw Error(std::string("config (day_duration_s/ephemeris_step_s): ") +
                 e.what());
   }
-  // Cross-field checks run after the whole file is read (the keys may come
-  // in any order). The memory-physicality check in particular must fail at
-  // parse time with a clear message, not deep inside a scenario run.
   try {
     quantum::MemoryModel{config.em_memory_t1, config.em_memory_t2}.validate();
   } catch (const std::exception& e) {
     throw Error(std::string("config (em_memory_t1_s/em_memory_t2_s): ") +
                 e.what());
-  }
-  if (config.traffic_max_queue_delay <= 0.0) {
-    throw Error("config (traffic_max_queue_delay_s): must be > 0");
-  }
-  if (!(std::isfinite(config.traffic_arrival_rate) &&
-        config.traffic_arrival_rate >= 0.0)) {
-    throw Error("config (traffic_arrival_rate): must be finite and >= 0");
-  }
-  if (!(std::isfinite(config.traffic_service_overhead) &&
-        config.traffic_service_overhead >= 0.0)) {
-    throw Error("config (traffic_service_overhead_s): must be finite and >= 0");
   }
   try {
     (void)config.traffic_options();

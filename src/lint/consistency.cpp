@@ -253,14 +253,15 @@ std::vector<Finding> check_consistency(
       R"re(\bScopedTimer\s+\w+\s*\(\s*"([^"]+)")re");
   static const std::regex kSpan(R"re(\bSpan\s+\w+\s*\(\s*"([^"]+)")re");
   static const std::regex kLiteral(R"re("((?:[^"\\\n]|\\.)+)")re");
-  static const std::regex kParseKey(R"re(\{\s*"([A-Za-z0-9_]+)"\s*,)re");
-  static const std::regex kSerializeKey(R"re("([A-Za-z0-9_]+) = ")re");
+  // A row of the key table: `{"name", field<...`. Enum name rows
+  // (`{value, "name"}`) and other brace lists do not match.
+  static const std::regex kConfigKey(
+      R"re(\{\s*"([A-Za-z0-9_]+)"\s*,\s*field<)re");
   constexpr std::string_view kConfigIo = "src/core/config_io.cpp";
 
   std::vector<NamedSite> counters;
   std::vector<NamedSite> spans;
-  std::vector<NamedSite> parse_keys;
-  std::vector<NamedSite> serialize_keys;
+  std::vector<NamedSite> config_keys;
   std::set<std::string> literals;  // every string literal in src/
   for (const auto& [path, text] : sources) {
     if (path.rfind("src/", 0) != 0) continue;
@@ -274,8 +275,7 @@ std::vector<Finding> check_consistency(
       literals.insert((*it)[1].str());
     }
     if (path == kConfigIo) {
-      extract(path, stripped, kParseKey, 1, parse_keys);
-      extract(path, stripped, kSerializeKey, 1, serialize_keys);
+      extract(path, stripped, kConfigKey, 1, config_keys);
     }
   }
 
@@ -356,7 +356,7 @@ std::vector<Finding> check_consistency(
                  "is not in a `qntn-lint: spans` doc table "
                  "(README.md/DESIGN.md)",
                  findings);
-  report_missing(parse_keys, names_of(doc_keys), "config-key-undocumented",
+  report_missing(config_keys, names_of(doc_keys), "config-key-undocumented",
                  "config key",
                  "is not in a `qntn-lint: config-keys` doc table "
                  "(README.md/DESIGN.md)",
@@ -374,26 +374,16 @@ std::vector<Finding> check_consistency(
                  "golden-pinned span",
                  "matches no string literal in src/ (stale golden line?)",
                  findings);
-  report_missing(doc_keys, names_of(parse_keys), "config-key-stale-doc",
+  report_missing(doc_keys, names_of(config_keys), "config-key-stale-doc",
                  "documented config key",
-                 "is not parsed by core::parse_config (stale doc row?)",
+                 "is not in the key table of core::parse_config (stale doc "
+                 "row?)",
                  findings);
 
   report_missing(doc_bench_targets, bench_targets, "bench-target-stale-doc",
                  "bench target",
                  "is not a qntn_repro(...) target in bench/CMakeLists.txt "
                  "(stale doc reference?)",
-                 findings);
-
-  report_missing(parse_keys, names_of(serialize_keys),
-                 "config-key-unserialized", "config key",
-                 "is parsed but never written by core::serialize_config, so "
-                 "round-trips drop it",
-                 findings);
-  report_missing(serialize_keys, names_of(parse_keys), "config-key-unparsed",
-                 "config key",
-                 "is written by core::serialize_config but rejected by "
-                 "core::parse_config",
                  findings);
 
   std::sort(findings.begin(), findings.end(),

@@ -26,11 +26,10 @@
 ///     src/ (`span-stale-doc`), and every span name pinned by
 ///     tests/obs/profile_schema.golden is a literal in src/
 ///     (`span-stale-golden`);
-///   * every config key in the parse table of src/core/config_io.cpp is
-///     documented (`config-key-undocumented`) and serialized
-///     (`config-key-unserialized`), every serialized key is parseable
-///     (`config-key-unparsed`), and every documented key is parsed
-///     (`config-key-stale-doc`);
+///   * every row of the config key table of src/core/config_io.cpp (the
+///     one list parse_config and serialize_config both iterate) is
+///     documented (`config-key-undocumented`), and every documented key
+///     is a row (`config-key-stale-doc`);
 ///   * every measured number in an EXPERIMENTS.md table under
 ///     `<!-- qntn-lint: golden SPEC... -->` (one SPEC per column: `-`
 ///     unchecked, `=word` a row guard, else a golden key with `{id}` for

@@ -56,19 +56,8 @@ const std::vector<PassRule>& pass_rules() {
       {
           "config-key-undocumented",
           "key-ok",
-          "parsed config key missing from the `qntn-lint: config-keys` "
-          "doc table (README.md/DESIGN.md)",
-      },
-      {
-          "config-key-unserialized",
-          "key-ok",
-          "config key parsed but never serialized; round-trips drop it",
-      },
-      {
-          "config-key-unparsed",
-          "key-ok",
-          "config key serialized but not parseable; saved configs fail "
-          "to load",
+          "row of the config key table (src/core/config_io.cpp) missing "
+          "from the `qntn-lint: config-keys` doc table (README.md/DESIGN.md)",
       },
       {
           "counter-stale-doc",
@@ -88,7 +77,7 @@ const std::vector<PassRule>& pass_rules() {
       {
           "config-key-stale-doc",
           "",
-          "documented config key is not parsed by core::parse_config",
+          "documented config key is not in the config key table",
       },
       {
           "bench-target-stale-doc",

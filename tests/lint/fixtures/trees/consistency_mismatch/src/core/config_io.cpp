@@ -1,24 +1,37 @@
-#include <functional>
-#include <map>
-#include <string>
+#include <string_view>
 
 namespace fixture::core {
 
-// Parse table: alpha and gamma are accepted keys.
-std::map<std::string, std::function<void(double)>> parse_table(double& alpha,
-                                                               double& gamma) {
-  return {
-      {"alpha", [&](double v) { alpha = v; }},
-      {"gamma", [&](double v) { gamma = v; }},
-  };
+struct Config {
+  double alpha = 0.0;
+  double gamma = 0.0;
+  int mode = 0;
+};
+
+struct Key {
+  std::string_view name;
+  double Config::*member;
+};
+
+template <double Config::*Member>
+constexpr double Config::*field() {
+  return Member;
 }
 
-// Serializer: writes alpha and beta — beta is unparsed, gamma unserialized.
-std::string serialize(double alpha, double beta) {
-  std::string out;
-  out += "alpha = " + std::to_string(alpha) + "\n";
-  out += "beta = " + std::to_string(beta) + "\n";
-  return out;
-}
+// Key table: alpha and gamma are keys; gamma is undocumented.
+constexpr Key kKeys[] = {
+    {"alpha", field<&Config::alpha>()},
+    {"gamma", field<&Config::gamma>()},
+};
+
+// Name rows of an enum, in either order, are not keys.
+struct Name {
+  std::string_view name;
+  int value;
+};
+constexpr Name kModes[] = {
+    {"epsilon", 0},
+    {"zeta", 1},
+};
 
 }  // namespace fixture::core

@@ -71,8 +71,6 @@ TEST(LintTree, ConsistencyMismatchFiresInEveryDirection) {
       {"span-stale-doc", "net.stale_span"},
       {"span-stale-golden", "ghost.span"},
       {"config-key-stale-doc", "delta"},
-      {"config-key-unserialized", "gamma"},
-      {"config-key-unparsed", "beta"},
   };
   for (const auto& [rule, name] : expected) {
     const auto hits = with_rule(findings, rule);
