@@ -79,6 +79,10 @@ constexpr Domain kPositiveOrInf{[](double v) { return v > 0.0; },
 constexpr Domain kNonNegative{
     [](double v) { return std::isfinite(v) && v >= 0.0; },
     "must be finite and >= 0"};
+constexpr Domain kLatitude{[](double v) { return std::abs(v) <= 90.0; },
+                           "must be finite and in [-90, 90]"};
+constexpr Domain kLongitude{[](double v) { return std::abs(v) <= 180.0; },
+                            "must be finite and in [-180, 180]"};
 
 double parse_number(const std::string& text, const Domain* domain) {
   std::size_t used = 0;
@@ -206,9 +210,12 @@ constexpr Key kKeys[] = {
     {"satellite_aperture_radius",
      field<Real, &C::satellite_aperture_radius>()},
     {"hap_aperture_radius", field<Real, &C::hap_aperture_radius>()},
-    {"hap_latitude_deg", field<Degrees, &C::hap_position, &G::latitude>()},
-    {"hap_longitude_deg", field<Degrees, &C::hap_position, &G::longitude>()},
-    {"hap_altitude_m", field<Real, &C::hap_position, &G::altitude>()},
+    {"hap_latitude_deg", field<Degrees, &C::hap_position, &G::latitude>(),
+     &kLatitude},
+    {"hap_longitude_deg", field<Degrees, &C::hap_position, &G::longitude>(),
+     &kLongitude},
+    {"hap_altitude_m", field<Real, &C::hap_position, &G::altitude>(),
+     &kPositive},
     {"satellite_altitude_m", field<Real, &C::satellite_altitude>()},
     {"ephemeris_step_s", field<Real, &C::ephemeris_step>(), &kPositive},
     {"day_duration_s", field<Real, &C::day_duration>(), &kPositive},

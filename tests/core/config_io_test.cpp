@@ -275,5 +275,38 @@ TEST(ConfigIo, HapPositionSerializedInDegrees) {
   EXPECT_NE(text.find("hap_longitude_deg = -85.0662"), std::string::npos);
 }
 
+TEST(ConfigIo, RejectsBadHapPosition) {
+  // A HAP off the globe or at no altitude used to run to fidelity 0, or
+  // fail deep in the channel with a misleading altitude-band error.
+  for (const std::string value : {"nan", "inf", "-inf", "400", "-90.5"}) {
+    expect_rejected("hap_latitude_deg = " + value, "hap_latitude_deg");
+  }
+  for (const std::string value : {"nan", "inf", "180.5", "-400"}) {
+    expect_rejected("hap_longitude_deg = " + value, "hap_longitude_deg");
+  }
+  for (const std::string value : {"nan", "inf", "0", "-30000"}) {
+    expect_rejected("hap_altitude_m = " + value, "hap_altitude_m");
+  }
+  // The poles, the antimeridian, every altitude of bench_ablation_hap and
+  // the default position parse.
+  for (const std::string value : {"90", "-90", "35.6692"}) {
+    EXPECT_NO_THROW((void)parse_config("hap_latitude_deg = " + value + "\n"));
+  }
+  for (const std::string value : {"180", "-180", "-85.0662"}) {
+    EXPECT_NO_THROW((void)parse_config("hap_longitude_deg = " + value + "\n"));
+  }
+  for (const double km : {15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 50.0}) {
+    EXPECT_EQ(parse_config("hap_altitude_m = " + std::to_string(km * 1000.0) +
+                           "\n")
+                  .hap_position.altitude,
+              km * 1000.0);
+  }
+  const QntnConfig defaults;
+  const QntnConfig parsed = parse_config(serialize_config(defaults));
+  EXPECT_NEAR(parsed.hap_position.latitude, defaults.hap_position.latitude,
+              1e-12);
+  EXPECT_EQ(parsed.hap_position.altitude, defaults.hap_position.altitude);
+}
+
 }  // namespace
 }  // namespace qntn::core
