@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <sstream>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 
 namespace qntn::core {
@@ -306,6 +311,95 @@ TEST(ConfigIo, RejectsBadHapPosition) {
   EXPECT_NEAR(parsed.hap_position.latitude, defaults.hap_position.latitude,
               1e-12);
   EXPECT_EQ(parsed.hap_position.altitude, defaults.hap_position.altitude);
+}
+
+// The key table is the serialized key list, in order.
+TEST(ConfigIo, KeyTableIsTheSerializedKeyList) {
+  std::istringstream doc(serialize_config(QntnConfig{}));
+  std::string line;
+  std::getline(doc, line);  // the header comment
+  for (const ConfigKeyInfo& key : config_keys()) {
+    ASSERT_TRUE(std::getline(doc, line)) << key.name;
+    EXPECT_EQ(line.substr(0, line.find(" = ")), key.name);
+  }
+  EXPECT_FALSE(std::getline(doc, line)) << "unlisted key: " << line;
+}
+
+TEST(ConfigIo, EveryKeyRejectsMalformedValuesNamingLineAndKey) {
+  for (const ConfigKeyInfo& key : config_keys()) {
+    std::vector<std::string> values = {"", "abc", "1x"};
+    const bool numeric =
+        key.value == ConfigValue::Real || key.value == ConfigValue::Degrees;
+    if (!numeric || key.in_domain != nullptr) values.push_back("nan");
+    for (const std::string& value : values) {
+      const std::string line = std::string(key.name) + " = " + value;
+      SCOPED_TRACE(line);
+      try {
+        (void)parse_config("# one key\n" + line + "\n");
+        FAIL() << "must throw at parse";
+      } catch (const Error& e) {
+        const std::string where =
+            "config line 2 (" + std::string(key.name) + "): ";
+        EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// A random value parse_config accepts when `key` is the document's only
+// line: in the key's own domain and, for the keys a cross-field check ties
+// to another key's default, within what that check allows.
+std::string random_value(const ConfigKeyInfo& key, Rng& rng) {
+  std::ostringstream os;
+  os.precision(12);
+  switch (key.value) {
+    case ConfigValue::Flag:
+      return rng.uniform_int(0, 1) == 1 ? "true" : "false";
+    case ConfigValue::Name:
+      return std::string(key.names.at(static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(key.names.size()) - 1))));
+    case ConfigValue::Count:
+      // From 1: traffic_node_capacity and traffic_max_backlog must be
+      // positive (traffic_options). Up to 2^53, where doubles stay exact.
+      os << static_cast<std::uint64_t>(std::ldexp(
+          rng.uniform(0.5, 1.0), static_cast<int>(rng.uniform_int(1, 53))));
+      return os.str();
+    case ConfigValue::Real:
+    case ConfigValue::Degrees:
+      break;
+  }
+  const std::map<std::string, std::pair<double, double>> kCrossField = {
+      {"em_memory_t1_s", {2.5, 1e4}},   // the default T2 = 5 <= 2 T1
+      {"em_memory_t2_s", {1e-3, 20.0}},  // <= 2 T1 at the default T1 = 10
+      {"traffic_diurnal_amplitude", {0.0, 1.0}},
+  };
+  const auto bound = kCrossField.find(std::string(key.name));
+  for (;;) {
+    const double magnitude = std::pow(10.0, rng.uniform(-3.0, 5.0));
+    const double value = rng.uniform_int(0, 1) == 1 ? magnitude : -magnitude;
+    if (key.in_domain != nullptr && !key.in_domain(value)) continue;
+    if (bound != kCrossField.end() &&
+        !(value >= bound->second.first && value <= bound->second.second)) {
+      continue;
+    }
+    os << value;
+    return os.str();
+  }
+}
+
+TEST(ConfigIo, EveryKeyRoundTripsRandomInDomainValuesByteForByte) {
+  Rng rng(20261020);
+  for (int trial = 0; trial < 25; ++trial) {
+    for (const ConfigKeyInfo& key : config_keys()) {
+      const std::string line =
+          std::string(key.name) + " = " + random_value(key, rng);
+      SCOPED_TRACE(line);
+      const std::string once = serialize_config(parse_config(line + "\n"));
+      EXPECT_NE(once.find("\n" + line + "\n"), std::string::npos) << once;
+      EXPECT_EQ(serialize_config(parse_config(once)), once);
+    }
+  }
 }
 
 }  // namespace
