@@ -13,6 +13,7 @@
 #include "common/units.hpp"
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
+#include "orbit/constellation.hpp"
 #include "sim/scenario.hpp"
 
 int main(int argc, char** argv) {
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
 
   const core::QntnConfig config;
   std::printf("QNTN space-ground architecture, %zu satellites @ %.0f km\n",
-              n_satellites, m_to_km(config.satellite_altitude));
+              n_satellites, m_to_km(orbit::kQntnAltitude));
 
   const sim::NetworkModel model =
       core::build_space_ground_model(config, n_satellites);

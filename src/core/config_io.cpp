@@ -216,7 +216,6 @@ constexpr Key kKeys[] = {
      &kLongitude},
     {"hap_altitude_m", field<Real, &C::hap_position, &G::altitude>(),
      &kPositive},
-    {"satellite_altitude_m", field<Real, &C::satellite_altitude>()},
     {"ephemeris_step_s", field<Real, &C::ephemeris_step>(), &kPositive},
     {"day_duration_s", field<Real, &C::day_duration>(), &kPositive},
     {"wavelength_m", field<Real, &C::wavelength>()},

@@ -42,9 +42,8 @@ struct QntnConfig {
   double hap_aperture_radius = 0.30;
   geo::Geodetic hap_position = geo::Geodetic::from_degrees(35.6692, -85.0662,
                                                            30'000.0);
-  double satellite_altitude = 500'000.0;  ///< -> semi-major axis 6871 km
-  double ephemeris_step = 30.0;           ///< [s], the paper's STK sampling
-  double day_duration = 86'400.0;         ///< [s]
+  double ephemeris_step = 30.0;    ///< [s], the paper's STK sampling
+  double day_duration = 86'400.0;  ///< [s]
 
   // --- Calibrated FSO physics (see DESIGN.md §4). ---
   double wavelength = 810.0e-9;
@@ -58,7 +57,6 @@ struct QntnConfig {
   std::size_t request_steps = 100;
   std::uint64_t request_seed = 20240101;
   bool include_j2 = false;          ///< ablation A1 toggles this
-  double gmst0 = 0.0;               ///< Earth orientation at sim start
   sim::LanTopology lan_topology = sim::LanTopology::FullMesh;
   bool enable_inter_satellite = true;
   bool enable_hap_satellite = false;  ///< hybrid extension (A4)

@@ -40,7 +40,7 @@ void add_constellation(sim::NetworkModel& model, const QntnConfig& config,
   const auto generate = [&](std::size_t i) {
     const orbit::TwoBodyPropagator propagator(elements[i], options);
     ephemerides[i] = orbit::Ephemeris::generate(
-        propagator, config.day_duration, config.ephemeris_step, config.gmst0);
+        propagator, config.day_duration, config.ephemeris_step);
   };
   if (pool != nullptr && pool->size() > 1 && elements.size() > 1) {
     obs::Registry* const registry = obs::ambient();

@@ -69,7 +69,7 @@ const std::vector<double>& qntn_plane_raans_deg() {
 std::vector<KeplerianElements> qntn_constellation(std::size_t n_satellites) {
   QNTN_REQUIRE(n_satellites > 0 && n_satellites % 6 == 0 && n_satellites <= 108,
                "qntn_constellation: size must be a multiple of 6 in [6, 108]");
-  constexpr double kSemiMajorAxis = 6'871'000.0;  // 500 km altitude (paper)
+  constexpr double kSemiMajorAxis = kEarthRadius + kQntnAltitude;
   const double inclination = deg_to_rad(53.0);
   const std::size_t planes = n_satellites / 6;
   std::vector<KeplerianElements> out;

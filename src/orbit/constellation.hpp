@@ -17,6 +17,10 @@
 
 namespace qntn::orbit {
 
+/// Altitude of the paper's constellation [m] (Table II): semi-major axis
+/// 6871 km over the mean Earth radius.
+inline constexpr double kQntnAltitude = 500'000.0;
+
 /// Walker-Delta constellation i:t/p/f — t satellites total, p equally spaced
 /// planes, phasing factor f; all circular at the given semi-major axis and
 /// inclination. Satellite s of plane k has RAAN = k*2*pi/p and true anomaly

@@ -256,11 +256,12 @@ TEST(ConfigIo, RejectsNonFiniteHorizonAndStep) {
 TEST(ConfigIo, RemovedContactRateKeysAreUnknown) {
   // The contact-plan scans classify every grid point, so the hop bounds
   // that used to tune them are gone, and the plan stores no sampled etas,
-  // so neither is their compression tolerance; configs that still set one
-  // fail.
+  // so neither is their compression tolerance. The constellation altitude
+  // is fixed by the paper's layout (orbit::kQntnAltitude), so its key,
+  // which no model read, is gone too; configs that still set one fail.
   for (const std::string key :
        {"contact_max_elevation_rate", "contact_max_range_rate",
-        "contact_sample_tolerance"}) {
+        "contact_sample_tolerance", "satellite_altitude_m"}) {
     try {
       (void)parse_config(key + " = 1\n");
       FAIL() << key << " must be rejected";

@@ -4,6 +4,7 @@
 
 #include "common/constants.hpp"
 #include "common/units.hpp"
+#include "orbit/constellation.hpp"
 
 namespace qntn::core {
 namespace {
@@ -13,7 +14,7 @@ TEST(Config, PaperDefaults) {
   EXPECT_DOUBLE_EQ(config.transmissivity_threshold, 0.7);
   EXPECT_NEAR(config.elevation_mask, kPi / 9.0, 1e-12);
   EXPECT_DOUBLE_EQ(config.fiber_attenuation_db_per_km, 0.15);
-  EXPECT_DOUBLE_EQ(config.satellite_altitude, 500'000.0);
+  EXPECT_DOUBLE_EQ(orbit::kQntnAltitude, 500'000.0);
   EXPECT_DOUBLE_EQ(config.ephemeris_step, 30.0);
   EXPECT_DOUBLE_EQ(config.day_duration, 86'400.0);
   EXPECT_EQ(config.request_count, 100u);

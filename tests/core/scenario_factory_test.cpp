@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.hpp"
+#include "orbit/constellation.hpp"
 
 namespace qntn::core {
 namespace {
@@ -32,7 +33,7 @@ TEST(Factory, SpaceGroundModelAddsConstellation) {
   EXPECT_EQ(model.satellite_ids().front(), 31u);
   // Satellites carry full ephemerides at the paper altitude.
   const channel::Endpoint e = model.endpoint_at(31, 1'800.0);
-  EXPECT_NEAR(e.geodetic.altitude, config.satellite_altitude, 25'000.0);
+  EXPECT_NEAR(e.geodetic.altitude, orbit::kQntnAltitude, 25'000.0);
 }
 
 TEST(Factory, AirGroundModelAddsTheOneHap) {

@@ -317,7 +317,7 @@ sim::NetworkModel mixed_model(const core::QntnConfig& config, std::size_t n,
         "sat" + std::to_string(i),
         orbit::Ephemeris::generate(
             orbit::TwoBodyPropagator(elements[i], propagation),
-            config.day_duration, config.ephemeris_step, config.gmst0),
+            config.day_duration, config.ephemeris_step),
         config.satellite_terminal());
   }
   return model;

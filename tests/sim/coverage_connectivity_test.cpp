@@ -104,7 +104,7 @@ NetworkModel split_lan_model(const QntnConfig& config, std::size_t n) {
         "sat" + std::to_string(i),
         orbit::Ephemeris::generate(
             orbit::TwoBodyPropagator(elements[i], options),
-            config.day_duration, config.ephemeris_step, config.gmst0),
+            config.day_duration, config.ephemeris_step),
         config.satellite_terminal());
   }
   return model;

@@ -16,6 +16,7 @@
 
 #include "core/qntn_config.hpp"
 #include "core/scenario_factory.hpp"
+#include "orbit/constellation.hpp"
 
 namespace qntn::sim {
 namespace {
@@ -253,7 +254,7 @@ TEST(TopologyPolicy, AcceptsThresholdAndMaskEdges) {
 channel::FsoLinkEvaluator isl_evaluator(const channel::OpticalTerminal& terminal) {
   const QntnConfig config;
   return {config.link_policy().fso, terminal, terminal,
-          config.satellite_altitude, config.satellite_altitude};
+          orbit::kQntnAltitude, orbit::kQntnAltitude};
 }
 
 // Both the contact-plan compiler and the per-step rebuild skip satellite

@@ -16,6 +16,7 @@
 #include "core/ground_networks.hpp"
 #include "core/qntn_config.hpp"
 #include "geo/frames.hpp"
+#include "orbit/constellation.hpp"
 
 namespace {
 
@@ -63,14 +64,14 @@ int main(int argc, char** argv) {
               config.transmissivity_threshold, rad_to_deg(config.elevation_mask));
 
   std::printf("[ground <-> satellite], altitude %.0f km\n",
-              m_to_km(config.satellite_altitude));
+              m_to_km(orbit::kQntnAltitude));
   const channel::FsoLinkEvaluator gs(policy.fso, config.ground_terminal(),
                                      config.satellite_terminal(), 0.0,
-                                     config.satellite_altitude);
+                                     orbit::kQntnAltitude);
   double crossing = -1.0;
   for (double el = 20.0; el <= 90.0; el += 5.0) {
     const double elevation = deg_to_rad(el);
-    const double range = slant_range(config.satellite_altitude, elevation);
+    const double range = slant_range(orbit::kQntnAltitude, elevation);
     const channel::FsoBudget b = gs.evaluate(range, elevation);
     const double sym = gs.symmetric(range, elevation);
     print_budget_row(el, range, b, sym);
@@ -96,8 +97,8 @@ int main(int argc, char** argv) {
   std::printf("\n[satellite <-> satellite] (vacuum)\n");
   const channel::FsoLinkEvaluator ss(policy.fso, config.satellite_terminal(),
                                      config.satellite_terminal(),
-                                     config.satellite_altitude,
-                                     config.satellite_altitude);
+                                     orbit::kQntnAltitude,
+                                     orbit::kQntnAltitude);
   for (double km : {500.0, 1000.0, 2000.0, 3000.0, 5000.0, 6871.0}) {
     const double range = km_to_m(km);
     const channel::FsoBudget b = ss.evaluate(range, kPi / 2.0);
