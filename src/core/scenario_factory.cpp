@@ -35,12 +35,13 @@ void add_constellation(sim::NetworkModel& model, const QntnConfig& config,
   // pool is given (workers inherit the caller's thread-safe ambient
   // registry/profiler) — and the satellites then enter the model serially
   // in index order, so node ids and everything derived from them are
-  // independent of the thread count.
+  // independent of the thread count. Every satellite samples the same
+  // grid, whose times and Earth rotation are built once and read by all.
+  const orbit::SampleGrid grid(config.day_duration, config.ephemeris_step);
   std::vector<std::optional<orbit::Ephemeris>> ephemerides(elements.size());
   const auto generate = [&](std::size_t i) {
     const orbit::TwoBodyPropagator propagator(elements[i], options);
-    ephemerides[i] = orbit::Ephemeris::generate(
-        propagator, config.day_duration, config.ephemeris_step);
+    ephemerides[i] = orbit::Ephemeris::generate(propagator, grid);
   };
   if (pool != nullptr && pool->size() > 1 && elements.size() > 1) {
     obs::Registry* const registry = obs::ambient();

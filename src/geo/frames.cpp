@@ -13,10 +13,7 @@ double gmst_at(double sim_time_s, double gmst0) {
 }
 
 Vec3 eci_to_ecef(const Vec3& eci, double gmst) {
-  const double c = std::cos(gmst);
-  const double s = std::sin(gmst);
-  // ECEF = R3(gmst) * ECI (rotation about +Z by +gmst).
-  return {c * eci.x + s * eci.y, -s * eci.x + c * eci.y, eci.z};
+  return eci_to_ecef(eci, std::cos(gmst), std::sin(gmst));
 }
 
 Vec3 ecef_to_eci(const Vec3& ecef, double gmst) {

@@ -25,6 +25,16 @@ namespace qntn::geo {
 /// Rotate an ECI vector into ECEF given the Greenwich sidereal angle.
 [[nodiscard]] Vec3 eci_to_ecef(const Vec3& eci, double gmst);
 
+/// As above, from the angle's cosine and sine: bit-identical to
+/// eci_to_ecef(eci, gmst) for cos_gmst = cos(gmst), sin_gmst = sin(gmst),
+/// so callers that rotate many vectors by one angle evaluate it once.
+[[nodiscard]] inline Vec3 eci_to_ecef(const Vec3& eci, double cos_gmst,
+                                      double sin_gmst) {
+  // ECEF = R3(gmst) * ECI (rotation about +Z by +gmst).
+  return {cos_gmst * eci.x + sin_gmst * eci.y,
+          -sin_gmst * eci.x + cos_gmst * eci.y, eci.z};
+}
+
 /// Rotate an ECEF vector into ECI given the Greenwich sidereal angle.
 [[nodiscard]] Vec3 ecef_to_eci(const Vec3& ecef, double gmst);
 

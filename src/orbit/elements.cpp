@@ -74,31 +74,31 @@ double true_to_mean_anomaly(double true_anomaly, double eccentricity) {
   return e_anom - eccentricity * std::sin(e_anom);
 }
 
+PerifocalRotation::PerifocalRotation(double raan, double inclination,
+                                     double arg_perigee) {
+  const double co = std::cos(raan), so = std::sin(raan);
+  const double ci = std::cos(inclination), si = std::sin(inclination);
+  const double cw = std::cos(arg_perigee), sw = std::sin(arg_perigee);
+  xp = co * cw - so * sw * ci;
+  xq = -co * sw - so * cw * ci;
+  yp = so * cw + co * sw * ci;
+  yq = -so * sw + co * cw * ci;
+  zp = sw * si;
+  zq = cw * si;
+}
+
 StateVector elements_to_state(const KeplerianElements& el) {
   QNTN_REQUIRE(el.semi_major_axis > 0.0, "semi-major axis must be positive");
   const double e = el.eccentricity;
   const double nu = el.true_anomaly;
   const double p = el.semi_major_axis * (1.0 - e * e);  // semi-latus rectum
   const double r = p / (1.0 + e * std::cos(nu));
+  const double vf = std::sqrt(kEarthMu / p);
 
   // Perifocal frame (PQW): P towards perigee, W along angular momentum.
-  const Vec3 r_pqw{r * std::cos(nu), r * std::sin(nu), 0.0};
-  const double vf = std::sqrt(kEarthMu / p);
-  const Vec3 v_pqw{-vf * std::sin(nu), vf * (e + std::cos(nu)), 0.0};
-
-  const double co = std::cos(el.raan), so = std::sin(el.raan);
-  const double ci = std::cos(el.inclination), si = std::sin(el.inclination);
-  const double cw = std::cos(el.arg_perigee), sw = std::sin(el.arg_perigee);
-
-  // Rotation PQW -> ECI: R3(-RAAN) R1(-i) R3(-argp).
-  auto rotate = [&](const Vec3& v) -> Vec3 {
-    return {
-        (co * cw - so * sw * ci) * v.x + (-co * sw - so * cw * ci) * v.y,
-        (so * cw + co * sw * ci) * v.x + (-so * sw + co * cw * ci) * v.y,
-        (sw * si) * v.x + (cw * si) * v.y,
-    };
-  };
-  return {rotate(r_pqw), rotate(v_pqw)};
+  const PerifocalRotation rotation(el.raan, el.inclination, el.arg_perigee);
+  return {rotation.apply(r * std::cos(nu), r * std::sin(nu)),
+          rotation.apply(-vf * std::sin(nu), vf * (e + std::cos(nu)))};
 }
 
 }  // namespace qntn::orbit

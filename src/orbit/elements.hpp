@@ -62,6 +62,22 @@ void solve_kepler_batch(const double* mean_anomalies, std::size_t count,
 [[nodiscard]] double true_to_mean_anomaly(double true_anomaly,
                                           double eccentricity);
 
+/// The perifocal -> inertial rotation R3(-RAAN) R1(-i) R3(-argp), restricted
+/// to the orbital plane (a PQW vector has no W component). elements_to_state
+/// applies it to position and velocity; a propagator without secular drift
+/// builds it once per orbit and applies it to every sample, with the same
+/// coefficients and so bit-identical positions.
+struct PerifocalRotation {
+  PerifocalRotation(double raan, double inclination, double arg_perigee);
+
+  /// ECI vector of the PQW vector (p, q, 0).
+  [[nodiscard]] Vec3 apply(double p, double q) const {
+    return {xp * p + xq * q, yp * p + yq * q, zp * p + zq * q};
+  }
+
+  double xp, xq, yp, yq, zp, zq;
+};
+
 /// Convert elements to an ECI Cartesian state (perifocal -> inertial via the
 /// standard 3-1-3 rotation by RAAN, inclination, argument of perigee).
 [[nodiscard]] StateVector elements_to_state(const KeplerianElements& el);

@@ -1,5 +1,6 @@
 #include "orbit/ephemeris.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -17,26 +18,43 @@ std::size_t grid_sample_count(double duration, double step) {
   return static_cast<std::size_t>(intervals) + 1;
 }
 
+SampleGrid::SampleGrid(double duration, double step, double gmst0)
+    : step_(step) {
+  const std::size_t n = grid_sample_count(duration, step);
+  times_.resize(n);
+  cos_gmst_.resize(n);
+  sin_gmst_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    times_[i] = std::min(static_cast<double>(i) * step, duration);
+    const double gmst = geo::gmst_at(times_[i], gmst0);
+    cos_gmst_[i] = std::cos(gmst);
+    sin_gmst_[i] = std::sin(gmst);
+  }
+}
+
+Vec3 SampleGrid::to_ecef(std::size_t i, const Vec3& eci) const {
+  return geo::eci_to_ecef(eci, cos_gmst_[i], sin_gmst_[i]);
+}
+
 Ephemeris Ephemeris::generate(const TwoBodyPropagator& prop, double duration,
                               double step, double gmst0) {
-  const std::size_t n = grid_sample_count(duration, step);
+  return generate(prop, SampleGrid(duration, step, gmst0));
+}
+
+Ephemeris Ephemeris::generate(const TwoBodyPropagator& prop,
+                              const SampleGrid& grid) {
+  const std::size_t n = grid.size();
   const obs::Span span("orbit.ephemeris_generate", n);
-  // Structure-of-arrays staging: the sample times and ECI positions live in
-  // contiguous tables so the propagator's batched Kepler solve and the
-  // ECEF conversion each run as a tight loop. Values are bit-identical to
-  // the sample-at-a-time path (positions_eci_at mirrors state_at).
-  std::vector<double> times(n);
+  // Structure-of-arrays staging: the batched propagator writes every ECI
+  // position into one contiguous table, then one pass rotates each into
+  // ECEF in place. Values are bit-identical to the sample-at-a-time path
+  // (positions_eci_at mirrors state_at, to_ecef mirrors eci_to_ecef).
+  std::vector<Vec3> samples(n);
+  prop.positions_eci_at(grid.times().data(), n, samples.data());
   for (std::size_t i = 0; i < n; ++i) {
-    times[i] = std::min(static_cast<double>(i) * step, duration);
+    samples[i] = grid.to_ecef(i, samples[i]);
   }
-  std::vector<Vec3> eci(n);
-  prop.positions_eci_at(times.data(), n, eci.data());
-  std::vector<Vec3> samples;
-  samples.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    samples.push_back(geo::eci_to_ecef(eci[i], geo::gmst_at(times[i], gmst0)));
-  }
-  return Ephemeris(std::move(samples), step, times.back());
+  return Ephemeris(std::move(samples), grid.step(), grid.times().back());
 }
 
 Ephemeris::Ephemeris(std::vector<Vec3> ecef_samples, double step)

@@ -23,14 +23,45 @@ namespace qntn::orbit {
 /// index k converts back to the double k * step exactly.
 [[nodiscard]] std::size_t grid_sample_count(double duration, double step);
 
+/// The sample times of a fixed-step grid over [0, duration] (i * step, the
+/// last clamped to duration) and the Earth's orientation at each: the cosine
+/// and sine of gmst_at(t_i, gmst0). Every satellite of a model is sampled
+/// on the same grid, so one table, built once and shared read-only (also
+/// across threads), serves them all. About 24 bytes per sample: 69 KB for a
+/// day at 30 s.
+class SampleGrid {
+ public:
+  /// Throws PreconditionError as grid_sample_count does.
+  SampleGrid(double duration, double step, double gmst0 = 0.0);
+
+  [[nodiscard]] std::size_t size() const { return times_.size(); }
+  [[nodiscard]] double step() const { return step_; }
+  [[nodiscard]] const std::vector<double>& times() const { return times_; }
+
+  /// ECEF position of the ECI vector `eci` at sample i: bit-identical to
+  /// geo::eci_to_ecef(eci, geo::gmst_at(times()[i], gmst0)).
+  [[nodiscard]] Vec3 to_ecef(std::size_t i, const Vec3& eci) const;
+
+ private:
+  double step_ = 0.0;
+  std::vector<double> times_;
+  std::vector<double> cos_gmst_;
+  std::vector<double> sin_gmst_;
+};
+
 class Ephemeris {
  public:
   /// Sample the trajectory of `prop` on [0, duration] at fixed `step`
   /// seconds (the final partial step is included as a sample at duration).
-  /// gmst0 fixes the Earth orientation at sim time zero.
+  /// gmst0 fixes the Earth orientation at sim time zero. Builds its own
+  /// SampleGrid; callers that sample many satellites share one instead.
   [[nodiscard]] static Ephemeris generate(const TwoBodyPropagator& prop,
                                           double duration, double step,
                                           double gmst0 = 0.0);
+
+  /// Sample the trajectory of `prop` at the times of `grid`, in ECEF.
+  [[nodiscard]] static Ephemeris generate(const TwoBodyPropagator& prop,
+                                          const SampleGrid& grid);
 
   /// Construct directly from externally produced samples (e.g. loaded from
   /// a CSV movement sheet) at times i * step.

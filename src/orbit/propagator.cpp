@@ -64,14 +64,35 @@ void TwoBodyPropagator::positions_eci_at(const double* times,
   }
   std::vector<double> eccentric(count);
   solve_kepler_batch(mean.data(), count, epoch_.eccentricity, eccentric.data());
-  // Per-element conversion mirrors elements_at exactly (same expressions in
-  // the same order), so each position is bit-identical to the scalar path.
-  KeplerianElements el = epoch_;
+  const double e = epoch_.eccentricity;
+  if (raan_rate_ != 0.0 || argp_rate_ != 0.0) {
+    // J2: RAAN and argp drift, so each sample builds its own rotation, as
+    // elements_at and state_at do (same expressions in the same order).
+    KeplerianElements el = epoch_;
+    for (std::size_t i = 0; i < count; ++i) {
+      el.raan = wrap_two_pi(epoch_.raan + raan_rate_ * times[i]);
+      el.arg_perigee = wrap_two_pi(epoch_.arg_perigee + argp_rate_ * times[i]);
+      el.true_anomaly = eccentric_to_true_anomaly(eccentric[i], e);
+      out[i] = elements_to_state(el).position;
+    }
+    return;
+  }
+  // No drift: the rate * t that elements_at adds to RAAN and argp is the
+  // rate's own signed zero for every finite t >= +0, so the angles, and the
+  // rotation elements_to_state builds from them, are those at t = 0. Other
+  // times (negative, -0, non-finite) take the scalar path.
+  const KeplerianElements at_zero = elements_at(0.0);
+  const PerifocalRotation rotation(at_zero.raan, at_zero.inclination,
+                                   at_zero.arg_perigee);
+  const double p = epoch_.semi_major_axis * (1.0 - e * e);
   for (std::size_t i = 0; i < count; ++i) {
-    el.raan = wrap_two_pi(epoch_.raan + raan_rate_ * times[i]);
-    el.arg_perigee = wrap_two_pi(epoch_.arg_perigee + argp_rate_ * times[i]);
-    el.true_anomaly = eccentric_to_true_anomaly(eccentric[i], el.eccentricity);
-    out[i] = elements_to_state(el).position;
+    if (!std::isfinite(times[i]) || std::signbit(times[i])) {
+      out[i] = state_at(times[i]).position;
+      continue;
+    }
+    const double nu = eccentric_to_true_anomaly(eccentric[i], e);
+    const double r = p / (1.0 + e * std::cos(nu));
+    out[i] = rotation.apply(r * std::cos(nu), r * std::sin(nu));
   }
 }
 

@@ -32,10 +32,12 @@ class TwoBodyPropagator {
   [[nodiscard]] StateVector state_at(double t) const;
 
   /// Batched ECI positions: out[i] = state_at(times[i]).position,
-  /// element-wise identical. Stages the propagation as structure-of-arrays
-  /// passes (mean anomalies, then one batched Kepler solve, then the
-  /// element-to-state conversion) so ephemeris generation runs over
-  /// contiguous buffers instead of one sample at a time.
+  /// bit-identical. Stages the propagation as structure-of-arrays passes
+  /// (mean anomalies, then one batched Kepler solve, then the conversion to
+  /// positions) so ephemeris generation runs over contiguous buffers
+  /// instead of one sample at a time. Without J2 the PQW -> ECI rotation is
+  /// built once per call and no velocity is computed; with J2 it is built
+  /// per sample from the drifted RAAN and argp.
   void positions_eci_at(const double* times, std::size_t count,
                         Vec3* out) const;
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "orbit/constellation.hpp"
 
@@ -80,6 +84,42 @@ TEST(Factory, J2FlagChangesTheTrajectories) {
   const double separation = distance(a.endpoint_at(31, 21'000.0).ecef,
                                      b.endpoint_at(31, 21'000.0).ecef);
   EXPECT_GT(separation, 1'000.0);
+}
+
+// Every satellite's ephemeris reads one shared, read-only sample grid; no
+// pool, a one-worker pool and a four-worker pool must give the same samples
+// bit for bit.
+TEST(Factory, ConstellationSamplesAreBitIdenticalAcrossThreadCounts) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const bool j2 : {false, true}) {
+    QntnConfig config;
+    config.include_j2 = j2;
+    const sim::NetworkModel serial = build_space_ground_model(config, 36);
+    ThreadPool one(1);
+    ThreadPool four(4);
+    for (ThreadPool* pool : {&one, &four}) {
+      const sim::NetworkModel model =
+          build_space_ground_model(config, 36, pool);
+      ASSERT_EQ(model.satellite_ids(), serial.satellite_ids());
+      std::size_t mismatches = 0;
+      for (const net::NodeId id : serial.satellite_ids()) {
+        const orbit::Ephemeris& want = serial.ephemeris(id);
+        const orbit::Ephemeris& got = model.ephemeris(id);
+        ASSERT_EQ(got.sample_count(), want.sample_count());
+        EXPECT_EQ(bits(got.duration()), bits(want.duration()));
+        for (std::size_t i = 0; i < want.sample_count(); ++i) {
+          const Vec3& a = got.sample(i);
+          const Vec3& b = want.sample(i);
+          if (bits(a.x) != bits(b.x) || bits(a.y) != bits(b.y) ||
+              bits(a.z) != bits(b.z)) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u)
+          << "j2 " << j2 << ", " << pool->size() << " worker(s)";
+    }
+  }
 }
 
 }  // namespace

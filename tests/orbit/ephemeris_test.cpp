@@ -4,7 +4,10 @@
 
 #include "common/error.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/constants.hpp"
@@ -29,6 +32,13 @@ bool same(const Vec3& a, const Vec3& b) {
   return a.x == b.x && a.y == b.y && a.z == b.z;
 }
 
+// Equal bit patterns: tells -0.0 from +0.0, which == does not.
+bool same_bits(const Vec3& a, const Vec3& b) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  return bits(a.x) == bits(b.x) && bits(a.y) == bits(b.y) &&
+         bits(a.z) == bits(b.z);
+}
+
 TEST(Ephemeris, SampleCountForOneDayAt30s) {
   const Ephemeris eph = Ephemeris::generate(qntn_sat(), 86'400.0, 30.0);
   // 2880 intervals + the initial sample (the paper's STK movement sheets
@@ -44,7 +54,57 @@ TEST(Ephemeris, GridSamplesMatchPropagatorWithEarthRotation) {
   for (double t : {0.0, 300.0, 1800.0, 3600.0}) {
     const Vec3 expected =
         geo::eci_to_ecef(prop.state_at(t).position, geo::gmst_at(t, 0.5));
-    EXPECT_NEAR(distance(eph.position_ecef(t), expected), 0.0, 1e-6) << t;
+    EXPECT_TRUE(same_bits(eph.position_ecef(t), expected)) << t;
+  }
+}
+
+// The batched path (one rotation per orbit without J2, one shared GMST
+// table) must reproduce the scalar propagator and frame rotation exactly,
+// sample by sample, on both horizon shapes. The equatorial orbit with a
+// signed-zero RAAN and argp, starting below perigee, is where a rotation
+// built from the epoch angles instead of elements_at's shows: its z is
+// -0 * x + 0 * y, whose sign follows that of the zero.
+TEST(Ephemeris, EverySampleEqualsThePropagatorBitForBit) {
+  struct Orbit {
+    double inclination_deg, raan, arg_perigee, true_anomaly_deg;
+  };
+  const Orbit orbits[] = {{53.0, deg_to_rad(120.0), deg_to_rad(40.0), 30.0},
+                          {53.0, -0.0, deg_to_rad(40.0), 30.0},
+                          {0.0, -0.0, -0.0, -30.0}};
+  for (const Orbit& orbit : orbits) {
+    for (const bool j2 : {false, true}) {
+      for (const double e : {0.0, 0.1}) {
+        KeplerianElements el;
+        el.semi_major_axis = 6'871'000.0;
+        el.eccentricity = e;
+        el.inclination = deg_to_rad(orbit.inclination_deg);
+        el.raan = orbit.raan;
+        el.arg_perigee = orbit.arg_perigee;
+        el.true_anomaly = deg_to_rad(orbit.true_anomaly_deg);
+        PropagatorOptions options;
+        options.include_j2 = j2;
+        const TwoBodyPropagator prop(el, options);
+        for (const double gmst0 : {0.0, 0.5}) {
+          for (const double duration : {5'400.0, 5'410.0}) {  // exact, ragged
+            const Ephemeris eph =
+                Ephemeris::generate(prop, duration, 30.0, gmst0);
+            ASSERT_EQ(eph.sample_count(), grid_sample_count(duration, 30.0));
+            std::size_t mismatches = 0;
+            for (std::size_t i = 0; i < eph.sample_count(); ++i) {
+              const double t =
+                  std::min(static_cast<double>(i) * 30.0, duration);
+              const Vec3 want = geo::eci_to_ecef(prop.state_at(t).position,
+                                                 geo::gmst_at(t, gmst0));
+              if (!same_bits(eph.sample(i), want)) ++mismatches;
+            }
+            EXPECT_EQ(mismatches, 0u)
+                << "i " << orbit.inclination_deg << ", raan " << orbit.raan
+                << ", j2 " << j2 << ", e " << e << ", gmst0 " << gmst0
+                << ", duration " << duration;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "common/constants.hpp"
 #include "common/error.hpp"
@@ -68,6 +71,45 @@ TEST(PropagatorGuards, RejectsNonFiniteAngles) {
   el = leo();
   el.true_anomaly = kNan;
   expect_rejected(el, "true_anomaly");
+}
+
+// positions_eci_at promises state_at's positions bit for bit. Negative and
+// signed-zero times take the scalar fallback of the drift-free path. The
+// equatorial orbit with a signed-zero RAAN and argp, starting below perigee,
+// is where a rotation built from the wrong signed zero shows: its z is
+// -0 * x + 0 * y.
+TEST(Propagator, BatchPositionsEqualStateAtBitForBit) {
+  const std::vector<double> times{0.0,     -0.0,     1.0,   30.0,  2'877.5,
+                                  86'400.0, 1.0e7,   -30.0, -1.0e6};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  KeplerianElements equatorial = leo();
+  equatorial.inclination = 0.0;
+  equatorial.raan = -0.0;
+  equatorial.arg_perigee = -0.0;
+  equatorial.true_anomaly = deg_to_rad(-30.0);
+  KeplerianElements signed_zero_raan = leo();
+  signed_zero_raan.raan = -0.0;
+  for (const KeplerianElements& orbit : {leo(), signed_zero_raan, equatorial}) {
+    for (const bool j2 : {false, true}) {
+      for (const double e : {0.0, 0.1}) {
+        KeplerianElements el = orbit;
+        el.eccentricity = e;
+        PropagatorOptions options;
+        options.include_j2 = j2;
+        const TwoBodyPropagator prop(el, options);
+        std::vector<Vec3> out(times.size());
+        prop.positions_eci_at(times.data(), times.size(), out.data());
+        for (std::size_t i = 0; i < times.size(); ++i) {
+          const Vec3 want = prop.state_at(times[i]).position;
+          EXPECT_TRUE(bits(out[i].x) == bits(want.x) &&
+                      bits(out[i].y) == bits(want.y) &&
+                      bits(out[i].z) == bits(want.z))
+              << "i " << el.inclination << ", raan " << el.raan << ", j2 "
+              << j2 << ", e " << e << ", t " << times[i];
+        }
+      }
+    }
+  }
 }
 
 TEST(Propagator, ReturnsEpochStateAtZero) {
