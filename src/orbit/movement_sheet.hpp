@@ -16,16 +16,24 @@
 ///
 /// Format: a header line then one row per sample,
 ///   time_s,latitude_deg,longitude_deg,altitude_m
-/// with strictly uniform time spacing starting at 0.
+/// with strictly uniform time spacing starting at 0 (the last row may end a
+/// partial step). Each row is exactly four finite numbers, blanks around
+/// them allowed; latitude in [-90, 90], longitude in [-180, 180], altitude
+/// at least kMinAltitudeM. Blank lines are skipped.
 
 namespace qntn::orbit {
+
+/// Lowest altitude a movement sheet may carry [m]: below the deepest ocean
+/// floor (about -10.9 km), so a sign-flipped orbit altitude is rejected.
+inline constexpr double kMinAltitudeM = -11'000.0;
 
 /// Write an ephemeris as a movement sheet. Throws qntn::Error on I/O
 /// failure.
 void save_movement_sheet(const std::string& path, const Ephemeris& ephemeris);
 
 /// Load a movement sheet into an Ephemeris. Throws qntn::Error on missing
-/// file, malformed rows, fewer than two samples, or non-uniform spacing.
+/// file, malformed or out-of-range rows, fewer than two samples, or
+/// non-uniform spacing; every error about a row names its file line.
 [[nodiscard]] Ephemeris load_movement_sheet(const std::string& path);
 
 /// Serialize to/from an in-memory string (same format; used by tests and
