@@ -91,12 +91,12 @@ TEST(Factory, J2FlagChangesTheTrajectories) {
 // bit for bit.
 TEST(Factory, ConstellationSamplesAreBitIdenticalAcrossThreadCounts) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  ThreadPool one(1);
+  ThreadPool four(4);
   for (const bool j2 : {false, true}) {
     QntnConfig config;
     config.include_j2 = j2;
     const sim::NetworkModel serial = build_space_ground_model(config, 36);
-    ThreadPool one(1);
-    ThreadPool four(4);
     for (ThreadPool* pool : {&one, &four}) {
       const sim::NetworkModel model =
           build_space_ground_model(config, 36, pool);

@@ -61,7 +61,7 @@ TEST(Ephemeris, GridSamplesMatchPropagatorWithEarthRotation) {
 // The batched path (one rotation per orbit without J2, one shared GMST
 // table) must reproduce the scalar propagator and frame rotation exactly,
 // sample by sample, on both horizon shapes. The equatorial orbit with a
-// signed-zero RAAN and argp, starting below perigee, is where a rotation
+// signed-zero RAAN and argp, starting before perigee, is where a rotation
 // built from the epoch angles instead of elements_at's shows: its z is
 // -0 * x + 0 * y, whose sign follows that of the zero.
 TEST(Ephemeris, EverySampleEqualsThePropagatorBitForBit) {

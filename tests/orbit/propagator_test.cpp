@@ -75,7 +75,7 @@ TEST(PropagatorGuards, RejectsNonFiniteAngles) {
 
 // positions_eci_at promises state_at's positions bit for bit. Negative and
 // signed-zero times take the scalar fallback of the drift-free path. The
-// equatorial orbit with a signed-zero RAAN and argp, starting below perigee,
+// equatorial orbit with a signed-zero RAAN and argp, starting before perigee,
 // is where a rotation built from the wrong signed zero shows: its z is
 // -0 * x + 0 * y.
 TEST(Propagator, BatchPositionsEqualStateAtBitForBit) {
