@@ -2,8 +2,8 @@
 
 #include <cstdint>
 
-#include "em/serving.hpp"
 #include "sim/coverage.hpp"
+#include "sim/em_serving.hpp"
 #include "sim/requests.hpp"
 #include "sim/traffic.hpp"
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "em/serving.hpp"
+#include "sim/em_serving.hpp"
 #include "sim/requests.hpp"
 #include "sim/scenario.hpp"
 #include "sim/topology.hpp"

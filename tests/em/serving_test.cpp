@@ -1,4 +1,4 @@
-#include "em/serving.hpp"
+#include "sim/em_serving.hpp"
 
 #include <gtest/gtest.h>
 
