@@ -241,7 +241,8 @@ constexpr Key kKeys[] = {
     {"em_max_storage_s", field<Real, &C::em_max_storage>()},
     {"em_memory_t1_s", field<Real, &C::em_memory_t1>()},
     {"em_memory_t2_s", field<Real, &C::em_memory_t2>()},
-    {"em_heralding_latency_s", field<Real, &C::em_heralding_latency>()},
+    {"em_heralding_latency_s", field<Real, &C::em_heralding_latency>(),
+     &kNonNegative},
     {"em_k_paths", field<Count, &C::em_k_paths>()},
     {"em_node_capacity", field<Count, &C::em_node_capacity>()},
     {"em_fidelity_slo", field<Real, &C::em_fidelity_slo>()},

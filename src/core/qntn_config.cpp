@@ -35,8 +35,8 @@ sim::ScenarioConfig QntnConfig::scenario_config() const {
   return config;
 }
 
-em::EmOptions QntnConfig::em_options() const {
-  em::EmOptions options;
+sim::EmOptions QntnConfig::em_options() const {
+  sim::EmOptions options;
   options.pool.slots_per_node = em_memory_slots;
   options.pool.generation_period = em_generation_period;
   options.pool.max_storage = em_max_storage;

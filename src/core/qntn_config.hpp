@@ -79,7 +79,7 @@ struct QntnConfig {
   // --- Serving engine (DESIGN.md §12). ---
   ServingMode serving_mode = ServingMode::SingleShot;
 
-  // --- Entanglement-management serving (src/em, DESIGN.md §11). ---
+  // --- Entanglement management (sim/em_serving.hpp, DESIGN.md §11). ---
   /// Pair halves per node memory. The pool fair-shares these across a
   /// node's incident links, so size to the topology's degree: TN-LAN clique
   /// nodes see ~14 fiber neighbours plus visible satellites, and fewer
@@ -115,10 +115,10 @@ struct QntnConfig {
   /// mode plus the em and traffic options).
   [[nodiscard]] sim::ScenarioConfig scenario_config() const;
 
-  /// Derived: the em::EmOptions this configuration describes. Throws
+  /// Derived: the sim::EmOptions this configuration describes. Throws
   /// qntn::Error on invalid em parameters — including the T2 <= 2 T1
   /// memory-physicality check.
-  [[nodiscard]] em::EmOptions em_options() const;
+  [[nodiscard]] sim::EmOptions em_options() const;
 
   /// Derived: the sim::TrafficConfig this configuration describes. Throws
   /// qntn::PreconditionError on degenerate traffic parameters.

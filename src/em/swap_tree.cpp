@@ -8,8 +8,8 @@
 namespace qntn::em {
 
 void SwapPlanOptions::validate() const {
-  QNTN_REQUIRE(heralding_latency >= 0.0,
-               "em heralding_latency must be non-negative");
+  QNTN_REQUIRE(std::isfinite(heralding_latency) && heralding_latency >= 0.0,
+               "em heralding_latency must be finite and non-negative");
 }
 
 SwapPlan plan_swap_tree(std::size_t hops, const SwapPlanOptions& options) {

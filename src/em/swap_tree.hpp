@@ -25,7 +25,7 @@ struct SwapPlanOptions {
   /// Balanced tree (logarithmic depth) vs. left-to-right chain.
   bool balanced = true;
 
-  /// Throws qntn::Error on negative latency.
+  /// Throws qntn::Error on a negative or non-finite latency.
   void validate() const;
 };
 

@@ -7,7 +7,7 @@
 #include "obs/registry.hpp"
 #include "obs/profiler.hpp"
 
-namespace qntn::em {
+namespace qntn::sim {
 
 void EmOptions::validate() const {
   pool.validate();
@@ -24,7 +24,7 @@ EntanglementManager::EntanglementManager(const EmOptions& options)
 
 bool EntanglementManager::epoch_state_matches(const net::Graph& graph,
                                               std::size_t epoch) const {
-  if (epoch == kNoEpoch || epoch != state_epoch_ ||
+  if (epoch == TopologyProvider::kNoEpoch || epoch != state_epoch_ ||
       graph.node_count() != state_node_count_ ||
       graph.edges().size() != state_edges_.size()) {
     return false;
@@ -78,7 +78,7 @@ void EntanglementManager::pick_best_edges(const net::Graph& graph) {
   }
 }
 
-void EntanglementManager::bind_batch(const std::vector<EmRequest>& requests) {
+void EntanglementManager::bind_batch(const std::vector<Request>& requests) {
   if (requests == batch_) return;
   batch_ = requests;
   std::vector<std::size_t> order(requests.size());
@@ -112,8 +112,8 @@ const std::vector<net::Route>& EntanglementManager::candidates(
   return slot.routes;
 }
 
-EmServeResult EntanglementManager::serve(
-    const net::Graph& graph, const std::vector<EmRequest>& requests,
+ServeStepResult EntanglementManager::serve(
+    const net::Graph& graph, const std::vector<Request>& requests,
     std::size_t epoch, quantum::FidelityConvention convention) {
   obs::Span span("em.serve", requests.size());
 
@@ -132,33 +132,35 @@ EmServeResult EntanglementManager::serve(
   }
   pick_best_edges(graph);
   bind_batch(requests);
-  const bool cacheable = epoch != kNoEpoch && eta_independent;
+  const bool cacheable =
+      epoch != TopologyProvider::kNoEpoch && eta_independent;
   node_load_.assign(graph.node_count(), 0);
 
-  EmServeResult result;
-  result.total = requests.size();
-  result.memory_occupancy = pool_.occupancy();
-  outcomes_.resize(requests.size());
+  ServeStepResult result;
+  ServeOutcome& outcome = result.outcome;
+  EmStats& stats = result.em;
+  outcome.issued = requests.size();
+  const double occupancy = pool_.occupancy();
+  stats.memory_occupancy.add(occupancy);
+  result.requests.resize(requests.size());
 
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    const EmRequest& request = requests[r];
-    EmOutcome outcome;
+    const Request& request = requests[r];
+    RequestRecord& rec = result.requests[r];
 
     if (graph.neighbors(request.source).empty() ||
         graph.neighbors(request.destination).empty()) {
-      outcome.status = EmStatus::Isolated;
-      ++result.unserved_isolated;
+      rec.disposition = ServeDisposition::Isolated;
+      ++outcome.isolated;
       obs::count("em.requests_isolated");
-      outcomes_[r] = outcome;
       continue;
     }
 
     const std::vector<net::Route>& routes = candidates(r, cacheable);
     if (routes.empty()) {
-      outcome.status = EmStatus::NoPath;
-      ++result.unserved_no_path;
+      rec.disposition = ServeDisposition::NoPath;
+      ++outcome.no_path;
       obs::count("em.requests_no_path");
-      outcomes_[r] = outcome;
       continue;
     }
 
@@ -199,7 +201,7 @@ EmServeResult EntanglementManager::serve(
       }
       if (!edges_present) continue;
 
-      const SwapPlan swap_plan = plan_swap_tree(hops, options_.swap);
+      const em::SwapPlan swap_plan = em::plan_swap_tree(hops, options_.swap);
 
       // Every hop pair sits in memory from its buffered age until the last
       // heralding round of the tree completes.
@@ -211,10 +213,10 @@ EmServeResult EntanglementManager::serve(
       }
       if (hop_durations_.size() != hops) continue;  // a buffer ran dry
 
-      const double swapped = swapped_chain_fidelity(
+      const double swapped = em::swapped_chain_fidelity(
           hop_etas_, hop_durations_, options_.pool.memory, convention);
-      const PurifyPlan purify_plan =
-          plan_purification(swapped, options_.purify, convention);
+      const em::PurifyPlan purify_plan =
+          em::plan_purification(swapped, options_.purify, convention);
 
       // Commit: consume pairs_per_hop buffered pairs on every hop, then
       // charge the relays. All-or-nothing: availability is checked for the
@@ -237,55 +239,53 @@ EmServeResult EntanglementManager::serve(
         ++node_load_[route.path[i]];
       }
 
-      outcome.status = EmStatus::Served;
-      outcome.fidelity = purify_plan.fidelity;
-      outcome.transmissivity = chain_transmissivity(hop_etas_);
-      outcome.hops = hops;
-      outcome.swaps = swap_plan.swaps;
-      outcome.swap_depth = swap_plan.depth;
-      outcome.purification_rounds = purify_plan.rounds;
-      outcome.pairs_consumed = purify_plan.pairs_per_hop * hops;
-      outcome.route_index = route_index;
-      outcome.slo_met = purify_plan.slo_met;
+      rec.disposition = ServeDisposition::Served;
+      rec.fidelity = purify_plan.fidelity;
+      rec.transmissivity = em::chain_transmissivity(hop_etas_);
+      rec.hops = hops;
+      rec.em.swaps = swap_plan.swaps;
+      rec.em.swap_depth = swap_plan.depth;
+      rec.em.purification_rounds = purify_plan.rounds;
+      rec.em.pairs_consumed = purify_plan.pairs_per_hop * hops;
+      rec.em.route_index = route_index;
       // Classical latency: the tree's heralding rounds plus one two-way
       // exchange per purification round.
-      outcome.latency =
-          swap_plan.heralding_delay +
-          static_cast<double>(purify_plan.rounds) *
-              options_.swap.heralding_latency;
-      if (route.path.size() > 2) outcome.relay = route.path[1];
+      rec.latency = swap_plan.heralding_delay +
+                    static_cast<double>(purify_plan.rounds) *
+                        options_.swap.heralding_latency;
+      if (route.path.size() > 2) rec.relay = route.path[1];
+      if (purify_plan.slo_met) ++stats.slo_met;
       committed = true;
     }
 
-    if (committed) {
-      ++result.served;
-      result.swaps += outcome.swaps;
-      result.purification_rounds += outcome.purification_rounds;
-      result.pairs_consumed += outcome.pairs_consumed;
-      if (outcome.slo_met) ++result.slo_met;
-      if (outcome.route_index > 0) {
-        ++result.spilled;
-        obs::count("em.requests_spilled");
-      }
-      result.fidelity.add(outcome.fidelity);
-      result.transmissivity.add(outcome.transmissivity);
-      result.hops.add(static_cast<double>(outcome.hops));
-      result.latency.add(outcome.latency);
-      result.swap_depth.add(static_cast<double>(outcome.swap_depth));
-      obs::count("em.requests_served");
-      obs::count("em.swaps", outcome.swaps);
-      obs::count("em.purification_rounds", outcome.purification_rounds);
-      obs::count("em.pairs_consumed", outcome.pairs_consumed);
-    } else {
-      outcome.status = EmStatus::Congested;
-      ++result.unserved_congested;
+    if (!committed) {
+      rec.disposition = ServeDisposition::Congested;
+      ++outcome.congested;
       obs::count("em.requests_congested");
+      continue;
     }
-    outcomes_[r] = outcome;
+    ++outcome.served;
+    stats.swaps += rec.em.swaps;
+    stats.purification_rounds += rec.em.purification_rounds;
+    stats.pairs_consumed += rec.em.pairs_consumed;
+    if (rec.em.route_index > 0) {
+      ++stats.spilled;
+      obs::count("em.requests_spilled");
+    }
+    outcome.fidelity.add(rec.fidelity);
+    outcome.transmissivity.add(rec.transmissivity);
+    outcome.hops.add(static_cast<double>(rec.hops));
+    stats.latency.add(rec.latency);
+    stats.latency_samples.push_back(rec.latency);
+    stats.swap_depth.add(static_cast<double>(rec.em.swap_depth));
+    obs::count("em.requests_served");
+    obs::count("em.swaps", rec.em.swaps);
+    obs::count("em.purification_rounds", rec.em.purification_rounds);
+    obs::count("em.pairs_consumed", rec.em.pairs_consumed);
   }
 
-  obs::observe("em.memory_occupancy", result.memory_occupancy);
+  obs::observe("em.memory_occupancy", occupancy);
   return result;
 }
 
-}  // namespace qntn::em
+}  // namespace qntn::sim

@@ -25,6 +25,8 @@ namespace qntn::sim {
 struct Request {
   net::NodeId source = 0;
   net::NodeId destination = 0;
+
+  bool operator==(const Request&) const = default;
 };
 
 /// Generate `count` uniformly random requests with endpoints in distinct

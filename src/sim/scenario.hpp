@@ -73,7 +73,7 @@ struct ScenarioConfig {
   /// backpressure) one window per snapshot step.
   ServingMode serving_mode = ServingMode::SingleShot;
   /// Parameters of the Entanglement engine (read only in that mode).
-  em::EmOptions em{};
+  EmOptions em{};
   /// Parameters of the Traffic engine (read only in that mode).
   TrafficConfig traffic{};
 };

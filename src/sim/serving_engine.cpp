@@ -67,20 +67,6 @@ void TrafficStats::merge(const TrafficStats& other) {
 
 namespace {
 
-ServeDisposition to_disposition(em::EmStatus status) {
-  switch (status) {
-    case em::EmStatus::Served:
-      return ServeDisposition::Served;
-    case em::EmStatus::NoPath:
-      return ServeDisposition::NoPath;
-    case em::EmStatus::Isolated:
-      return ServeDisposition::Isolated;
-    case em::EmStatus::Congested:
-      return ServeDisposition::Congested;
-  }
-  return ServeDisposition::NoPath;
-}
-
 /// The paper's instantaneous single-shot links. Its snapshot slot and tree
 /// table persist across steps: on an epoch-partitioned provider,
 /// consecutive steps inside one epoch refresh the graph in place and, for
@@ -111,73 +97,31 @@ class SingleShotEngine final : public ServingEngine {
   SourceTreeTable trees_;
 };
 
-/// The entanglement-management layer (src/em), adapted to the unified
-/// result: em ranks below sim, so em::EmServeResult is translated here.
-/// The manager's per-epoch k-disjoint route table plays the role the
-/// per-source tree table plays in single-shot serving.
+/// The entanglement manager over the buffered-resource models of src/em.
+/// Its per-epoch k-disjoint route table plays the role the per-source tree
+/// table plays in single-shot serving.
 class EmEngine final : public ServingEngine {
  public:
   EmEngine(const TopologyProvider& topology,
-           const std::vector<Request>& requests, const em::EmOptions& options,
+           const std::vector<Request>& requests, const EmOptions& options,
            quantum::FidelityConvention convention)
-      : topology_(topology), convention_(convention), manager_(options) {
-    requests_.reserve(requests.size());
-    for (const Request& request : requests) {
-      requests_.push_back(em::EmRequest{request.source, request.destination});
-    }
-  }
+      : topology_(topology),
+        requests_(requests),
+        convention_(convention),
+        manager_(options) {}
 
   [[nodiscard]] ServeStepResult serve_step(std::size_t /*step*/,
                                            double t) override {
     topology_.snapshot_at(t, snap_);
-    const em::EmServeResult sr =
-        manager_.serve(snap_.graph, requests_, snap_.epoch, convention_);
-    ServeStepResult out;
-    out.outcome.issued = sr.total;
-    out.outcome.served = sr.served;
-    out.outcome.no_path = sr.unserved_no_path;
-    out.outcome.isolated = sr.unserved_isolated;
-    out.outcome.congested = sr.unserved_congested;
-    out.outcome.fidelity = sr.fidelity;
-    out.outcome.transmissivity = sr.transmissivity;
-    out.outcome.hops = sr.hops;
-    out.em.swaps = sr.swaps;
-    out.em.purification_rounds = sr.purification_rounds;
-    out.em.pairs_consumed = sr.pairs_consumed;
-    out.em.slo_met = sr.slo_met;
-    out.em.spilled = sr.spilled;
-    out.em.memory_occupancy.add(sr.memory_occupancy);
-    out.em.swap_depth = sr.swap_depth;
-    out.em.latency = sr.latency;
-    out.em.latency_samples.reserve(sr.served);
-    out.requests.reserve(requests_.size());
-    for (const em::EmOutcome& o : manager_.outcomes()) {
-      RequestRecord rec;
-      rec.disposition = to_disposition(o.status);
-      rec.transmissivity = o.transmissivity;
-      rec.fidelity = o.fidelity;
-      rec.hops = o.hops;
-      rec.relay = o.relay;
-      rec.latency = o.latency;
-      rec.em.swaps = o.swaps;
-      rec.em.swap_depth = o.swap_depth;
-      rec.em.purification_rounds = o.purification_rounds;
-      rec.em.pairs_consumed = o.pairs_consumed;
-      rec.em.route_index = o.route_index;
-      if (rec.disposition == ServeDisposition::Served) {
-        out.em.latency_samples.push_back(o.latency);
-      }
-      out.requests.push_back(rec);
-    }
-    return out;
+    return manager_.serve(snap_.graph, requests_, snap_.epoch, convention_);
   }
 
  private:
   const TopologyProvider& topology_;
+  const std::vector<Request>& requests_;
   quantum::FidelityConvention convention_;
-  std::vector<em::EmRequest> requests_;
   TopologySnapshot snap_;
-  em::EntanglementManager manager_;
+  EntanglementManager manager_;
 };
 
 }  // namespace

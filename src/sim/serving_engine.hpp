@@ -12,7 +12,7 @@
 /// \file serving_engine.hpp
 /// The unified serving API of the scenario loop (DESIGN.md §12). The three
 /// serving modes — the paper's instantaneous single-shot links, the
-/// entanglement-management layer (src/em), and the open-arrival traffic
+/// entanglement manager (em_serving.hpp), and the open-arrival traffic
 /// engine — all answer the same question per snapshot ("what happened to
 /// the requests issued against this topology?") but historically returned
 /// three different result shapes. ServingEngine is the common interface:

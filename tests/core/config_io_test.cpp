@@ -192,11 +192,14 @@ TEST(ConfigIo, RejectsDegenerateTrafficParameters) {
 }
 
 TEST(ConfigIo, RejectsNonFiniteTrafficRates) {
-  // std::stod accepts "inf" and "nan"; the rate and the service overhead
-  // must still be finite, and the error names the key. Parse only: an
-  // engine on an infinite rate would draw arrivals forever.
-  for (const std::string key :
-       {"traffic_arrival_rate", "traffic_service_overhead_s"}) {
+  // std::stod accepts "inf" and "nan"; the traffic rate, the service
+  // overhead and the em heralding latency must still be finite, and the
+  // error names the key. Parse only: an engine on an infinite rate would
+  // draw arrivals forever, and a one-hop em route would store its pairs
+  // for 0 x inf = NaN seconds.
+  for (const std::string key : {"traffic_arrival_rate",
+                                "traffic_service_overhead_s",
+                                "em_heralding_latency_s"}) {
     for (const std::string value : {"inf", "-inf", "nan"}) {
       SCOPED_TRACE(key + " = " + value);
       try {

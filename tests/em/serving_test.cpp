@@ -15,23 +15,17 @@
 #include "obs/registry.hpp"
 #include "quantum/fidelity.hpp"
 #include "sim/requests.hpp"
+#include "sim/serving_engine.hpp"
 #include "sim/topology.hpp"
 
-namespace qntn::em {
+namespace qntn::sim {
 namespace {
 
 using quantum::FidelityConvention;
 
-/// One serve() call: its result with a copy of the manager's outcomes, so
-/// calls can be compared after the manager has served again.
-struct Served : EmServeResult {
-  std::vector<EmOutcome> outcomes;
-};
-
-Served serve_recorded(EntanglementManager& manager, const net::Graph& graph,
-                      const std::vector<EmRequest>& batch, std::size_t epoch) {
-  return {manager.serve(graph, batch, epoch, FidelityConvention::Uhlmann),
-          manager.outcomes()};
+ServeStepResult serve_at(EntanglementManager& manager, const net::Graph& graph,
+                         const std::vector<Request>& batch, std::size_t epoch) {
+  return manager.serve(graph, batch, epoch, FidelityConvention::Uhlmann);
 }
 
 /// Two interior-disjoint routes between s and d: s-a-d and s-b-d.
@@ -51,15 +45,14 @@ struct Diamond {
   }
 };
 
-Served serve_diamond(std::size_t k_paths, std::size_t requests) {
+ServeStepResult serve_diamond(std::size_t k_paths, std::size_t requests) {
   Diamond fixture;
   EmOptions options;
   options.k_paths = k_paths;
   options.node_capacity = 1;  // each relay can swap once per snapshot
   EntanglementManager manager(options);
-  const std::vector<EmRequest> batch(requests,
-                                     EmRequest{fixture.s, fixture.d});
-  return serve_recorded(manager, fixture.graph, batch, 0);
+  const std::vector<Request> batch(requests, Request{fixture.s, fixture.d});
+  return serve_at(manager, fixture.graph, batch, 0);
 }
 
 TEST(EmServing, DirectLinkDeliversStoredPairFidelity) {
@@ -69,20 +62,20 @@ TEST(EmServing, DirectLinkDeliversStoredPairFidelity) {
   g.add_edge(s, d, 0.9);
   EmOptions options;
   EntanglementManager manager(options);
-  const Served result = serve_recorded(manager, g, {EmRequest{s, d}}, 0);
-  ASSERT_EQ(result.served, 1u);
-  ASSERT_EQ(result.outcomes.size(), 1u);
-  const EmOutcome& outcome = result.outcomes[0];
-  EXPECT_EQ(outcome.status, EmStatus::Served);
-  EXPECT_EQ(outcome.hops, 1u);
-  EXPECT_EQ(outcome.swaps, 0u);
-  EXPECT_EQ(outcome.swap_depth, 0u);
+  const ServeStepResult result = serve_at(manager, g, {Request{s, d}}, 0);
+  ASSERT_EQ(result.outcome.served, 1u);
+  ASSERT_EQ(result.requests.size(), 1u);
+  const RequestRecord& rec = result.requests[0];
+  EXPECT_EQ(rec.disposition, ServeDisposition::Served);
+  EXPECT_EQ(rec.hops, 1u);
+  EXPECT_EQ(rec.em.swaps, 0u);
+  EXPECT_EQ(rec.em.swap_depth, 0u);
   // One hop, youngest pair (age 0), no heralding: the delivered fidelity is
   // exactly the memory model's freshly-stored pair.
-  EXPECT_DOUBLE_EQ(outcome.fidelity,
+  EXPECT_DOUBLE_EQ(rec.fidelity,
                    options.pool.memory.stored_pair_fidelity(0.9, 0.0));
-  EXPECT_DOUBLE_EQ(outcome.latency, 0.0);
-  EXPECT_FALSE(outcome.relay.has_value());
+  EXPECT_DOUBLE_EQ(rec.latency, 0.0);
+  EXPECT_FALSE(rec.relay.has_value());
 }
 
 TEST(EmServing, IsolatedEndpointIsReported) {
@@ -93,11 +86,11 @@ TEST(EmServing, IsolatedEndpointIsReported) {
   g.add_edge(s, d, 0.9);
   EmOptions options;
   EntanglementManager manager(options);
-  const Served result =
-      serve_recorded(manager, g, {EmRequest{s, net::NodeId{2}}}, 0);
-  EXPECT_EQ(result.served, 0u);
-  EXPECT_EQ(result.unserved_isolated, 1u);
-  EXPECT_EQ(result.outcomes[0].status, EmStatus::Isolated);
+  const ServeStepResult result =
+      serve_at(manager, g, {Request{s, net::NodeId{2}}}, 0);
+  EXPECT_EQ(result.outcome.served, 0u);
+  EXPECT_EQ(result.outcome.isolated, 1u);
+  EXPECT_EQ(result.requests[0].disposition, ServeDisposition::Isolated);
 }
 
 TEST(EmServing, DisconnectedComponentsAreNoPath) {
@@ -110,9 +103,9 @@ TEST(EmServing, DisconnectedComponentsAreNoPath) {
   g.add_edge(c, d, 0.9);
   EmOptions options;
   EntanglementManager manager(options);
-  const Served result = serve_recorded(manager, g, {EmRequest{a, c}}, 0);
-  EXPECT_EQ(result.unserved_no_path, 1u);
-  EXPECT_EQ(result.outcomes[0].status, EmStatus::NoPath);
+  const ServeStepResult result = serve_at(manager, g, {Request{a, c}}, 0);
+  EXPECT_EQ(result.outcome.no_path, 1u);
+  EXPECT_EQ(result.requests[0].disposition, ServeDisposition::NoPath);
 }
 
 /// The acceptance pin: on a relay-congested snapshot, k-path load balancing
@@ -121,21 +114,21 @@ TEST(EmServing, DisconnectedComponentsAreNoPath) {
 /// k = 1 drops the second request, k = 2 spills it onto the disjoint
 /// alternate.
 TEST(EmServing, MultipathStrictlyImprovesServedFractionUnderCongestion) {
-  const Served single = serve_diamond(/*k_paths=*/1, /*requests=*/2);
-  EXPECT_EQ(single.served, 1u);
-  EXPECT_EQ(single.unserved_congested, 1u);
-  EXPECT_EQ(single.outcomes[1].status, EmStatus::Congested);
-  EXPECT_EQ(single.spilled, 0u);
+  const ServeStepResult single = serve_diamond(/*k_paths=*/1, /*requests=*/2);
+  EXPECT_EQ(single.outcome.served, 1u);
+  EXPECT_EQ(single.outcome.congested, 1u);
+  EXPECT_EQ(single.requests[1].disposition, ServeDisposition::Congested);
+  EXPECT_EQ(single.em.spilled, 0u);
 
-  const Served multi = serve_diamond(/*k_paths=*/2, /*requests=*/2);
-  EXPECT_EQ(multi.served, 2u);
-  EXPECT_EQ(multi.unserved_congested, 0u);
-  EXPECT_EQ(multi.spilled, 1u);
-  EXPECT_EQ(multi.outcomes[0].route_index, 0u);
-  EXPECT_EQ(multi.outcomes[1].route_index, 1u);
-  EXPECT_NE(multi.outcomes[0].relay, multi.outcomes[1].relay);
+  const ServeStepResult multi = serve_diamond(/*k_paths=*/2, /*requests=*/2);
+  EXPECT_EQ(multi.outcome.served, 2u);
+  EXPECT_EQ(multi.outcome.congested, 0u);
+  EXPECT_EQ(multi.em.spilled, 1u);
+  EXPECT_EQ(multi.requests[0].em.route_index, 0u);
+  EXPECT_EQ(multi.requests[1].em.route_index, 1u);
+  EXPECT_NE(multi.requests[0].relay, multi.requests[1].relay);
 
-  EXPECT_GT(multi.served_fraction(), single.served_fraction());
+  EXPECT_GT(multi.outcome.served_fraction(), single.outcome.served_fraction());
 }
 
 TEST(EmServing, BufferExhaustionCongests) {
@@ -147,14 +140,14 @@ TEST(EmServing, BufferExhaustionCongests) {
   options.pool.slots_per_node = 2;  // the edge buffers exactly two pairs
   options.node_capacity = 100;      // relays are not the bottleneck here
   EntanglementManager manager(options);
-  const std::vector<EmRequest> batch(3, EmRequest{s, d});
-  const Served result = serve_recorded(manager, g, batch, 0);
-  EXPECT_EQ(result.served, 2u);
-  EXPECT_EQ(result.unserved_congested, 1u);
-  EXPECT_EQ(result.outcomes[2].status, EmStatus::Congested);
-  EXPECT_EQ(result.pairs_consumed, 2u);
+  const std::vector<Request> batch(3, Request{s, d});
+  const ServeStepResult result = serve_at(manager, g, batch, 0);
+  EXPECT_EQ(result.outcome.served, 2u);
+  EXPECT_EQ(result.outcome.congested, 1u);
+  EXPECT_EQ(result.requests[2].disposition, ServeDisposition::Congested);
+  EXPECT_EQ(result.em.pairs_consumed, 2u);
   // The second request consumed the older pair: strictly lower fidelity.
-  EXPECT_LT(result.outcomes[1].fidelity, result.outcomes[0].fidelity);
+  EXPECT_LT(result.requests[1].fidelity, result.requests[0].fidelity);
 }
 
 TEST(EmServing, RepeatedServeIsByteIdentical) {
@@ -164,25 +157,27 @@ TEST(EmServing, RepeatedServeIsByteIdentical) {
   options.node_capacity = 1;
   options.purify.fidelity_slo = 0.8;
   EntanglementManager manager(options);
-  const std::vector<EmRequest> batch{
-      EmRequest{fixture.s, fixture.d}, EmRequest{fixture.s, fixture.d},
-      EmRequest{fixture.a, fixture.b}};
-  const Served first = serve_recorded(manager, fixture.graph, batch, 0);
-  const Served second = serve_recorded(manager, fixture.graph, batch, 0);
-  EXPECT_EQ(first.served, second.served);
-  EXPECT_EQ(first.spilled, second.spilled);
-  EXPECT_EQ(first.pairs_consumed, second.pairs_consumed);
-  EXPECT_EQ(first.purification_rounds, second.purification_rounds);
+  const std::vector<Request> batch{Request{fixture.s, fixture.d},
+                                   Request{fixture.s, fixture.d},
+                                   Request{fixture.a, fixture.b}};
+  const ServeStepResult first = serve_at(manager, fixture.graph, batch, 0);
+  const ServeStepResult second = serve_at(manager, fixture.graph, batch, 0);
+  EXPECT_EQ(first.outcome.served, second.outcome.served);
+  EXPECT_EQ(first.em.spilled, second.em.spilled);
+  EXPECT_EQ(first.em.pairs_consumed, second.em.pairs_consumed);
+  EXPECT_EQ(first.em.purification_rounds, second.em.purification_rounds);
   // Exact double equality is the point: serving must be a pure function of
   // (graph, batch, options) with no cross-call state.
-  EXPECT_EQ(first.fidelity.mean(), second.fidelity.mean());
-  EXPECT_EQ(first.latency.mean(), second.latency.mean());
-  EXPECT_EQ(first.memory_occupancy, second.memory_occupancy);
-  ASSERT_EQ(first.outcomes.size(), second.outcomes.size());
-  for (std::size_t i = 0; i < first.outcomes.size(); ++i) {
-    EXPECT_EQ(first.outcomes[i].status, second.outcomes[i].status);
-    EXPECT_EQ(first.outcomes[i].fidelity, second.outcomes[i].fidelity);
-    EXPECT_EQ(first.outcomes[i].route_index, second.outcomes[i].route_index);
+  EXPECT_EQ(first.outcome.fidelity.mean(), second.outcome.fidelity.mean());
+  EXPECT_EQ(first.em.latency.mean(), second.em.latency.mean());
+  EXPECT_EQ(first.em.memory_occupancy.mean(),
+            second.em.memory_occupancy.mean());
+  ASSERT_EQ(first.requests.size(), second.requests.size());
+  for (std::size_t i = 0; i < first.requests.size(); ++i) {
+    EXPECT_EQ(first.requests[i].disposition, second.requests[i].disposition);
+    EXPECT_EQ(first.requests[i].fidelity, second.requests[i].fidelity);
+    EXPECT_EQ(first.requests[i].em.route_index,
+              second.requests[i].em.route_index);
   }
 }
 
@@ -191,47 +186,48 @@ TEST(EmServing, RelayRoutePaysHeraldingLatency) {
   EmOptions options;
   options.k_paths = 2;
   EntanglementManager manager(options);
-  const Served result = serve_recorded(
-      manager, fixture.graph, {EmRequest{fixture.s, fixture.d}}, 0);
-  ASSERT_EQ(result.served, 1u);
-  const EmOutcome& outcome = result.outcomes[0];
-  EXPECT_EQ(outcome.hops, 2u);
-  EXPECT_EQ(outcome.swaps, 1u);
-  EXPECT_EQ(outcome.swap_depth, 1u);
-  EXPECT_DOUBLE_EQ(outcome.latency, options.swap.heralding_latency);
-  EXPECT_TRUE(outcome.relay.has_value());
+  const ServeStepResult result =
+      serve_at(manager, fixture.graph, {Request{fixture.s, fixture.d}}, 0);
+  ASSERT_EQ(result.outcome.served, 1u);
+  const RequestRecord& rec = result.requests[0];
+  EXPECT_EQ(rec.hops, 2u);
+  EXPECT_EQ(rec.em.swaps, 1u);
+  EXPECT_EQ(rec.em.swap_depth, 1u);
+  EXPECT_DOUBLE_EQ(rec.latency, options.swap.heralding_latency);
+  EXPECT_TRUE(rec.relay.has_value());
 }
 
-void expect_same_outcome(const EmOutcome& a, const EmOutcome& b) {
-  EXPECT_EQ(a.status, b.status);
+void expect_same_record(const RequestRecord& a, const RequestRecord& b) {
+  EXPECT_EQ(a.disposition, b.disposition);
   EXPECT_EQ(a.fidelity, b.fidelity);
   EXPECT_EQ(a.transmissivity, b.transmissivity);
   EXPECT_EQ(a.hops, b.hops);
-  EXPECT_EQ(a.swaps, b.swaps);
-  EXPECT_EQ(a.swap_depth, b.swap_depth);
-  EXPECT_EQ(a.purification_rounds, b.purification_rounds);
-  EXPECT_EQ(a.pairs_consumed, b.pairs_consumed);
-  EXPECT_EQ(a.route_index, b.route_index);
-  EXPECT_EQ(a.slo_met, b.slo_met);
+  EXPECT_EQ(a.em.swaps, b.em.swaps);
+  EXPECT_EQ(a.em.swap_depth, b.em.swap_depth);
+  EXPECT_EQ(a.em.purification_rounds, b.em.purification_rounds);
+  EXPECT_EQ(a.em.pairs_consumed, b.em.pairs_consumed);
+  EXPECT_EQ(a.em.route_index, b.em.route_index);
   EXPECT_EQ(a.latency, b.latency);
   EXPECT_EQ(a.relay, b.relay);
 }
 
 /// Serve `batch` on `graph` with a manager that has served nothing before.
-Served serve_fresh(const EmOptions& options, const net::Graph& graph,
-                          const std::vector<EmRequest>& batch,
-                          std::size_t epoch) {
+ServeStepResult serve_fresh(const EmOptions& options, const net::Graph& graph,
+                            const std::vector<Request>& batch,
+                            std::size_t epoch) {
   EntanglementManager manager(options);
-  return serve_recorded(manager, graph, batch, epoch);
+  return serve_at(manager, graph, batch, epoch);
 }
 
-void expect_same_outcomes(const Served& got, const Served& want) {
-  ASSERT_EQ(got.outcomes.size(), want.outcomes.size());
-  for (std::size_t r = 0; r < got.outcomes.size(); ++r) {
+void expect_same_outcomes(const ServeStepResult& got,
+                          const ServeStepResult& want) {
+  ASSERT_EQ(got.requests.size(), want.requests.size());
+  for (std::size_t r = 0; r < got.requests.size(); ++r) {
     SCOPED_TRACE("request " + std::to_string(r));
-    expect_same_outcome(got.outcomes[r], want.outcomes[r]);
+    expect_same_record(got.requests[r], want.requests[r]);
   }
-  EXPECT_EQ(got.memory_occupancy, want.memory_occupancy);
+  EXPECT_EQ(got.em.slo_met, want.em.slo_met);
+  EXPECT_EQ(got.em.memory_occupancy.mean(), want.em.memory_occupancy.mean());
 }
 
 TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
@@ -245,18 +241,14 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
   // under kNoEpoch, which turns all reuse off.
   core::QntnConfig config;
   config.topology_mode = core::TopologyMode::ContactPlan;
-  const sim::NetworkModel model = core::build_space_ground_model(config, 108);
+  const NetworkModel model = core::build_space_ground_model(config, 108);
   const core::Topology topology = core::make_topology(config, model);
   Rng rng(config.request_seed);
-  std::vector<EmRequest> batch;
-  for (const sim::Request& request :
-       sim::generate_requests(model, 300, rng)) {
-    batch.push_back(EmRequest{request.source, request.destination});
-  }
+  const std::vector<Request> batch = generate_requests(model, 300, rng);
   // The second batch shares some pairs with the first and adds others.
-  std::vector<EmRequest> other(batch.rbegin(), batch.rbegin() + 100);
-  for (const sim::Request& request : sim::generate_requests(model, 50, rng)) {
-    other.push_back(EmRequest{request.source, request.destination});
+  std::vector<Request> other(batch.rbegin(), batch.rbegin() + 100);
+  for (const Request& request : generate_requests(model, 50, rng)) {
+    other.push_back(request);
   }
   std::vector<double> times;
   for (const double base : {0.0, 21'600.0, 43'200.0, 64'800.0}) {
@@ -275,9 +267,9 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
     EntanglementManager blind(options);
     obs::Registry registry;
     const obs::ScopedRegistry scope(&registry);
-    sim::TopologySnapshot snap;
+    TopologySnapshot snap;
     std::size_t served = 0;
-    std::size_t previous_epoch = EntanglementManager::kNoEpoch;
+    std::size_t previous_epoch = TopologyProvider::kNoEpoch;
     std::size_t run = 0;
     std::size_t longest_run = 0;
     std::set<std::size_t> epochs;
@@ -290,20 +282,20 @@ TEST(EmServing, LongLivedManagerMatchesFreshManagerPerSnapshot) {
       longest_run = std::max(longest_run, run);
       previous_epoch = snap.epoch;
 
-      const Served want =
+      const ServeStepResult want =
           serve_fresh(options, snap.graph, batch, snap.epoch);
-      const Served got = serve_recorded(lived, snap.graph, batch, snap.epoch);
+      const ServeStepResult got =
+          serve_at(lived, snap.graph, batch, snap.epoch);
       expect_same_outcomes(got, want);
       if (step % 3 == 1) {
-        expect_same_outcomes(
-            serve_recorded(lived, snap.graph, other, snap.epoch),
-            serve_fresh(options, snap.graph, other, snap.epoch));
+        expect_same_outcomes(serve_at(lived, snap.graph, other, snap.epoch),
+                             serve_fresh(options, snap.graph, other,
+                                         snap.epoch));
       }
       expect_same_outcomes(
-          serve_recorded(blind, snap.graph, batch,
-                         EntanglementManager::kNoEpoch),
+          serve_at(blind, snap.graph, batch, TopologyProvider::kNoEpoch),
           want);
-      served += got.served;
+      served += got.outcome.served;
     }
     // The day crossed epochs and held one for at least three steps, and
     // outcomes had something to compare.
@@ -333,16 +325,16 @@ TEST(EmServing, ParallelEdgesRepickTheirBestEtaPerSnapshot) {
   EmOptions options;
   options.pool.slots_per_node = 4;
   options.node_capacity = 100;
-  const std::vector<EmRequest> batch(3, EmRequest{s, d});
+  const std::vector<Request> batch(3, Request{s, d});
   EntanglementManager lived(options);
   for (const double swap : {0.0, 1.0, 0.0}) {
     SCOPED_TRACE("swap " + std::to_string(swap));
     g.set_edge_transmissivity(0, swap > 0.0 ? 0.5 : 0.9);
     g.set_edge_transmissivity(2, swap > 0.0 ? 0.9 : 0.5);
-    const Served got = serve_recorded(lived, g, batch, /*epoch=*/7);
+    const ServeStepResult got = serve_at(lived, g, batch, /*epoch=*/7);
     expect_same_outcomes(got, serve_fresh(options, g, batch, 7));
-    ASSERT_GT(got.served, 0u);
-    EXPECT_DOUBLE_EQ(got.outcomes[0].transmissivity, 0.9 * 0.8);
+    ASSERT_GT(got.outcome.served, 0u);
+    EXPECT_DOUBLE_EQ(got.requests[0].transmissivity, 0.9 * 0.8);
   }
 }
 
@@ -354,7 +346,7 @@ TEST(EmServing, EtaDependentRoutesFollowTheSnapshotsEtas) {
   EmOptions options;
   options.metric = net::CostMetric::InverseEta;
   options.k_paths = 1;
-  const std::vector<EmRequest> batch{EmRequest{fixture.s, fixture.d}};
+  const std::vector<Request> batch{Request{fixture.s, fixture.d}};
   EntanglementManager lived(options);
   for (const bool swapped : {false, true, false}) {
     SCOPED_TRACE(swapped ? "swapped" : "unswapped");
@@ -363,11 +355,11 @@ TEST(EmServing, EtaDependentRoutesFollowTheSnapshotsEtas) {
       fixture.graph.set_edge_transmissivity(edge,
                                             via_a != swapped ? 0.9 : 0.8);
     }
-    const Served got =
-        serve_recorded(lived, fixture.graph, batch, /*epoch=*/3);
+    const ServeStepResult got =
+        serve_at(lived, fixture.graph, batch, /*epoch=*/3);
     expect_same_outcomes(got, serve_fresh(options, fixture.graph, batch, 3));
-    ASSERT_EQ(got.served, 1u);
-    EXPECT_EQ(got.outcomes[0].relay, swapped ? fixture.b : fixture.a);
+    ASSERT_EQ(got.outcome.served, 1u);
+    EXPECT_EQ(got.requests[0].relay, swapped ? fixture.b : fixture.a);
   }
 }
 
@@ -385,13 +377,13 @@ TEST(EmServing, EpochStateIsReusedOnlyForTheSameEdges) {
   EmOptions options;
   options.k_paths = 2;
   options.node_capacity = 1;
-  const std::vector<EmRequest> batch(3, EmRequest{fixture.s, fixture.d});
+  const std::vector<Request> batch(3, Request{fixture.s, fixture.d});
   EntanglementManager lived(options);
   for (const net::Graph* graph :
        {&fixture.graph, &reordered, &fixture.graph}) {
-    const Served got = serve_recorded(lived, *graph, batch, /*epoch=*/5);
+    const ServeStepResult got = serve_at(lived, *graph, batch, /*epoch=*/5);
     expect_same_outcomes(got, serve_fresh(options, *graph, batch, 5));
-    EXPECT_EQ(got.served, 2u);
+    EXPECT_EQ(got.outcome.served, 2u);
   }
 }
 
@@ -405,4 +397,4 @@ TEST(EmOptions, ValidateRejectsDegenerateParameters) {
 }
 
 }  // namespace
-}  // namespace qntn::em
+}  // namespace qntn::sim

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -42,6 +43,23 @@ TEST(SwapPlan, LinearChainHasLinearDepth) {
 
 TEST(SwapPlan, RejectsZeroHops) {
   EXPECT_THROW((void)plan_swap_tree(0, SwapPlanOptions{}), Error);
+}
+
+TEST(SwapPlan, RejectsNegativeAndNonFiniteLatency) {
+  // An infinite latency would price a one-hop route's storage as 0 x inf =
+  // NaN, which the memory model rejects mid-run; it must fail here instead.
+  for (const double latency :
+       {-0.01, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(latency);
+    SwapPlanOptions options;
+    options.heralding_latency = latency;
+    EXPECT_THROW(options.validate(), Error);
+    EXPECT_THROW((void)plan_swap_tree(1, options), Error);
+  }
+  SwapPlanOptions instant;
+  instant.heralding_latency = 0.0;
+  EXPECT_NO_THROW(instant.validate());
 }
 
 TEST(SwapTree, ChainTransmissivityIsTheProduct) {

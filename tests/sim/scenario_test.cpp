@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,6 +194,141 @@ TEST(Scenario, ServedRecordsCarryTheAggregatesFidelityInEveryMode) {
     const double mean = result.totals.fidelity.mean();
     EXPECT_NEAR(fidelity_sum / static_cast<double>(served), mean,
                 1e-12 * mean);
+  }
+}
+
+void expect_same_stats(const RunningStats& got, const RunningStats& want) {
+  EXPECT_EQ(got.count(), want.count());
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_EQ(got.variance(), want.variance());
+  EXPECT_EQ(got.min(), want.min());
+  EXPECT_EQ(got.max(), want.max());
+}
+
+/// Every engine writes its step's records and its outcome itself; nothing
+/// derives one from the other. At every step of a small hybrid day (its
+/// HAPs give em's congested relays disjoint alternates to spill onto), in
+/// every mode on both providers, the records must count into exactly
+/// the outcome's buckets, and re-adding the served records' fidelity,
+/// transmissivity, hops (fixed-batch engines) and latency (em, traffic)
+/// must give the step's stats back.
+TEST(ServingEngines, StepRecordsAgreeWithTheOutcome) {
+  for (const core::TopologyMode topology_mode :
+       {core::TopologyMode::Rebuild, core::TopologyMode::ContactPlan}) {
+    for (const ServingMode mode : {ServingMode::SingleShot,
+                                   ServingMode::Entanglement,
+                                   ServingMode::Traffic}) {
+      SCOPED_TRACE("provider " + std::to_string(static_cast<int>(
+                                     topology_mode)) +
+                   " mode " + std::to_string(static_cast<int>(mode)));
+      QntnConfig config;
+      config.topology_mode = topology_mode;
+      config.day_duration = 21'600.0;  // 6 hours
+      config.ephemeris_step = 60.0;
+      config.request_count = 100;
+      config.request_steps = 36;
+      config.serving_mode = mode;
+      config.em_node_capacity = 1;  // congests relays, spills onto k paths
+      // About 360 arrivals per 600-s window onto single-pair nodes busy
+      // 250 ms per request: queues overflow and deadlines expire.
+      config.traffic_arrival_rate = 0.2;
+      config.traffic_node_capacity = 1;
+      config.traffic_service_overhead = 0.25;
+      const NetworkModel model = core::build_hybrid_model(config, 36);
+      const core::Topology topology = core::make_topology(config, model);
+      const ScenarioConfig sc = config.scenario_config();
+      Rng rng(sc.request_seed);
+      const std::vector<Request> requests =
+          generate_requests(model, sc.request_count, rng);
+      const auto engine = make_serving_engine(
+          model, topology.provider(), requests, sc, sc.request_step_interval,
+          /*record_requests=*/true);
+
+      ServeOutcome day;
+      std::size_t spilled = 0;
+      for (std::size_t step = 0; step < sc.request_steps; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const ServeStepResult sr = engine->serve_step(
+            step, static_cast<double>(step) * sc.request_step_interval);
+        const ServeOutcome& outcome = sr.outcome;
+        day.merge(outcome);
+        spilled += sr.em.spilled;
+
+        ServeOutcome counted;
+        counted.issued = sr.requests.size();
+        std::vector<double> latencies;
+        EmStats em;
+        for (const RequestRecord& rec : sr.requests) {
+          switch (rec.disposition) {
+            case ServeDisposition::Served:
+              ++counted.served;
+              break;
+            case ServeDisposition::NoPath:
+              ++counted.no_path;
+              break;
+            case ServeDisposition::Isolated:
+              ++counted.isolated;
+              break;
+            case ServeDisposition::Congested:
+              ++counted.congested;
+              break;
+            case ServeDisposition::RejectedCapacity:
+              ++counted.rejected_capacity;
+              break;
+            case ServeDisposition::DroppedDeadline:
+              ++counted.dropped_deadline;
+              break;
+          }
+          if (rec.disposition != ServeDisposition::Served) continue;
+          counted.fidelity.add(rec.fidelity);
+          counted.transmissivity.add(rec.transmissivity);
+          counted.hops.add(static_cast<double>(rec.hops));
+          latencies.push_back(rec.latency);
+          em.swaps += rec.em.swaps;
+          em.purification_rounds += rec.em.purification_rounds;
+          em.pairs_consumed += rec.em.pairs_consumed;
+          if (rec.em.route_index > 0) ++em.spilled;
+        }
+        EXPECT_EQ(counted.issued, outcome.issued);
+        EXPECT_EQ(counted.served, outcome.served);
+        EXPECT_EQ(counted.no_path, outcome.no_path);
+        EXPECT_EQ(counted.isolated, outcome.isolated);
+        EXPECT_EQ(counted.congested, outcome.congested);
+        EXPECT_EQ(counted.rejected_capacity, outcome.rejected_capacity);
+        EXPECT_EQ(counted.dropped_deadline, outcome.dropped_deadline);
+        EXPECT_TRUE(outcome.reconciles());
+
+        if (mode == ServingMode::Traffic) {
+          // Records come in arrival order, samples in service-start order.
+          EXPECT_EQ(counted.fidelity.count(), outcome.fidelity.count());
+          EXPECT_EQ(counted.hops.count(), outcome.hops.count());
+          std::vector<double> samples = sr.traffic.latency_samples;
+          std::sort(samples.begin(), samples.end());
+          std::sort(latencies.begin(), latencies.end());
+          EXPECT_EQ(latencies, samples);
+          continue;
+        }
+        expect_same_stats(counted.fidelity, outcome.fidelity);
+        expect_same_stats(counted.transmissivity, outcome.transmissivity);
+        expect_same_stats(counted.hops, outcome.hops);
+        if (mode == ServingMode::Entanglement) {
+          EXPECT_EQ(latencies, sr.em.latency_samples);
+          EXPECT_EQ(em.swaps, sr.em.swaps);
+          EXPECT_EQ(em.purification_rounds, sr.em.purification_rounds);
+          EXPECT_EQ(em.pairs_consumed, sr.em.pairs_consumed);
+          EXPECT_EQ(em.spilled, sr.em.spilled);
+        }
+      }
+      // The day exercised what the checks compare.
+      EXPECT_GT(day.served, 0u);
+      if (mode == ServingMode::Entanglement) {
+        EXPECT_GT(day.congested, 0u);
+        EXPECT_GT(spilled, 0u);
+      }
+      if (mode == ServingMode::Traffic) {
+        EXPECT_GT(day.rejected_capacity + day.dropped_deadline, 0u);
+      }
+    }
   }
 }
 
